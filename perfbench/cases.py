@@ -1,18 +1,16 @@
 """The fixed cases of ROADMAP's open-items table, timed through the public CLI.
 
-    python3 perfbench/cases.py [--repeats N] [--long]
+    python3 perfbench/cases.py [--long]
 
-Run from the repository root.  Each case runs N times (default 3) in this
+Run from the repository root.  Each case runs REPEATS times in this
 process; one JSON line per case gives every run's wall and CPU seconds and
-whether the output matched its oracle.  --long adds the 11-ray `dim` case
+whether every run's output matched its oracle.  --long adds the 11-ray `dim` case
 (tens of seconds per run), which is too slow for the workloads.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import os
 import shutil
@@ -27,22 +25,16 @@ import oracles  # noqa: E402
 import run  # noqa: E402
 import workloads  # noqa: E402
 
-
-def cli(pkg, argv) -> tuple[int, str]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = pkg.cli.main(argv)
-    return code, out.getvalue()
+REPEATS = 3
 
 
 def dim_case(k, d, r):
     argv = ["dim", "--degree", str(d), "--smoothness", str(r), "--slopes", ",".join(map(str, range(1, k)))]
-    return f"dim k={k} d={d} r={r}", argv, f"{oracles.schumaker_dimension(k, k, d, r)}\n"
+    return f"dim k={k} d={d} r={r}", argv, workloads.expect_stdout(f"{oracles.schumaker_dimension(k, k, d, r)}\n")
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="time the ROADMAP table cases")
-    parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--long", action="store_true", help="add the 11-ray dim case")
     args = parser.parse_args(argv)
 
@@ -65,28 +57,27 @@ def main(argv=None) -> int:
         cases = [
             dim_case(7, 8, 5),
             ("construct n=16", ["construct", "--n", str(n), "--slopes", ",".join(map(str, slopes)),
-                                "-o", counterexample], ""),
-            ("check n=16", ["check", counterexample],
-             oracles.report_lines(n + 2, [n - 1] * (n + 2), n - 1, n - 1, False, "not applicable")),
-            ("sample n=16 --grid-n 129", ["sample", grid_doc, "--grid-n", "129"], None),
-            ("check y^400", ["check", power],
-             oracles.report_lines(2, [399, 399], 399, 399, False, "not applicable")),
+                                "-o", counterexample], workloads.expect_stdout("")),
+            ("check n=16", ["check", counterexample], workloads.expect_stdout(
+                oracles.report_lines(n + 2, [n - 1] * (n + 2), n - 1, n - 1, False, "not applicable"))),
+            ("sample n=16 --grid-n 129", ["sample", grid_doc, "--grid-n", "129"],
+             workloads.GridOracle(rays, pieces, 129)),
+            ("check y^400", ["check", power], workloads.expect_stdout(
+                oracles.report_lines(2, [399, 399], 399, 399, False, "not applicable"))),
         ]
         if args.long:
             cases.append(dim_case(11, 12, 9))
-        for name, case_argv, expected in cases:
-            walls, cpus = [], []
-            for _ in range(args.repeats):
+        for name, case_argv, check in cases:
+            task = workloads.cli_task(pkg, name, case_argv, check)
+            walls, cpus, verdicts = [], [], []
+            for _ in range(REPEATS):
                 wall0, cpu0 = time.perf_counter(), time.process_time()
-                code, out = cli(pkg, case_argv)
+                outcome = task.run()
                 cpus.append(time.process_time() - cpu0)
                 walls.append(time.perf_counter() - wall0)
-            if expected is None:
-                grid = workloads.GridOracle(rays, pieces, 129)
-                verdict = grid(workloads.CliResult(code, out, "")) == "ok"
-            else:
-                verdict = code == 0 and out == expected
-            print(json.dumps({"case": name, "wall_s": walls, "cpu_s": cpus, "correct": verdict}), flush=True)
+                verdicts.append(task.check(outcome))
+            correct = all(verdict == "ok" for verdict in verdicts)
+            print(json.dumps({"case": name, "wall_s": walls, "cpu_s": cpus, "correct": correct}), flush=True)
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
         try:

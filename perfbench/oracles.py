@@ -4,7 +4,8 @@ Everything here works on plain dict polynomials {(i, j): Fraction} and
 integer direction pairs, so no check calls the code path it checks:
 
 * Schumaker's closed-form dimension of S^r_d over a fan of k rays lying on
-  m distinct lines (Schumaker 1979; Lai & Schumaker 2007, ch. 9);
+  m distinct lines (Schumaker 1979; Lai & Schumaker 2007, ch. 9), and the
+  rank of a set of coefficient vectors;
 * divisibility of a difference of pieces by a power of a ray's line form,
   after a change of variables that makes the line form a coordinate;
 * the clockwise sector of a point, by exact pseudo-angles;
@@ -42,6 +43,24 @@ def distinct_lines(rays) -> int:
             dx, dy = -dx, -dy
         lines.add((dx, dy))
     return len(lines)
+
+
+def rank(rows) -> int:
+    """Rank of a list of equal-length rational rows, by Gauss-Jordan elimination."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    found = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found]
+        for i in range(found + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col] / top[col]
+                rows[i] = [v - factor * t for v, t in zip(rows[i], top)]
+        found += 1
+    return found
 
 
 # -- dict polynomials ----------------------------------------------------

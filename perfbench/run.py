@@ -4,28 +4,39 @@
         --seconds S --trace {0,1} [--tiny]
 
 Run from the repository root; the package is imported from ./src only.  The
-workload's fixed task list (see workloads.py) is run in rounds, one client in
-a closed loop, until S seconds have passed.  The first round's outputs are
-checked against independent oracles after timing, and every later round
-must reproduce them exactly.  peak_rss_mb is read before those checks.
+run is a sequence of rounds, one client in a closed loop, until S seconds
+have passed.  Each round runs a task list of its own: set-up draws it from
+the workload's fixed size ladder with an rng seeded by (workload, seed,
+round), so task sizes are the same in every round while the inputs differ,
+and a cache of results across calls cannot make a later round faster than
+a user with new inputs would see.  After each round, outside the timed
+region, its outputs are checked against independent oracles and then
+dropped with its input files.  peak_rss_mb is read after the last round,
+before its checks.
 
 Timing.  The machine is shared, and other tenants slow this CPU-bound code
 by up to 2x for seconds to minutes at a time, which no estimator within one
 run can remove.  So every time is normalised by a probe: a fixed
-stdlib-only loop of Fraction arithmetic and dict updates, timed just before
-each task, whose duration tracks the neighbours' load.  A task time t is
-reported as t * REFERENCE_PROBE_S / probe, i.e. in seconds on a core where
-the probe takes REFERENCE_PROBE_S.  Each task's latency is the median of its
-normalised times over the run's rounds; wall_s and cpu_s sum those over the
-task list, and the task_ms_* percentiles are taken over them.  Set-up
-(importing supersmooth.cli in a fresh interpreter, generating the seeded
-inputs and writing the input files) is timed nine times, spread between the
-rounds, normalised the same way, and its median is reported as setup_s.
+stdlib-only loop of Fraction arithmetic and dict updates, timed on both
+clocks between consecutive tasks, whose duration tracks the neighbours'
+load.  A task's wall time t is reported as t * REFERENCE_PROBE_S / (probe
+wall time), with the mean of the scales measured just before and just after
+the task, i.e. in seconds on a core where the probe takes
+REFERENCE_PROBE_S; its CPU time is scaled by the probe's CPU time in the
+same way.  Each task's latency is the median of its normalised times over
+the run's rounds (the task at one position of the list has the same size in
+every round); wall_s and cpu_s sum those over the task list, and the
+task_ms_* percentiles are taken over them.  Set-up (importing
+supersmooth.cli in a fresh interpreter, generating the round's inputs and
+writing the input files) is normalised the same way, and its median over
+the run, which holds at least SETUP_REPEATS set-ups, is reported as
+setup_s.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 alternates untraced and
-traced rounds and prints the per-layer metrics of the fastest traced round,
-plus trace.overhead_ratio (traced over untraced normalised task times).  The last
-stdout line is the JSON result.
+traced rounds and prints the per-layer metrics of the first traced round
+(round 1, whose inputs depend on the seed alone, so its counts repeat
+exactly), plus trace.overhead_ratio (traced over untraced normalised task
+times).  The last stdout line is the JSON result.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 WORK = os.path.join(ROOT, ".perfbench_work")
-SETUP_REPEATS = 9
+SETUP_REPEATS = 15
 REFERENCE_PROBE_S = 100e-6
 
 IMPORT_PROBE = (
@@ -96,14 +107,15 @@ def _probe():
     return terms
 
 
-def speed_scale() -> float:
-    """REFERENCE_PROBE_S over the probe's duration now (the faster of two runs)."""
-    fastest = math.inf
+def speed_scale() -> tuple[float, float]:
+    """REFERENCE_PROBE_S over the probe's wall and CPU time now (the faster of two runs)."""
+    wall = cpu = math.inf
     for _ in range(2):
-        start = time.perf_counter()
+        wall0, cpu0 = time.perf_counter(), time.process_time()
         _probe()
-        fastest = min(fastest, time.perf_counter() - start)
-    return REFERENCE_PROBE_S / fastest
+        cpu = min(cpu, time.process_time() - cpu0)
+        wall = min(wall, time.perf_counter() - wall0)
+    return REFERENCE_PROBE_S / wall, REFERENCE_PROBE_S / cpu
 
 
 def run_round(tasks, tracer=None):
@@ -115,15 +127,18 @@ def run_round(tasks, tracer=None):
     walls, cpus, outcomes = [], [], []
     gc.collect()
     start = time.perf_counter()
+    before = speed_scale()
     for index, task in enumerate(tasks):
         if tracer is not None:
             tracer.task = index
-        scale = speed_scale()
         wall0, cpu0 = time.perf_counter(), time.process_time()
         outcome = task.run()
-        cpus.append((time.process_time() - cpu0) * scale)
-        walls.append((time.perf_counter() - wall0) * scale)
+        cpu, wall = time.process_time() - cpu0, time.perf_counter() - wall0
+        after = speed_scale()
+        walls.append(wall * (before[0] + after[0]) / 2)
+        cpus.append(cpu * (before[1] + after[1]) / 2)
         outcomes.append(outcome)
+        before = after
     return time.perf_counter() - start, walls, cpus, outcomes
 
 
@@ -159,35 +174,27 @@ def main(argv=None) -> int:
     field_calls = [0]
 
     def setup():
-        target = os.path.join(workdir, f"setup{len(setups)}")
+        """Draw and time the next set-up; return its task list and input directory."""
+        draw = len(setups)
+        target = os.path.join(workdir, f"draw{draw}")
         os.makedirs(target)
-        scale = speed_scale()
+        before, _ = speed_scale()
         import_s = timed_import()
         start = time.perf_counter()
-        tasks = workloads.build(args.workload, args.seed, pkg, target, args.tiny, field_calls)
-        setups.append((import_s + time.perf_counter() - start) * scale)
-        return tasks
+        tasks = workloads.build(args.workload, args.seed, draw, pkg, target, args.tiny, field_calls)
+        seconds = import_s + time.perf_counter() - start
+        after, _ = speed_scale()
+        setups.append(seconds * (before + after) / 2)
+        return tasks, target
 
     try:
-        tasks = setup()
         tracer = spans.Tracer() if args.trace else None
-        reference = fingerprints = None
-        changed = [False] * len(tasks)  # output differs from the first round's
-
-        def settle(result):
-            """Compare a round's outputs with the first round's, then drop them."""
-            nonlocal reference, fingerprints
-            if reference is None:
-                reference = result[3]
-                fingerprints = [task.fingerprint(out) for task, out in zip(tasks, reference)]
-            else:
-                for index, (task, out) in enumerate(zip(tasks, result[3])):
-                    changed[index] |= task.fingerprint(out) != fingerprints[index]
-            return result[:3]
-
         plain, traced = [], []
+        failures: dict[tuple[str, str], int] = {}  # (verdict, task kind) -> count
+        attempted = 0
         deadline = time.perf_counter() + args.seconds
         while time.perf_counter() < deadline or not plain or (tracer is not None and not traced):
+            tasks, target = setup()
             if tracer is not None and len(traced) < len(plain):
                 tracer.reset()
                 field_calls[0] = 0
@@ -197,27 +204,27 @@ def main(argv=None) -> int:
                 finally:
                     tracer.unpatch()
                 counters = dict(tracer.counters, **{"numcheck.field_evals": field_calls[0]})
-                traced.append((settle(result), spans.layer_metrics(tracer.spans, counters)))
+                traced.append((result[:3], spans.layer_metrics(tracer.spans, counters)))
             else:
-                plain.append(settle(run_round(tasks)))
-            if len(setups) < SETUP_REPEATS:
-                setup()  # measured only; the first set-up's inputs stay in use
-        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                result = run_round(tasks)
+                plain.append(result[:3])
+            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            for task, outcome in zip(tasks, result[3]):
+                verdict = task.check(outcome)
+                if verdict != "ok":
+                    failures[verdict, task.kind] = failures.get((verdict, task.kind), 0) + 1
+            attempted += len(tasks)
+            del tasks, result
+            shutil.rmtree(target)
         while len(setups) < SETUP_REPEATS:
-            setup()
+            shutil.rmtree(setup()[1])  # timed only, when the run held fewer rounds
 
-        status = [
-            "wrong" if differs else task.check(outcome)
-            for task, outcome, differs in zip(tasks, reference, changed)
-        ]
+        for (verdict, kind), count in sorted(failures.items()):
+            print(f"{verdict}: {count} {kind} task(s)", file=sys.stderr)
         rounds = plain + [r for r, _ in traced]
-        for task, s in zip(tasks, status):
-            if s != "ok":
-                print(f"{s}: {task.kind} task", file=sys.stderr)
         print("round wall_s: " + " ".join(f"{r[0]:.3f}" for r in rounds), file=sys.stderr)
-        failed = sum(s != "ok" for s in status) * len(rounds)
-        attempted = len(tasks) * len(rounds)
-        correct = "wrong" not in status
+        failed = sum(failures.values())
+        correct = not any(verdict == "wrong" for verdict, _ in failures)
 
         plain_walls = typical(plain, 1)
         if tracer is None:
@@ -232,7 +239,7 @@ def main(argv=None) -> int:
                 "peak_rss_mb": (peak_rss_mb, "MB"),
             }
         else:
-            (wall, *_), layers = min(traced, key=lambda entry: entry[0][0])
+            (wall, *_), layers = traced[0]
             metrics = {name: (layers.get(name, 0), spans.unit_of(name)) for name in spans.PER_LAYER}
             metrics["trace.wall_s"] = (wall, "s")
             traced_walls = typical([r for r, _ in traced], 1)

@@ -1,14 +1,15 @@
 """Self-test of the benchmark: a tiny version of every workload, checked three ways.
 
-    python3 perfbench/selftest.py [--seed N]
+    python3 perfbench/selftest.py
 
 Run from the repository root.  For each workload it runs perfbench/run.py
-with --tiny, untraced and traced, on a seed the recorded baselines do not use,
-and checks that
+with --tiny, untraced and traced, on SELFTEST_SEED, which the recorded
+baselines do not use, and checks that
   1. every metric BENCHMARK.json names is printed, with its unit;
   2. 1 - ok_ratio equals the share of the task list made of malformed inputs
      that the CLI currently mishandles, found independently by running each
-     one in a fresh interpreter and reading its real exit code and stderr;
+     one of the first draw in a fresh interpreter and reading its real exit
+     code and stderr (every draw has the same malformed kinds);
   3. the busy time of the top-level spans sums to no more than the traced
      round's wall time.
 Exits 0 when every check passes.
@@ -16,7 +17,6 @@ Exits 0 when every check passes.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -35,9 +35,9 @@ SELFTEST_SEED = 424242
 CLI_PROBE = "import sys; sys.path.insert(0, sys.argv[1]); from supersmooth.cli import main; sys.exit(main(sys.argv[2:]))"
 
 
-def bench(workload: str, seed: int, trace: int) -> dict:
+def bench(workload: str, trace: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload, "--seed", str(seed),
+        [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload, "--seed", str(SELFTEST_SEED),
          "--seconds", "1", "--trace", str(trace), "--tiny"],
         capture_output=True, text=True, timeout=170, cwd=ROOT,
     )
@@ -46,12 +46,12 @@ def bench(workload: str, seed: int, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def mishandled_share(workload: str, seed: int, pkg) -> float:
+def mishandled_share(workload: str, pkg) -> float:
     """Share of the tiny task list that is malformed input the CLI mishandles."""
     os.makedirs(run.WORK, exist_ok=True)
     workdir = tempfile.mkdtemp(prefix="selftest-", dir=run.WORK)
     try:
-        tasks = workloads.build(workload, seed, pkg, workdir, tiny=True)
+        tasks = workloads.build(workload, SELFTEST_SEED, 0, pkg, workdir, tiny=True)
         mishandled = 0
         for task in tasks:
             if not task.malformed:
@@ -66,18 +66,14 @@ def mishandled_share(workload: str, seed: int, pkg) -> float:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="tiny run of every workload, with checks")
-    parser.add_argument("--seed", type=int, default=SELFTEST_SEED)
-    args = parser.parse_args(argv)
-
+def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
     pkg = run.import_package()
     problems = []
     for workload in workloads.WORKLOADS:
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
-            result = bench(workload, args.seed, trace)
+            result = bench(workload, trace)
             if not result["correct"]:
                 problems.append(f"{workload}: a task gave a wrong answer")
             metrics = result["metrics"]
@@ -86,7 +82,7 @@ def main(argv=None) -> int:
                 if printed is None or printed["unit"] != metric["unit"]:
                     problems.append(f"{workload}: {metric['name']} missing or not in {metric['unit']}")
             if trace == 0:
-                expected = mishandled_share(workload, args.seed, pkg)
+                expected = mishandled_share(workload, pkg)
                 got = 1 - metrics["ok_ratio"]["value"]
                 if abs(got - expected) > 1e-9:
                     problems.append(f"{workload}: failed share {got:.4f}, expected {expected:.4f}")

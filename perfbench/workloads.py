@@ -1,13 +1,14 @@
 """Seeded task lists for the three workloads, with the oracle for each task.
 
 A task is one CLI command (run in-process through `supersmooth.cli.main`)
-or one public library call.  `build(name, seed, pkg, workdir, tiny)` writes
-the task inputs under `workdir` and returns the round's task list; the same
-seed always gives the same list.  Task sizes (rays, degree, smoothness, n,
-grid points, samples per ray) follow a fixed ladder per workload, and the
-seed draws the content (slopes, rays, polynomials, radii, and the numeric
-fixtures' samples per ray and Richardson levels), so every seed costs about
-the same and run-to-run spread measures the machine rather than the draw.
+or one public library call.  `build(name, seed, draw, pkg, workdir, tiny)`
+writes the task inputs under `workdir` and returns one round's task list;
+the same seed and draw always give the same list.  Task sizes (rays, degree,
+smoothness, n, grid points, samples per ray) follow a fixed ladder per
+workload, and the seed and draw pick the content (slopes, rays, polynomials,
+radii, and the numeric fixtures' samples per ray and Richardson levels), so
+every draw costs about the same and run-to-run spread measures the machine
+rather than the draw.
 
 Each task's `check` returns one of
   "ok"     -- output matches the oracle, or a malformed input was rejected
@@ -44,7 +45,6 @@ class Task:
     kind: str
     run: Callable[[], Any]
     check: Callable[[Any], str]
-    fingerprint: Callable[[Any], Any]
     malformed: bool = False
     argv: list[str] | None = None  # for CLI tasks
 
@@ -56,7 +56,7 @@ class CliResult:
     err: str
 
 
-def cli_task(pkg, kind, argv, check, fingerprint=None, malformed=False) -> Task:
+def cli_task(pkg, kind, argv, check, malformed=False) -> Task:
     def run():
         out, err = io.StringIO(), io.StringIO()
         try:
@@ -68,10 +68,10 @@ def cli_task(pkg, kind, argv, check, fingerprint=None, malformed=False) -> Task:
             code = f"raised {type(exc).__name__}"
         return CliResult(code, out.getvalue(), err.getvalue())
 
-    return Task(kind, run, check, fingerprint or (lambda r: r), malformed, argv)
+    return Task(kind, run, check, malformed, argv)
 
 
-def lib_task(kind, call, check, fingerprint) -> Task:
+def lib_task(kind, call, check) -> Task:
     def run():
         try:
             return call()
@@ -83,10 +83,7 @@ def lib_task(kind, call, check, fingerprint) -> Task:
             return "wrong"
         return check(result)
 
-    def fp(result):
-        return result if isinstance(result, tuple) and result[:1] == ("raised",) else fingerprint(result)
-
-    return Task(kind, run, guarded, fp)
+    return Task(kind, run, guarded)
 
 
 def expect_stdout(text: str) -> Callable[[CliResult], str]:
@@ -157,10 +154,6 @@ def write_doc(workdir, name, rays, pieces) -> str:
     return path
 
 
-def terms_of(spline) -> tuple:
-    return tuple(tuple(sorted(piece.terms.items())) for piece in spline.pieces)
-
-
 def as_dicts(spline) -> list[dict]:
     return [dict(piece.terms) for piece in spline.pieces]
 
@@ -190,9 +183,10 @@ FAN_LADDER = ladder(
     (10, [(4, False, 1, 3), (4, True, 2, 4), (4, False, 2, 5), (4, True, 1, 4), (4, False, 0, 3)]),
     (8, [(5, False, 2, 4), (5, True, 3, 5), (5, False, 3, 4), (5, True, 2, 5)]),
 )
-# (rays k, smoothness r, degree d, count) per `sample_spline_space` task.
-SAMPLE_LADDER = [(3, 1, 3, 5), (3, 1, 4, 3), (4, 2, 4, 3), (4, 1, 4, 2),
-                 (3, 0, 3, 4), (3, 2, 4, 3), (4, 1, 3, 4), (3, 1, 3, 2)]
+# (rays k, smoothness r, degree d) per `sample_spline_space` task.  Each task
+# asks for as many samples as the space has dimensions, so the check can
+# demand that they span it.
+SAMPLE_LADDER = [(3, 1, 3), (3, 1, 4), (4, 2, 4), (4, 1, 4), (3, 0, 3), (3, 2, 4), (4, 1, 3), (3, 1, 3)]
 
 
 def space_tasks(rng, pkg, workdir, tiny) -> list[Task]:
@@ -211,34 +205,41 @@ def space_tasks(rng, pkg, workdir, tiny) -> list[Task]:
             "fan_dim",
             lambda fan=fan, d=d, r=r: pkg.dimension.spline_space_dimension(fan, d, r),
             lambda got, expected=expected: "ok" if got == expected else "wrong",
-            lambda got: got,
         ))
 
-    for k, r, d, count in rungs(SAMPLE_LADDER, tiny):
+    for k, r, d in rungs(SAMPLE_LADDER, tiny):
         rays = random_rays(rng, k, collinear_pair=False)
         fan = pkg.fan.build_fan([pkg.fan.Ray(dx, dy) for dx, dy in rays])
         fan_rays = [(ray.dx, ray.dy) for ray in fan.rays]
+        count = oracles.schumaker_dimension(k, k, d, r)
         seed = rng.randrange(2**31)
 
         def check(samples, count=count, r=r, d=d, fan_rays=fan_rays):
+            # Nonzero samples of degree <= d that are C^r across every ray and
+            # have full rank span S^r_d: a short or empty null-space basis
+            # would give dependent or zero samples.  The sample weights are
+            # random integers, so full rank holds except with negligible
+            # probability, and it is fixed by the seed.
             if len(samples) != count:
                 return "wrong"
+            monomials = [(i, t - i) for t in range(d + 1) for i in range(t + 1)]
+            vectors = []
             for spline in samples:
                 pieces = as_dicts(spline)
                 if [(ray.dx, ray.dy) for ray in spline.fan.rays] != fan_rays:
                     return "wrong"
-                if any(i + j > d for p in pieces for i, j in p):
+                if not any(pieces) or any(i + j > d for p in pieces for i, j in p):
                     return "wrong"
                 if oracles.global_order(fan_rays, pieces) < r:
                     return "wrong"
-            return "ok"
+                vectors.append([p.get(mono, 0) for p in pieces for mono in monomials])
+            return "ok" if oracles.rank(vectors) == count else "wrong"
 
         tasks.append(lib_task(
             "sample",
             lambda fan=fan, d=d, r=r, count=count, seed=seed:
                 pkg.dimension.sample_spline_space(fan, d, r, count=count, seed=seed),
             check,
-            lambda samples: tuple(terms_of(s) for s in samples),
         ))
     return tasks
 
@@ -271,14 +272,8 @@ def verdict_tasks(rng, pkg, workdir, tiny) -> list[Task]:
             slopes_ok = block.get("slopes") == [oracles.format_fraction(a) for a in ordered]
             return "ok" if got_rays == rays and block.get("n") == n and slopes_ok else "wrong"
 
-        def construct_fp(r, path=path):
-            if not os.path.isfile(path):
-                return (r, None)
-            with open(path, encoding="utf-8") as handle:
-                return (r, handle.read())
-
         tasks.append(cli_task(pkg, "construct", ["construct", "--n", str(n), slope_arg(slopes), "-o", path],
-                              construct_check, construct_fp))
+                              construct_check))
         report = oracles.report_lines(n + 2, [n - 1] * (n + 2), n - 1, n - 1, False, "not applicable")
         tasks.append(cli_task(pkg, "check", ["check", path], expect_stdout(report)))
 
@@ -314,15 +309,13 @@ def verdict_tasks(rng, pkg, workdir, tiny) -> list[Task]:
             shape_ok = len(exponents) == 2**n and all(sum(x) == n for x in exponents)
             return "ok" if shape_ok else "wrong"
 
-        tasks.append(lib_task("expand", expand, expand_check,
-                              lambda e: tuple(sorted(e.product.terms.items()))))
+        tasks.append(lib_task("expand", expand, expand_check))
         others = list(fan.rays[1:])
         tasks.append(lib_task(
             "apply",
             lambda slot=slot, others=others, q_poly=q_poly:
                 pkg.operators.apply_operator(slot["expansion"].product, others, q_poly),
             lambda got, expected=expected: "ok" if dict(got.terms) == expected else "wrong",
-            lambda got: tuple(sorted(got.terms.items())),
         ))
 
     tasks.extend(malformed_tasks(rng, pkg, workdir))
@@ -457,14 +450,12 @@ def grid_tasks(rng, pkg, workdir, tiny, field_calls) -> list[Task]:
                 "corner_gradient",
                 lambda fixture=fixture, cfg=cfg: pkg.numcheck.verify_corner_gradient(fixture, cfg),
                 lambda got, want=gradient_passes: "ok" if got.passed == want else "wrong",
-                lambda got: got,
             ))
             cfg = config(pkg, samples.pop(), rng.randint(1, 5))
             tasks.append(lib_task(
                 "witness",
                 lambda fixture=fixture, cfg=cfg: pkg.numcheck.corner_witness_check(fixture.f_upper, fixture, cfg),
                 lambda got, want=is_witness: "ok" if got.is_witness == want else "wrong",
-                lambda got: got,
             ))
     lemma = pkg.numcheck.get_fixture("lemma-xy")
     f, g = counted(lemma.f, field_calls), counted(lemma.g, field_calls)
@@ -474,7 +465,6 @@ def grid_tasks(rng, pkg, workdir, tiny, field_calls) -> list[Task]:
             "ray_lemma",
             lambda cfg=cfg: pkg.numcheck.verify_ray_lemma(f, g, lemma.ray, cfg),
             lambda got: "ok" if got.passed else "wrong",
-            lambda got: got,
         ))
 
     # Continuous splines glue along every ray, so the ray lemma must pass on each.
@@ -490,13 +480,12 @@ def grid_tasks(rng, pkg, workdir, tiny, field_calls) -> list[Task]:
                 "field_rays",
                 lambda field=field, cfg=cfg: pkg.numcheck.verify_field_rays(field, cfg),
                 lambda got, k=len(rays): "ok" if len(got) == k and all(rep.passed for rep in got) else "wrong",
-                lambda got: tuple(got),
             ))
     return tasks
 
 
-def build(name, seed, pkg, workdir, tiny=False, field_calls=None) -> list[Task]:
-    rng = random.Random(f"{name}:{seed}")
+def build(name, seed, draw, pkg, workdir, tiny=False, field_calls=None) -> list[Task]:
+    rng = random.Random(f"{name}:{seed}:{draw}")
     if name == "space":
         return space_tasks(rng, pkg, workdir, tiny)
     if name == "verdict":
