@@ -3,7 +3,8 @@
 Subcommands: construct (build a counterexample spline as JSON), check
 (smoothness report for a spline file), dim (spline-space dimension over a
 slope fan), demo (built-in examples and numeric fixtures), sample (CSV grid
-of a spline file).  Exit codes: 0 success, 1 domain error, 2 usage error.
+of a spline file).  Exit codes: 0 success, 1 domain error or unreadable
+input file, 2 usage error.
 """
 
 from __future__ import annotations
@@ -194,10 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

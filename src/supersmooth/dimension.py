@@ -1,19 +1,21 @@
 """Dimension and sampling of smooth piecewise-polynomial spaces over a fan.
 
-The space of splines with pieces of total degree <= d joined C^r across
-every ray is cut out of the k*(d+1)(d+2)/2 piece coefficients by linear
-constraints: for each ray, every partial derivative of the difference of
-the two adjacent pieces up to total order r must restrict to zero on the
-ray's line, one equation per power of the ray parameter.  The dimension is
-the coefficient count minus the rank of that system, and the system's null
-space doubles as a sampling basis.
+Pieces p_{j-1} and p_j of degree <= d join C^r across ray j exactly when
+their difference is q_j * l_j^(r+1), where l_j = dy*x - dx*y is the ray's
+line form and q_j is a smoothing cofactor of degree <= d - r - 1.  Going
+once around the vertex the jumps cancel, so the spline space is P_d plus
+the kernel of the conformality condition sum_j q_j l_j^(r+1) = 0.  That
+condition splits by homogeneous degree: for each s in r+1..d it is an
+integer system with s+1 rows (the monomials of degree s) and k*(s-r)
+columns (the coefficients of the cofactors' degree s-r-1 parts).  A kernel
+vector gives the cumulative pieces p_j = sum_{i<=j} q_i l_i^(r+1), the same
+construction as the counterexample builder's.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from typing import Sequence
+from math import comb
 
 from . import linalg
 from .errors import DomainError
@@ -26,92 +28,89 @@ def _monomials(degree: int) -> list[tuple[int, int]]:
     return [(i, s - i) for s in range(degree + 1) for i in range(s + 1)]
 
 
-def _falling(exponent: int, order: int) -> int:
-    out = 1
-    for step in range(order):
-        out *= exponent - step
-    return out
+def _line_power(ray, power: int) -> list[int]:
+    """Coefficients of (dy*x - dx*y)^power, indexed by the exponent of x."""
+    return [comb(power, a) * ray.dy**a * (-ray.dx) ** (power - a) for a in range(power + 1)]
 
 
-def _ray_constraint_rows(fan, ray_index: int, degree: int, smoothness: int,
-                         monomials, piece_count: int) -> list[list[int]]:
-    """Rows forcing the pieces adjacent along one ray to join C^smoothness."""
-    ray = fan.rays[ray_index]
-    left = (ray_index - 1) % piece_count
-    right = ray_index
-    per_piece = len(monomials)
-    width = piece_count * per_piece
-    rows = []
-    for order in range(smoothness + 1):
-        for dx_order in range(order + 1):
-            dy_order = order - dx_order
-            # restriction of D^(dx_order, dy_order) x^i y^j to (t*dx, t*dy):
-            # coefficient of t^(i+j-order), one constraint row per power.
-            by_power: dict[int, list[tuple[int, int]]] = {}
-            for col, (i, j) in enumerate(monomials):
-                if i < dx_order or j < dy_order:
-                    continue
-                coeff = (
-                    _falling(i, dx_order)
-                    * _falling(j, dy_order)
-                    * ray.dx ** (i - dx_order)
-                    * ray.dy ** (j - dy_order)
-                )
-                if coeff:
-                    by_power.setdefault(i + j - order, []).append((col, coeff))
-            for power in sorted(by_power):
-                row = [0] * width
-                for col, coeff in by_power[power]:
-                    row[left * per_piece + col] += coeff
-                    row[right * per_piece + col] -= coeff
-                if any(row):
-                    rows.append(row)
-    return rows
+def _blocks(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, list[list[int]], int]]:
+    """(s, rows, cols) of the conformality condition in each homogeneous degree s.
 
-
-def _constraint_rows(fan: FanPartition, degree: int, smoothness: int) -> tuple[list[list[int]], int]:
+    Row i is the coefficient of x^i y^(s-i); column j*(s-r) + b is the
+    coefficient of x^b y^(s-r-1-b) in the cofactor of ray j.
+    """
     if degree < 0:
         raise DomainError("degree must be nonnegative")
     if smoothness < 0:
         raise DomainError("smoothness must be nonnegative")
-    monomials = _monomials(degree)
-    k = len(fan.rays)
-    width = k * len(monomials)
-    rows: list[list[int]] = []
-    for ray_index in range(k):
-        block = _ray_constraint_rows(fan, ray_index, degree, smoothness, monomials, k)
-        # Pre-reducing each ray's block keeps the global elimination small.
-        rows.extend(linalg.row_reduce(block, cols=width))
-    return rows, width
+    lines = [_line_power(ray, smoothness + 1) for ray in fan.rays]
+    blocks = []
+    for s in range(smoothness + 1, degree + 1):
+        width = s - smoothness
+        cols = len(lines) * width
+        rows = [[0] * cols for _ in range(s + 1)]
+        for j, line in enumerate(lines):
+            for b in range(width):
+                for a, coeff in enumerate(line):
+                    rows[a + b][j * width + b] = coeff
+        blocks.append((s, rows, cols))
+    return blocks
 
 
 def spline_space_dimension(fan: FanPartition, degree: int, smoothness: int) -> int:
     """Dimension of the C^smoothness splines of degree <= degree over the fan."""
-    rows, width = _constraint_rows(fan, degree, smoothness)
-    return width - linalg.rank(rows, cols=width)
+    blocks = _blocks(fan, degree, smoothness)
+    return comb(degree + 2, 2) + sum(cols - linalg.rank(rows, cols=cols) for _, rows, cols in blocks)
+
+
+def _kernels(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, list[list[int]]]]:
+    return [(s, linalg.nullspace(rows, cols=cols)) for s, rows, cols in _blocks(fan, degree, smoothness)]
+
+
+def _size(degree: int, kernels) -> int:
+    return comb(degree + 2, 2) + sum(len(vectors) for _, vectors in kernels)
+
+
+def _combine(fan: FanPartition, degree: int, smoothness: int, kernels, weights) -> PiecewisePoly:
+    """The basis combination with these weights: P_d's monomials first, then
+    each kernel vector, degree by degree.
+
+    The weighted kernel vectors are summed into one cofactor vector per
+    degree, so each piece is assembled once.
+    """
+    lines = [_line_power(ray, smoothness + 1) for ray in fan.rays]
+    globals_count = comb(degree + 2, 2)
+    common = {mono: w for mono, w in zip(_monomials(degree), weights[:globals_count]) if w}
+    rest = iter(weights[globals_count:])
+    jumps = [{} for _ in lines]
+    for s, vectors in kernels:
+        width = s - smoothness
+        cofactor = [0] * (len(lines) * width)
+        for vector, w in zip(vectors, rest):
+            if w:
+                cofactor = [c + w * v for c, v in zip(cofactor, vector)]
+        for j, line in enumerate(lines):
+            for b in range(width):
+                q = cofactor[j * width + b]
+                if q:
+                    for a, coeff in enumerate(line):
+                        mono = (a + b, s - a - b)
+                        jumps[j][mono] = jumps[j].get(mono, 0) + q * coeff
+    pieces = []
+    for jump in jumps:
+        for mono, c in jump.items():
+            common[mono] = common.get(mono, 0) + c
+        pieces.append(BiPoly(common))
+    return PiecewisePoly(fan=fan, pieces=tuple(pieces))
 
 
 def spline_space_basis(fan: FanPartition, degree: int, smoothness: int) -> list[PiecewisePoly]:
-    """A basis of the spline space, as piecewise polynomials with integer coefficients."""
-    rows, width = _constraint_rows(fan, degree, smoothness)
-    monomials = _monomials(degree)
-    basis = []
-    for vector in linalg.nullspace(rows, cols=width):
-        basis.append(_from_coefficients(fan, monomials, vector))
-    return basis
-
-
-def _from_coefficients(fan, monomials, vector: Sequence) -> PiecewisePoly:
-    per_piece = len(monomials)
-    pieces = []
-    for p in range(len(fan.rays)):
-        terms = {}
-        for col, mono in enumerate(monomials):
-            coeff = vector[p * per_piece + col]
-            if coeff:
-                terms[mono] = Fraction(coeff)
-        pieces.append(BiPoly(terms))
-    return PiecewisePoly(fan=fan, pieces=tuple(pieces))
+    """A basis of the spline space, as piecewise polynomials with integer coefficients:
+    the global monomials of degree <= degree, then the cumulative splines of
+    the conformality kernel."""
+    kernels = _kernels(fan, degree, smoothness)
+    dim = _size(degree, kernels)
+    return [_combine(fan, degree, smoothness, kernels, [int(i == e) for i in range(dim)]) for e in range(dim)]
 
 
 def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: int,
@@ -121,15 +120,11 @@ def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: 
     Weights are drawn uniformly from [-coefficient_bound, coefficient_bound]
     with a fixed default seed, so samples are reproducible.
     """
-    basis = spline_space_basis(fan, degree, smoothness)
+    kernels = _kernels(fan, degree, smoothness)
+    dim = _size(degree, kernels)
     rng = random.Random(seed)
-    samples = []
-    for _ in range(count):
-        pieces = [BiPoly.zero() for _ in fan.rays]
-        for element in basis:
-            weight = rng.randint(-coefficient_bound, coefficient_bound)
-            if weight == 0:
-                continue
-            pieces = [acc + part.scale(weight) for acc, part in zip(pieces, element.pieces)]
-        samples.append(PiecewisePoly(fan=fan, pieces=tuple(pieces)))
-    return samples
+    return [
+        _combine(fan, degree, smoothness, kernels,
+                 [rng.randint(-coefficient_bound, coefficient_bound) for _ in range(dim)])
+        for _ in range(count)
+    ]

@@ -15,6 +15,7 @@ Rationals use the canonical "p" / "p/q" text form; monomial keys are
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -167,8 +168,8 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     """
     if grid_n < 2:
         raise DomainError("grid_n must be at least 2")
-    if not radius > 0:
-        raise DomainError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise DomainError("radius must be positive and finite")
     coords = [-radius + 2.0 * radius * i / (grid_n - 1) for i in range(grid_n)]
     rows = []
     for y in reversed(coords):

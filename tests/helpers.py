@@ -1,9 +1,10 @@
-"""Shared randomized generators for the test suite (all seeded by callers)."""
+"""Shared randomized generators and reference routes for the test suite (all seeded by callers)."""
 
 from fractions import Fraction
+from math import perm
 from random import Random
 
-from supersmooth import BiPoly, FanPartition, Ray, build_fan
+from supersmooth import BiPoly, FanPartition, Ray, build_fan, rank
 
 
 def random_bipoly(rng: Random, max_degree: int = 6, terms: int = 8, bound: int = 9) -> BiPoly:
@@ -39,3 +40,53 @@ def random_slope_set(rng: Random, count: int, max_denominator: int = 4) -> list[
         if value != 0:
             slopes.add(value)
     return sorted(slopes)
+
+
+def distinct_lines(rays) -> int:
+    """Number of distinct lines through the origin carrying the given rays."""
+    return len({(r.dx, r.dy) if (r.dx, r.dy) > (0, 0) else (-r.dx, -r.dy) for r in rays})
+
+
+def random_fan(rng: Random, k: int, opposite_share: float = 0.3, bound: int = 5) -> FanPartition:
+    """k distinct rays; each new ray is, with probability opposite_share, the
+    opposite of an earlier one, so several rays may share a line."""
+    rays: list[Ray] = []
+    while len(rays) < k:
+        if rays and rng.random() < opposite_share:
+            earlier = rng.choice(rays)
+            candidate = Ray(-earlier.dx, -earlier.dy)
+        else:
+            candidate = Ray(*random_direction(rng, bound))
+        if candidate not in rays:
+            rays.append(candidate)
+    return build_fan(rays)
+
+
+def partial_derivative_dimension(fan: FanPartition, degree: int, smoothness: int) -> int:
+    """dim S^r_d by the direct route, independent of smoothing cofactors.
+
+    Every partial derivative D^(a,b), a + b <= r, of the difference of the
+    two pieces adjacent along a ray must restrict to zero on that ray: one
+    equation per power of the ray parameter, in the k*C(d+2,2) piece
+    coefficients.  The dimension is the coefficient count minus the rank.
+    """
+    monomials = [(i, s - i) for s in range(degree + 1) for i in range(s + 1)]
+    per_piece = len(monomials)
+    k = len(fan.rays)
+    width = k * per_piece
+    rows = []
+    for right, ray in enumerate(fan.rays):
+        left = (right - 1) % k
+        for a in range(smoothness + 1):
+            for b in range(smoothness + 1 - a):
+                # D^(a,b) x^i y^j restricted to (t*dx, t*dy) is a multiple of t^(i+j-a-b)
+                by_power: dict[int, list[int]] = {}
+                for col, (i, j) in enumerate(monomials):
+                    if i < a or j < b:
+                        continue
+                    coeff = perm(i, a) * perm(j, b) * ray.dx ** (i - a) * ray.dy ** (j - b)
+                    row = by_power.setdefault(i + j - a - b, [0] * width)
+                    row[left * per_piece + col] += coeff
+                    row[right * per_piece + col] -= coeff
+                rows.extend(row for row in by_power.values() if any(row))
+    return width - rank(rows, cols=width)

@@ -128,3 +128,31 @@ def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _one_error_line(capsys) -> None:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_check_directory_exits_1(tmp_path, capsys):
+    assert main(["check", str(tmp_path)]) == 1
+    _one_error_line(capsys)
+
+
+def test_check_non_utf8_file_exits_1(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"rays": [\xff\xfe]}')
+    assert main(["check", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_sample_rejects_non_finite_radius(tmp_path, capsys, radius):
+    spline_path = tmp_path / "c.json"
+    main(["construct", "--n", "1", "--slopes", "1,2", "-o", str(spline_path)])
+    capsys.readouterr()
+    assert main(["sample", str(spline_path), "--radius", radius]) == 1
+    _one_error_line(capsys)

@@ -1,17 +1,22 @@
 from math import comb
 from random import Random
 
+import pytest
+
 from supersmooth import (
+    DomainError,
     Ray,
     build_fan,
+    fan_from_slopes,
     global_smoothness_order,
     origin_smoothness_order,
+    rank,
     sample_spline_space,
     smoothness_across_ray,
     spline_space_basis,
     spline_space_dimension,
 )
-from helpers import random_collinear_free_fan
+from helpers import distinct_lines, partial_derivative_dimension, random_collinear_free_fan, random_fan
 
 GENERIC_3 = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 1)])
 GENERIC_4 = build_fan([Ray(1, 0), Ray(1, -1), Ray(-1, -1), Ray(-1, 2)])
@@ -89,3 +94,79 @@ def test_vertex_gain_above_minimal_smoothness():
             fan = random_collinear_free_fan(rng, n + 2)
             for spline in sample_spline_space(fan, m + 2, m, count=20, seed=m):
                 assert origin_smoothness_order(spline) >= m + 1
+
+
+def schumaker_dimension(k: int, m: int, degree: int, smoothness: int) -> int:
+    """Schumaker's (1979) dim S^r_d on a vertex star of k rays on m distinct lines."""
+    d, r = degree, smoothness
+    if r >= d:
+        return comb(d + 2, 2)
+    return comb(r + 2, 2) + k * comb(d - r + 1, 2) + sum(max(r + j + 1 - j * m, 0) for j in range(1, d - r + 1))
+
+
+def test_dimension_matches_schumaker_on_random_fans():
+    rng = Random(1979)
+    seen_lines = set()
+    for k in range(2, 10):
+        for _ in range(3):
+            fan = random_fan(rng, k)
+            m = distinct_lines(fan.rays)
+            seen_lines.add(k - m)
+            for d in range(0, 11):
+                for r in range(0, d + 2):
+                    assert spline_space_dimension(fan, d, r) == schumaker_dimension(k, m, d, r), (fan, d, r)
+    assert {0, 1, 2} <= seen_lines  # no opposite pair, one pair, two pairs
+
+
+def test_eleven_ray_slope_fan():
+    assert spline_space_dimension(fan_from_slopes(range(1, 11)), 12, 9) == 121
+
+
+def test_dimension_matches_the_partial_derivative_route():
+    rng = Random(2013)
+    for k in range(2, 6):
+        fan = random_fan(rng, k)
+        for d in range(0, 5):
+            for r in range(0, d + 2):
+                assert spline_space_dimension(fan, d, r) == partial_derivative_dimension(fan, d, r), (fan, d, r)
+
+
+def _coefficient_vectors(splines, degree):
+    monomials = [(i, s - i) for s in range(degree + 1) for i in range(s + 1)]
+    return [[piece.coefficient(*mono) for piece in spline.pieces for mono in monomials] for spline in splines]
+
+
+def _assert_spans_the_space(splines, fan, degree, smoothness):
+    for spline in splines:
+        assert spline.max_total_degree() <= degree
+        for j in range(len(fan.rays)):
+            assert smoothness_across_ray(spline, j) >= smoothness
+    assert rank(_coefficient_vectors(splines, degree)) == len(splines)
+
+
+def test_basis_is_a_basis_of_the_space():
+    rng = Random(77)
+    for k, d, r in [(2, 3, 1), (3, 3, 1), (4, 4, 2), (5, 5, 2), (6, 6, 4), (4, 3, 3), (3, 2, 0)]:
+        fan = random_fan(rng, k)
+        basis = spline_space_basis(fan, d, r)
+        assert len(basis) == spline_space_dimension(fan, d, r)
+        _assert_spans_the_space(basis, fan, d, r)
+
+
+def test_samples_span_the_space():
+    rng = Random(78)
+    for k, d, r in [(3, 3, 1), (4, 4, 2), (5, 5, 3), (4, 2, 0)]:
+        fan = random_fan(rng, k)
+        dim = spline_space_dimension(fan, d, r)
+        samples = sample_spline_space(fan, d, r, count=dim, seed=k)
+        assert len(samples) == dim
+        _assert_spans_the_space(samples, fan, d, r)
+
+
+@pytest.mark.parametrize("degree, smoothness", [(-1, 0), (2, -1)])
+def test_negative_degree_or_smoothness_is_domain_error(degree, smoothness):
+    for call in (spline_space_dimension, spline_space_basis):
+        with pytest.raises(DomainError):
+            call(GENERIC_3, degree, smoothness)
+    with pytest.raises(DomainError):
+        sample_spline_space(GENERIC_3, degree, smoothness, count=1)
