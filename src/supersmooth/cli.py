@@ -22,6 +22,7 @@ from .dimension import sample_spline_space, spline_space_dimension
 from .errors import DomainError
 from .fan import Ray, build_fan
 from .numcheck import (
+    FIXTURES,
     NumericConfig,
     RayLemmaFixture,
     corner_witness_check,
@@ -40,7 +41,7 @@ from .serialize import (
 from .spline import PiecewisePoly, render_report, supersmoothness_verdict
 
 SPLINE_DEMOS = ("farin", "halfplane", "counterexample", "twopiece")
-FIXTURE_DEMOS = ("corner-quadratic", "smooth-parabola", "halfplane-n1", "lemma-xy")
+FIXTURE_DEMOS = tuple(FIXTURES)
 
 
 def _slopes_arg(text: str) -> list[Fraction]:

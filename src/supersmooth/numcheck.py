@@ -95,6 +95,26 @@ def _one_sided_stencil(f: Field, point, direction, h: float) -> float:
     return (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
 
 
+def _richardson(estimates: list[float], error_powers) -> tuple[float, float]:
+    """Richardson-extrapolate estimates taken at successively halved steps.
+
+    Stage s kills the h^p term, p the s-th entry of `error_powers`.  Returns
+    the extrapolated value and the last extrapolation delta (infinite when a
+    single estimate leaves nothing to compare).
+    """
+    levels = len(estimates)
+    delta = math.inf
+    for stage, power in zip(range(1, levels), error_powers):
+        factor = 2.0**power
+        next_row = [
+            (factor * estimates[i] - estimates[i - 1]) / (factor - 1.0)
+            for i in range(stage, levels)
+        ]
+        delta = abs(next_row[-1] - estimates[-1])
+        estimates[stage:] = next_row
+    return estimates[-1], delta
+
+
 def one_sided_directional_derivative(f: Field, point, direction,
                                      cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
     """One-sided derivative of f at `point` along the unit vector of `direction`.
@@ -113,17 +133,8 @@ def one_sided_directional_derivative(f: Field, point, direction,
     estimates = [
         _one_sided_stencil(f, point, unit, cfg.base_step / 2**i) for i in range(levels)
     ]
-    # Error series of the stencil starts at h^2; each stage kills one power.
-    delta = math.inf
-    for stage in range(1, levels):
-        factor = 2.0 ** (stage + 1)
-        next_row = [
-            (factor * estimates[i] - estimates[i - 1]) / (factor - 1.0)
-            for i in range(stage, levels)
-        ]
-        delta = abs(next_row[-1] - estimates[-1])
-        estimates[stage:] = next_row
-    return estimates[-1], delta
+    # Error series of the stencil: h^2, h^3, h^4, ...
+    return _richardson(estimates, range(2, levels + 1))
 
 
 def _central_partial(f: Field, point, axis: int, cfg: NumericConfig) -> float:
@@ -137,12 +148,7 @@ def _central_partial(f: Field, point, axis: int, cfg: NumericConfig) -> float:
             vals.append((_eval(f, px + h, py) - _eval(f, px - h, py)) / (2.0 * h))
         else:
             vals.append((_eval(f, px, py + h) - _eval(f, px, py - h)) / (2.0 * h))
-    for stage in range(1, levels):
-        factor = 4.0**stage
-        vals[stage:] = [
-            (factor * vals[i] - vals[i - 1]) / (factor - 1.0) for i in range(stage, levels)
-        ]
-    return vals[-1]
+    return _richardson(vals, range(2, 2 * levels, 2))[0]
 
 
 def estimate_gradient(f: Field, point, cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:

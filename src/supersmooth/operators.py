@@ -143,14 +143,7 @@ def expand_power_operator(fan: "FanPartition | Sequence[Ray]", n: int) -> PowerO
     k = len(rays)
     if k != n + 2:
         raise ArityError(f"order {n} needs a fan of {n + 2} rays, got {k}")
-    collinear_free = (
-        fan.collinear_free
-        if isinstance(fan, FanPartition)
-        else not any(
-            _collinear(rays[i], rays[j]) for i in range(k) for j in range(i + 1, k)
-        )
-    )
-    if not collinear_free:
+    if any(_collinear(rays[i], rays[j]) for i in range(k) for j in range(i + 1, k)):
         raise SingularDecompositionError("rays contain a collinear pair")
     arity = n + 1
     v1, v2 = rays[0], rays[1]

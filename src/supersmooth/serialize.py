@@ -9,7 +9,10 @@ Document schema (any unknown field anywhere is an error):
     }
 
 Rationals use the canonical "p" / "p/q" text form; monomial keys are
-"i,j" with nonnegative exponents.  decode(encode(F)) reproduces F exactly.
+"i,j" with nonnegative exponents and total degree i+j at most MAX_DEGREE,
+which bounds the cost of checking a document (exact smoothness orders take
+time polynomial in the degree, however few the terms).  decode(encode(F))
+reproduces F exactly.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .fan import Ray, build_fan, locate_sector
 from .poly import BiPoly
 from .rational import format_rational, parse_rational
 from .spline import PiecewisePoly
+
+MAX_DEGREE = 1000
 
 
 def encode_spline(spline: PiecewisePoly, construction: dict | None = None) -> str:
@@ -91,6 +96,8 @@ def _parse_monomial_key(key: str, where: str) -> tuple[int, int]:
         raise SchemaError(f"{where}: monomial key {key!r} is not \"i,j\"") from None
     if i < 0 or j < 0:
         raise SchemaError(f"{where}: negative exponent in monomial key {key!r}")
+    if i + j > MAX_DEGREE:
+        raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}")
     return i, j
 
 
@@ -168,8 +175,9 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     """
     if grid_n < 2:
         raise DomainError("grid_n must be at least 2")
-    if not 0 < radius < math.inf:
-        raise DomainError("radius must be positive and finite")
+    # 2*radius*(grid_n-1) is the largest intermediate of the coordinates below.
+    if not (0 < radius and math.isfinite(2.0 * radius * (grid_n - 1))):
+        raise DomainError("radius must be positive and small enough for finite grid coordinates")
     coords = [-radius + 2.0 * radius * i / (grid_n - 1) for i in range(grid_n)]
     rows = []
     for y in reversed(coords):

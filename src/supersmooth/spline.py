@@ -7,15 +7,15 @@ Smoothness orders live on an enriched integer scale:
 * INFINITE (float inf) -- the compared pieces are identical.
 
 "C^r across a ray" means every partial derivative of the difference of the
-two adjacent pieces up to total order r restricts to zero on the ray; for
-polynomials this is equivalent to divisibility of the difference by the
-(r+1)st power of the ray's line form, and both routes are implemented so
-they can cross-check each other.
+two adjacent pieces up to total order r restricts to zero on the ray, which
+for polynomials is divisibility of the difference by the (r+1)st power of
+the ray's line form l = dy*x - dx*y.  The library computes that
+multiplicity one way, by differentiating across the line; the tests hold
+the all-partials definition and a division route as independent references.
 
 "C^m at the origin" means all per-piece partial derivatives up to total
-order m agree at the origin.  Once m passes the maximal total degree, the
-pieces' Taylor expansions pin them completely, so agreement there means the
-pieces are identical and the order is INFINITE.
+order m agree at the origin, that is, every jump p_j - p_0 starts at total
+degree m+1 or later.  Identical pieces agree to every order: INFINITE.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from math import factorial
 
 from .errors import DomainError
 from .fan import FanPartition, Ray, locate_sector
-from .poly import BiPoly, restrict_to_ray
+from .poly import BiPoly, directional_derivative, restrict_to_ray
 
 # Enriched smoothness scale: plain ints plus these two sentinels.  Both
 # compare correctly under min() and <=, which is all the code relies on.
@@ -72,18 +72,20 @@ def smoothness_order_of_difference(diff: BiPoly, ray: Ray):
     """Largest r such that all partials of `diff` up to order r vanish on the ray.
 
     NOT_CONTINUOUS if the difference itself does not vanish, INFINITE if it
-    is the zero polynomial.  A polynomial vanishing on a ray vanishes on the
-    whole line, so the answer only depends on the ray's line.
+    is the zero polynomial.  The answer is one less than the multiplicity of
+    the line form l = dy*x - dx*y in `diff`.  Differentiating across the line
+    lowers that multiplicity by exactly one, since D_across l = -(dx^2 + dy^2)
+    is a nonzero constant, so the order counts the derivatives taken before
+    the restriction to the ray stops vanishing.
     """
     if diff.is_zero:
         return INFINITE
-    top = diff.total_degree()
-    for order in range(top + 1):
-        for i in range(order + 1):
-            if not restrict_to_ray(diff.partial(i, order - i), ray).is_zero:
-                return order - 1
-    # Some order-deg partial is a nonzero constant, so the loop always returns.
-    raise AssertionError("unreachable: nonzero polynomial passed all orders")
+    dx, dy = ray
+    order = NOT_CONTINUOUS
+    while restrict_to_ray(diff, ray).is_zero:
+        diff = directional_derivative(diff, (-dy, dx))
+        order += 1
+    return order
 
 
 def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
@@ -94,26 +96,6 @@ def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
     before = spline.pieces[(ray_index - 1) % k]
     after = spline.pieces[ray_index]
     return smoothness_order_of_difference(before - after, spline.fan.rays[ray_index])
-
-
-def line_divisibility_order(diff: BiPoly, slope):
-    """Largest r with (y + slope*x)^(r+1) dividing diff; the division-based twin
-    of smoothness_order_of_difference for non-vertical gluing lines."""
-    if diff.is_zero:
-        return INFINITE
-    # Substitute y -> u - slope*x; the multiplicity of (y + slope*x) is the
-    # least u-exponent of the rewritten polynomial.
-    a = Fraction(slope)
-    shear = BiPoly({(1, 0): -a, (0, 1): 1})  # u - slope*x, with u in y's slot
-    max_j = max(j for _, j in diff.terms)
-    shear_powers = [BiPoly.constant(1)]
-    for _ in range(max_j):
-        shear_powers.append(shear_powers[-1] * shear)
-    rewritten = BiPoly.zero()
-    for (i, j), coeff in diff.terms.items():
-        rewritten = rewritten + shear_powers[j].scale(coeff) * BiPoly({(i, 0): 1})
-    multiplicity = min(j for _, j in rewritten.terms)
-    return multiplicity - 1
 
 
 def global_smoothness_order(spline: PiecewisePoly):
@@ -136,30 +118,21 @@ def origin_partials(spline: PiecewisePoly, max_order: int) -> dict[tuple[int, in
     return table
 
 
-def _order_agrees(spline: PiecewisePoly, order: int) -> bool:
-    for i in range(order + 1):
-        coeffs = {p.coefficient(i, order - i) for p in spline.pieces}
-        if len(coeffs) > 1:
-            return False
-    return True
-
-
 def origin_smoothness_order(spline: PiecewisePoly, max_order: int | None = None):
     """Largest m such that all per-piece partials up to order m agree at the origin.
 
-    The search is capped at the maximal total degree: agreement through that
-    order forces identical pieces, reported as INFINITE.  An explicit
-    `max_order` caps the search earlier; if every order up to such a cap
-    agrees, the cap itself is returned (a lower bound on the true order).
+    That is one less than the lowest total degree of any jump p_j - p_0, or
+    INFINITE when all pieces are identical.  An explicit `max_order` caps
+    the answer: when it is below both the order and the maximal total
+    degree, the cap itself is returned (a lower bound on the true order).
     """
-    degree_cap = spline.max_total_degree()
-    cap = degree_cap if max_order is None else min(max_order, degree_cap)
-    for order in range(cap + 1):
-        if not _order_agrees(spline, order):
-            return order - 1
-    if max_order is not None and max_order < degree_cap:
+    base = spline.pieces[0]
+    jumps = (piece - base for piece in spline.pieces[1:])
+    low_degrees = [min(i + j for i, j in jump.terms) for jump in jumps if not jump.is_zero]
+    order = min(low_degrees) - 1 if low_degrees else INFINITE
+    if max_order is not None and max_order < min(order, spline.max_total_degree()):
         return max_order
-    return INFINITE
+    return order
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import perm
 from random import Random
 
-from supersmooth import BiPoly, FanPartition, Ray, build_fan, rank
+from supersmooth import INFINITE, BiPoly, FanPartition, Ray, build_fan, rank, restrict_to_ray
 
 
 def random_bipoly(rng: Random, max_degree: int = 6, terms: int = 8, bound: int = 9) -> BiPoly:
@@ -90,3 +90,41 @@ def partial_derivative_dimension(fan: FanPartition, degree: int, smoothness: int
                     row[right * per_piece + col] -= coeff
                 rows.extend(row for row in by_power.values() if any(row))
     return width - rank(rows, cols=width)
+
+
+def all_partials_order(diff: BiPoly, ray: Ray):
+    """Smoothness order across a ray straight from the definition.
+
+    The largest r such that every partial derivative of `diff` of total
+    order <= r restricts to zero on the ray; quadratic in the degree.
+    """
+    if diff.is_zero:
+        return INFINITE
+    for order in range(diff.total_degree() + 1):
+        for i in range(order + 1):
+            if not restrict_to_ray(diff.partial(i, order - i), ray).is_zero:
+                return order - 1
+    # Some order-deg partial is a nonzero constant, so the loop always returns.
+    raise AssertionError("unreachable: nonzero polynomial passed all orders")
+
+
+def line_divisibility_order(diff: BiPoly, slope):
+    """Largest r with (y + slope*x)^(r+1) dividing diff, by a change of variables.
+
+    Only non-vertical lines have a slope.
+    """
+    if diff.is_zero:
+        return INFINITE
+    # Substitute y -> u - slope*x; the multiplicity of (y + slope*x) is the
+    # least u-exponent of the rewritten polynomial.
+    a = Fraction(slope)
+    shear = BiPoly({(1, 0): -a, (0, 1): 1})  # u - slope*x, with u in y's slot
+    max_j = max(j for _, j in diff.terms)
+    shear_powers = [BiPoly.constant(1)]
+    for _ in range(max_j):
+        shear_powers.append(shear_powers[-1] * shear)
+    rewritten = BiPoly.zero()
+    for (i, j), coeff in diff.terms.items():
+        rewritten = rewritten + shear_powers[j].scale(coeff) * BiPoly({(i, 0): 1})
+    multiplicity = min(j for _, j in rewritten.terms)
+    return multiplicity - 1

@@ -19,7 +19,6 @@ from supersmooth import (
     directional_derivative,
     get_fixture,
     global_smoothness_order,
-    line_divisibility_order,
     linear_form_power,
     origin_smoothness_order,
     render_report,
@@ -33,6 +32,7 @@ from supersmooth import (
 from supersmooth.cli import main
 from supersmooth.operators import apply_operator, expand_power_operator
 from helpers import (
+    line_divisibility_order,
     random_bipoly,
     random_collinear_free_fan,
     random_slope_set,

@@ -156,3 +156,35 @@ def test_sample_rejects_non_finite_radius(tmp_path, capsys, radius):
     capsys.readouterr()
     assert main(["sample", str(spline_path), "--radius", radius]) == 1
     _one_error_line(capsys)
+
+
+def test_sample_rejects_radius_whose_grid_overflows(tmp_path, capsys):
+    # 2 * radius * (grid_n - 1) overflows to inf although the radius is finite
+    spline_path = tmp_path / "c.json"
+    main(["construct", "--n", "1", "--slopes", "1,2", "-o", str(spline_path)])
+    capsys.readouterr()
+    assert main(["sample", str(spline_path), "--grid-n", "3", "--radius", "1e308"]) == 1
+    _one_error_line(capsys)
+    assert main(["sample", str(spline_path), "--grid-n", "3", "--radius", "4e307"]) == 0
+
+
+def _axis_document(monomial: str) -> str:
+    # the y-axis in both directions, with pieces 0 and the given monomial
+    return (
+        '{"rays": [{"dx": "0", "dy": "1"}, {"dx": "0", "dy": "-1"}], '
+        '"pieces": [{"monomials": {}}, {"monomials": {"' + monomial + '": "1"}}]}'
+    )
+
+
+def test_check_rejects_degree_above_cap(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(_axis_document("4000,0"))
+    assert main(["check", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+def test_check_accepts_degree_at_cap(tmp_path, capsys):
+    path = tmp_path / "cap.json"
+    path.write_text(_axis_document("1000,0"))
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == ["ray 0: order 999", "ray 1: order 999"]

@@ -16,7 +16,6 @@ from supersmooth import (
     format_order,
     global_smoothness_order,
     linear_form_power,
-    line_divisibility_order,
     origin_partials,
     origin_smoothness_order,
     render_report,
@@ -24,7 +23,13 @@ from supersmooth import (
     smoothness_order_of_difference,
     supersmoothness_verdict,
 )
-from helpers import random_bipoly, random_collinear_free_fan
+from helpers import (
+    all_partials_order,
+    line_divisibility_order,
+    random_bipoly,
+    random_collinear_free_fan,
+    random_direction,
+)
 
 TWO_GENERIC = build_fan([Ray(1, 0), Ray(1, -1)])
 X_AXIS = build_fan([Ray(1, 0), Ray(-1, 0)])
@@ -161,6 +166,55 @@ def test_restriction_order_equals_divisibility_order():
         diff = _planted_difference(rng, slope, rng.randint(0, 3))
         ray = Ray(1, -slope) if slope > 0 else Ray(-1, slope)
         assert smoothness_order_of_difference(diff, ray) == line_divisibility_order(diff, slope)
+
+
+AXIS_RAYS = (Ray(0, 1), Ray(0, -1), Ray(1, 0), Ray(-1, 0))
+
+
+def test_transverse_order_equals_all_partials_order():
+    # any integer ray, vertical included, with a planted power of its line form
+    rng = Random(314159)
+    for case in range(200):
+        ray = AXIS_RAYS[case % 4] if case < 40 else Ray(*random_direction(rng))
+        line = BiPoly({(1, 0): ray.dy, (0, 1): -ray.dx})
+        multiplicity = rng.randint(0, 5)
+        diff = line**multiplicity * random_bipoly(rng, max_degree=3, terms=4)
+        order = smoothness_order_of_difference(diff, ray)
+        assert order == all_partials_order(diff, ray)
+        assert order >= multiplicity - 1
+
+
+def _origin_order_from_partials(spline, max_order):
+    """The capped origin order from the first disagreeing partial in origin_partials."""
+    degree = spline.max_total_degree()
+    cap = degree if max_order is None else min(max_order, degree)
+    disagree = [i + j for (i, j), row in origin_partials(spline, cap).items() if len(set(row)) > 1]
+    if disagree:
+        return min(disagree) - 1
+    if max_order is not None and max_order < degree:
+        return max_order
+    return INFINITE
+
+
+def test_origin_order_equals_first_disagreeing_partial():
+    rng = Random(161803)
+    for case in range(120):
+        fan = random_collinear_free_fan(rng, rng.randint(2, 5))
+        base = random_bipoly(rng, max_degree=4, terms=5)
+        if case % 6 == 0:
+            pieces = (BiPoly.zero(),) * len(fan.rays)
+        elif case % 6 == 1:
+            pieces = (base,) * len(fan.rays)
+        else:
+            # jumps that start at a chosen degree, so low orders often agree
+            low = rng.randint(0, 4)
+            pieces = (base,) + tuple(
+                base + (X + Y) ** low * random_bipoly(rng, max_degree=2, terms=3) for _ in fan.rays[1:]
+            )
+        spline = PiecewisePoly(fan=fan, pieces=pieces)
+        for max_order in [None, -3, -1] + list(range(spline.max_total_degree() + 2)):
+            expected = _origin_order_from_partials(spline, max_order)
+            assert origin_smoothness_order(spline, max_order=max_order) == expected
 
 
 def test_format_order():
