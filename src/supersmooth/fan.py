@@ -63,28 +63,22 @@ def _cross(a, b) -> Fraction | int:
     return ax * by - ay * bx
 
 
-def _dot(a, b) -> Fraction | int:
-    ax, ay = a
-    bx, by = b
-    return ax * bx + ay * by
-
-
 def are_collinear(a: Ray, b: Ray) -> bool:
     """True iff the rays lie on one line through the origin (same or opposite)."""
     return _cross(a, b) == 0
 
 
-def _half_turn_bucket(base, v) -> int:
-    """0: along base; 1: in the open clockwise half-turn; 2: opposite; 3: the rest."""
-    c = _cross(base, v)
+def _half_turn_bucket(bx, by, vx, vy) -> int:
+    """0: along (bx, by); 1: in the open clockwise half-turn; 2: opposite; 3: the rest."""
+    c = bx * vy - by * vx
     if c == 0:
-        return 0 if _dot(base, v) > 0 else 2
+        return 0 if bx * vx + by * vy > 0 else 2
     return 1 if c < 0 else 3
 
 
 def _clockwise_cmp(base, u, v) -> int:
     """Order by clockwise angle from base in [0, full turn); 0 means equal angle."""
-    bu, bv = _half_turn_bucket(base, u), _half_turn_bucket(base, v)
+    bu, bv = _half_turn_bucket(*base, *u), _half_turn_bucket(*base, *v)
     if bu != bv:
         return -1 if bu < bv else 1
     if bu in (0, 2):
@@ -132,16 +126,29 @@ def build_fan(rays: Iterable[Ray]) -> FanPartition:
 
 
 def locate_sector(fan: FanPartition, x, y) -> int:
-    """Sector index of a nonzero point; points on rays[j] report j."""
+    """Sector index of a nonzero point; points on rays[j] report j.
+
+    The answer is the last ray, in clockwise order from rays[0], that is not
+    clockwise past the point.  A positive multiple of the point lies in the
+    same sector, so the point's denominators are cleared once and every
+    comparison is an integer cross product.
+    """
     fx, fy = Fraction(x), Fraction(y)
     if fx == 0 and fy == 0:
         raise OriginSectorError("the origin lies on every ray and has no sector")
-    point = (fx, fy)
-    base = fan.rays[0]
+    px, py = fx.numerator * fy.denominator, fy.numerator * fx.denominator
+    rays = fan.rays
+    bx, by = rays[0].dx, rays[0].dy
+    point_bucket = _half_turn_bucket(bx, by, px, py)
     sector = 0
-    for j in range(1, len(fan.rays)):
-        if _clockwise_cmp(base, fan.rays[j], point) <= 0:
-            sector = j
+    for j in range(1, len(rays)):
+        dx, dy = rays[j].dx, rays[j].dy
+        bucket = _half_turn_bucket(bx, by, dx, dy)
+        # Past the point: a later bucket, or the same bucket and clockwise
+        # beyond it (in bucket 2 both lie on the opposite ray, cross product 0).
+        if bucket > point_bucket or (bucket == point_bucket and dx * py - dy * px > 0):
+            break
+        sector = j
     return sector
 
 

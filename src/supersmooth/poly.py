@@ -9,6 +9,7 @@ a UniPoly in the ray parameter t.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Tuple
 
 from .errors import InvalidDirectionError
@@ -167,12 +168,27 @@ class BiPoly:
         return BiPoly(out)
 
     def evaluate(self, x, y) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point.
+
+        With x = ax/bx, y = ay/by, top exponents I and J and common coefficient
+        denominator D, the value times D*bx^I*by^J is an integer, so the sum
+        runs over ints and a single Fraction is built at the end.
+        """
         vx, vy = _as_fraction(x), _as_fraction(y)
-        total = _ZERO
-        for (i, j), coeff in self._terms.items():
-            total += coeff * vx**i * vy**j
-        return total
+        if not self._terms:
+            return _ZERO
+        ax, bx = vx.numerator, vx.denominator
+        ay, by = vy.numerator, vy.denominator
+        top_i = max(i for i, _ in self._terms)
+        top_j = max(j for _, j in self._terms)
+        common = lcm(*(c.denominator for c in self._terms.values()))
+        total = 0
+        for (i, j), c in self._terms.items():
+            total += (
+                c.numerator * (common // c.denominator)
+                * ax**i * bx ** (top_i - i) * ay**j * by ** (top_j - j)
+            )
+        return Fraction(total, common * bx**top_i * by**top_j)
 
     def __str__(self) -> str:
         if not self._terms:

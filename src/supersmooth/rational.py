@@ -23,12 +23,15 @@ def parse_rational(text: str) -> Fraction:
 
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise RationalParseError(f"zero denominator: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = text.partition("/")
+    try:
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        # Python refuses integer literals above sys.get_int_max_str_digits() digits.
+        raise RationalParseError(f"rational literal too long ({len(text)} characters)") from None
+    if den == 0:
+        raise RationalParseError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -8,6 +8,9 @@ Document schema (any unknown field anywhere is an error):
       "construction": {"n": 2, "slopes": [...], "coeffs": [...]}   # optional
     }
 
+A construction block has exactly these three fields: an integer n >= 1 and
+n+1 rational strings in each list.
+
 Rationals use the canonical "p" / "p/q" text form; monomial keys are
 "i,j" with nonnegative exponents and total degree i+j at most MAX_DEGREE,
 which bounds the cost of checking a document (exact smoothness orders take
@@ -105,7 +108,10 @@ def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
     """Parse spline JSON, returning the spline and any construction block."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal above Python's digit limit
         raise SchemaError(f"invalid JSON: {exc}") from None
     _require_keys(doc, {"rays", "pieces"}, {"construction"}, "document")
 
@@ -150,9 +156,23 @@ def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
         raise SchemaError("rays are not in clockwise order starting from the first")
 
     construction = doc.get("construction")
-    if construction is not None and not isinstance(construction, dict):
-        raise SchemaError("construction: expected an object")
+    if construction is not None:
+        _check_construction(construction)
     return PiecewisePoly(fan=fan, pieces=tuple(pieces)), construction
+
+
+def _check_construction(block) -> None:
+    """A construction block holds an order n >= 1 and n+1 slopes and coefficients."""
+    _require_keys(block, {"n", "slopes", "coeffs"}, set(), "construction")
+    n = block["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SchemaError("construction.n: expected an integer >= 1")
+    for field in ("slopes", "coeffs"):
+        values = block[field]
+        if not isinstance(values, list) or len(values) != n + 1:
+            raise SchemaError(f"construction.{field}: expected a list of n+1 rationals")
+        for idx, value in enumerate(values):
+            _parse_rational_at(value, f"construction.{field}[{idx}]")
 
 
 def decode_spline(text: str) -> PiecewisePoly:
@@ -179,16 +199,23 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     if not (0 < radius and math.isfinite(2.0 * radius * (grid_n - 1))):
         raise DomainError("radius must be positive and small enough for finite grid coordinates")
     coords = [-radius + 2.0 * radius * i / (grid_n - 1) for i in range(grid_n)]
+    exact = [Fraction(c) for c in coords]
     rows = []
-    for y in reversed(coords):
-        for x in coords:
+    for y, fy in zip(reversed(coords), reversed(exact)):
+        for x, fx in zip(coords, exact):
             if x == 0.0 and y == 0.0:
                 sector = -1
                 value = spline.pieces[0].evaluate(0, 0)
             else:
-                sector = locate_sector(spline.fan, Fraction(x), Fraction(y))
-                value = spline.pieces[sector].evaluate(Fraction(x), Fraction(y))
-            rows.append((x, y, float(value), sector))
+                sector = locate_sector(spline.fan, fx, fy)
+                value = spline.pieces[sector].evaluate(fx, fy)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise DomainError(
+                    f"the value at ({x!r}, {y!r}) is too large for a float; use a smaller radius"
+                ) from None
+            rows.append((x, y, value, sector))
     return rows
 
 

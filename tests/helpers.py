@@ -4,7 +4,17 @@ from fractions import Fraction
 from math import perm
 from random import Random
 
-from supersmooth import INFINITE, BiPoly, FanPartition, Ray, build_fan, rank, restrict_to_ray
+from supersmooth import (
+    INFINITE,
+    BiPoly,
+    FanPartition,
+    OriginSectorError,
+    Ray,
+    build_fan,
+    rank,
+    restrict_to_ray,
+)
+from supersmooth.fan import _clockwise_cmp
 
 
 def random_bipoly(rng: Random, max_degree: int = 6, terms: int = 8, bound: int = 9) -> BiPoly:
@@ -128,3 +138,29 @@ def line_divisibility_order(diff: BiPoly, slope):
         rewritten = rewritten + shear_powers[j].scale(coeff) * BiPoly({(i, 0): 1})
     multiplicity = min(j for _, j in rewritten.terms)
     return multiplicity - 1
+
+
+def fraction_locate_sector(fan: FanPartition, x, y) -> int:
+    """Sector of a nonzero point by comparing it, as a Fraction pair, with every ray.
+
+    Uses the clockwise comparator that `build_fan` sorts by: the sector is
+    the last ray whose clockwise angle from rays[0] does not exceed the point's.
+    """
+    point = (Fraction(x), Fraction(y))
+    if point == (0, 0):
+        raise OriginSectorError("the origin lies on every ray and has no sector")
+    base = fan.rays[0]
+    sector = 0
+    for j in range(1, len(fan.rays)):
+        if _clockwise_cmp(base, fan.rays[j], point) <= 0:
+            sector = j
+    return sector
+
+
+def termwise_evaluate(p: BiPoly, x, y) -> Fraction:
+    """Exact value of p at a rational point, summed term by term in Fractions."""
+    vx, vy = Fraction(x), Fraction(y)
+    total = Fraction(0)
+    for (i, j), coeff in p.terms.items():
+        total += coeff * vx**i * vy**j
+    return total

@@ -1,4 +1,9 @@
+import json
+import time
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from supersmooth import (
     build_counterexample,
@@ -188,3 +193,89 @@ def test_check_accepts_degree_at_cap(tmp_path, capsys):
     path.write_text(_axis_document("1000,0"))
     assert main(["check", str(path)]) == 0
     assert capsys.readouterr().out.splitlines()[:2] == ["ray 0: order 999", "ray 1: order 999"]
+
+
+def test_sample_value_beyond_float_range_exits_1(tmp_path, capsys):
+    # the grid coordinates are finite, but degree-5 values near 1e500 are not
+    spline_path = tmp_path / "c.json"
+    main(["construct", "--n", "4", "--slopes", "1,2,3,4,5", "-o", str(spline_path)])
+    capsys.readouterr()
+    assert main(["sample", str(spline_path), "--grid-n", "4", "--radius", "1e100"]) == 1
+    _one_error_line(capsys)
+
+
+def test_check_overlong_rational_exits_1(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text(
+        '{"rays": [{"dx": "' + "1" * 5000 + '", "dy": "0"}, {"dx": "-1", "dy": "0"}], '
+        '"pieces": [{"monomials": {}}, {"monomials": {}}]}'
+    )
+    assert main(["check", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+def test_check_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["check", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+def test_check_rejects_invalid_construction(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    main(["construct", "--n", "1", "--slopes", "1,2", "-o", str(path)])
+    capsys.readouterr()
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    doc = json.loads(path.read_text())
+    doc["construction"]["n"] = "x"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+# Keys of the spline schema, so that generated objects get past the first checks.
+_SCHEMA_KEYS = ("rays", "pieces", "construction", "dx", "dy", "monomials", "n", "slopes", "coeffs", "0,0", "1,2")
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from(["0", "1", "-3/4", "1/0", "2"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=4), children, max_size=4),
+    max_leaves=20,
+)
+_rational_texts = st.sampled_from(["0", "1", "-1", "2", "-3/4", "7/5"])
+
+
+def _documents(k):
+    """Schema-shaped documents with k rays and arbitrary leaves; many reach the verdict."""
+    ray = st.fixed_dictionaries({"dx": _rational_texts, "dy": _rational_texts})
+    monomials = st.dictionaries(st.sampled_from(["0,0", "1,0", "0,2", "3,1", "40,0"]), _rational_texts, max_size=3)
+    return st.fixed_dictionaries(
+        {
+            "rays": st.lists(ray, min_size=k, max_size=k),
+            "pieces": st.lists(st.fixed_dictionaries({"monomials": monomials}), min_size=k, max_size=k),
+        },
+        optional={"construction": _json_values},
+    )
+
+
+_check_inputs = st.one_of(
+    st.binary(max_size=200),
+    st.one_of(_json_values, st.integers(2, 4).flatmap(_documents)).map(lambda value: json.dumps(value).encode()),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_check_inputs)
+def test_check_is_total_on_arbitrary_input(tmp_path, capsys, data):
+    path = tmp_path / "fuzz.json"
+    path.write_bytes(data)
+    start = time.perf_counter()
+    code = main(["check", str(path)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code in (0, 1)
+    assert "Traceback" not in captured.err
+    if code == 1:
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert elapsed < 2.0

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supersmooth import (
     DuplicateRayError,
@@ -15,7 +17,7 @@ from supersmooth import (
     decompose_direction,
     locate_sector,
 )
-from helpers import random_collinear_free_fan, random_direction
+from helpers import fraction_locate_sector, random_collinear_free_fan, random_direction
 
 
 def test_ray_canonical_form():
@@ -105,6 +107,51 @@ def test_locate_sector_membership_property():
         # strictly inside: sweeping clockwise from u must reach p before w
         # (a point opposite u is a half-turn in, legal for wide sectors)
         assert _clockwise_strictly_between(tuple(u), p, tuple(w))
+
+
+# Small integer directions hit the axes, so vertical rays are common.
+_directions = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda d: d != (0, 0))
+
+
+@st.composite
+def _fans(draw):
+    """Fans in any input order, some rays paired with their opposites."""
+    rays = []
+    for d in draw(st.lists(_directions, min_size=1, max_size=6)):
+        candidates = [Ray(*d)] + ([Ray(-d[0], -d[1])] if draw(st.booleans()) else [])
+        rays.extend(r for r in candidates if r not in rays)
+    if len(rays) < 2:
+        rays.append(Ray(-rays[0].dx, -rays[0].dy))
+    return build_fan(draw(st.permutations(rays)))
+
+
+def _points(fan):
+    coordinates = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(max_denominator=50),
+        st.floats(-1e6, 1e6, allow_nan=False),
+    )
+    ray = st.sampled_from(fan.rays)
+    on_ray = st.one_of(
+        st.tuples(ray, st.fractions(min_value=0, max_value=100).filter(bool)).map(
+            lambda rs: (rs[0].dx * rs[1], rs[0].dy * rs[1])
+        ),
+        # dyadic floats represent a point on the ray exactly
+        st.tuples(ray, st.integers(-30, 30)).map(
+            lambda re: (re[0].dx * 2.0 ** re[1], re[0].dy * 2.0 ** re[1])
+        ),
+    )
+    return st.one_of(st.tuples(coordinates, coordinates), on_ray)
+
+
+@given(_fans(), st.data())
+def test_locate_sector_matches_fraction_route(fan, data):
+    x, y = data.draw(_points(fan))
+    if Fraction(x) == 0 and Fraction(y) == 0:
+        with pytest.raises(OriginSectorError):
+            locate_sector(fan, x, y)
+        return
+    assert locate_sector(fan, x, y) == fraction_locate_sector(fan, x, y)
 
 
 def _clockwise_bucket(base, v):

@@ -15,7 +15,7 @@ from supersmooth import (
     linear_form_power,
     restrict_to_ray,
 )
-from helpers import random_bipoly, random_direction
+from helpers import random_bipoly, random_direction, termwise_evaluate
 
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -101,6 +101,31 @@ def test_evaluate_examples():
     assert (Y**2 + 4 * X * Y + 4 * X**2).evaluate(1, -2) == 0
     assert (X + Y).evaluate(0, 0) == 0
     assert (3 * X**2 - Y).evaluate(Fraction(1, 2), Fraction(1, 4)) == Fraction(1, 2)
+
+
+def test_evaluate_matches_termwise_fractions():
+    rng = Random(8803)
+
+    def rational(bound, max_denominator):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, max_denominator))
+
+    for case in range(400):
+        terms = {}
+        for _ in range(rng.randint(0, 10)):
+            terms[(rng.randint(0, 12), rng.randint(0, 12))] = rational(10**6, 10**4)
+        p = BiPoly(terms)
+        if case % 4 == 0:
+            x, y = rng.randint(-50, 50), rng.randint(-50, 50)
+        else:
+            x, y = rational(10**5, 10**5), rational(10**5, 10**5)
+        value = p.evaluate(x, y)
+        assert type(value) is Fraction
+        assert value == termwise_evaluate(p, x, y)
+
+
+def test_evaluate_rejects_floats():
+    with pytest.raises(TypeError):
+        X.evaluate(0.5, 1)
 
 
 @given(bipolys, directions, directions)

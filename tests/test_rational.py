@@ -19,6 +19,16 @@ def test_parse_rejects_loose_forms(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1" * 5000, "1/" + "7" * 5000, "-" + "9" * 4400 + "/3"],
+    ids=["numerator", "denominator", "negative"],
+)
+def test_parse_rejects_literals_beyond_the_digit_limit(text):
+    with pytest.raises(RationalParseError, match="too long"):
+        parse_rational(text)
+
+
 def test_format_canonical():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(8, 4)) == "2"

@@ -1,9 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from supersmooth import (
     BiPoly,
+    DomainError,
     Ray,
     SchemaError,
     X,
@@ -98,6 +101,70 @@ def test_decode_rejects_invalid_json():
         decode_spline("{not json")
 
 
+def test_decode_maps_deep_nesting_to_schema_error():
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        decode_spline("[" * 100000 + "]" * 100000)
+
+
+def test_decode_maps_overlong_integer_to_schema_error():
+    # json.loads refuses integer literals above Python's digit limit with ValueError
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        decode_spline('{"n": ' + "1" * 5000 + "}")
+
+
+def _construction(**overrides):
+    block = {"n": 1, "slopes": ["1", "2"], "coeffs": ["2", "-1"]}
+    block.update(overrides)
+    return block
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        "x",
+        [],
+        _construction(extra=1),
+        {"n": 1, "slopes": ["1", "2"]},
+        _construction(n="x"),
+        _construction(n=True),
+        _construction(n=1.0),
+        _construction(n=0),
+        _construction(n=-1),
+        _construction(n=2),
+        _construction(n=int("9" * 4300)),  # n+1 has too many digits to print
+        _construction(slopes="1,2"),
+        _construction(slopes=["1"]),
+        _construction(coeffs=["2", "-1", "0"]),
+        _construction(slopes=[1, 2]),
+        _construction(coeffs=["2", "1.5"]),
+        _construction(coeffs=["2", "1/0"]),
+    ],
+)
+def test_decode_rejects_invalid_construction(block):
+    with pytest.raises(SchemaError, match="construction"):
+        decode_document(json.dumps(_document(construction=block)))
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        _construction(),
+        _construction(n=3, slopes=["1", "-2", "3/4", "5"], coeffs=["0", "1", "-7/2", "2"]),
+    ],
+)
+def test_decode_accepts_valid_construction(block):
+    _, construction = decode_document(json.dumps(_document(construction=block)))
+    assert construction == block
+
+
+def test_readme_example_document_is_valid():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+    spline, construction = decode_document(example)
+    assert len(spline.pieces) == 2
+    assert construction["n"] == 1
+
+
 def test_sample_grid_constant_zero():
     fan = build_fan([Ray(1, 0), Ray(0, 1)])
     spline = PiecewisePoly(fan=fan, pieces=(BiPoly.zero(), BiPoly.zero()))
@@ -148,3 +215,9 @@ def test_sample_grid_validates_arguments():
         sample_grid(spline, 1, 1.0)
     with pytest.raises(Exception):
         sample_grid(spline, 4, 0.0)
+
+
+def test_sample_grid_rejects_values_beyond_float_range():
+    spline = build_counterexample([1, 2, 3, 4, 5], 4).spline
+    with pytest.raises(DomainError, match="too large for a float"):
+        sample_grid(spline, 4, 1e100)
