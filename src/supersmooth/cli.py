@@ -10,6 +10,7 @@ input file, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -51,7 +52,9 @@ def _slopes_arg(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `main` call; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="supersmooth",
         description="Exact smoothness analysis of piecewise polynomials over fans of rays.",

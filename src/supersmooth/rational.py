@@ -12,16 +12,17 @@ from fractions import Fraction
 
 Rational = Fraction
 
-# Strict literal form: optional sign, digits, optional "/digits".
-# The denominator carries no sign, so "3/-4" is rejected outright.
-_RATIONAL_RE = re.compile(r"^-?\d+(?:/\d+)?$")
+# Strict literal form: optional sign, ASCII digits, optional "/digits".
+# The denominator carries no sign, so "3/-4" is rejected outright.  \d
+# would also match non-ASCII decimal digits, which int() reads too.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical "p" or "p/q" form, rejecting anything looser."""
     from .errors import RationalParseError
 
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
     try:

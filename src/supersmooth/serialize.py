@@ -12,10 +12,10 @@ A construction block has exactly these three fields: an integer n >= 1 and
 n+1 rational strings in each list.
 
 Rationals use the canonical "p" / "p/q" text form; monomial keys are
-"i,j" with nonnegative exponents and total degree i+j at most MAX_DEGREE,
-which bounds the cost of checking a document (exact smoothness orders take
-time polynomial in the degree, however few the terms).  decode(encode(F))
-reproduces F exactly.
+"i,j" with nonnegative exponents in ASCII digits and total degree i+j at
+most MAX_DEGREE, which bounds the cost of checking a document (exact
+smoothness orders take time polynomial in the degree, however few the
+terms).  decode(encode(F)) reproduces F exactly.
 """
 
 from __future__ import annotations
@@ -91,14 +91,14 @@ def _parse_rational_at(value, where: str) -> Fraction:
 
 def _parse_monomial_key(key: str, where: str) -> tuple[int, int]:
     parts = key.split(",")
-    if len(parts) != 2:
+    # ASCII digits only: int() alone also reads signs, spaces, "_" and non-ASCII digits.
+    if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
         raise SchemaError(f"{where}: monomial key {key!r} is not \"i,j\"")
     try:
         i, j = int(parts[0]), int(parts[1])
     except ValueError:
-        raise SchemaError(f"{where}: monomial key {key!r} is not \"i,j\"") from None
-    if i < 0 or j < 0:
-        raise SchemaError(f"{where}: negative exponent in monomial key {key!r}")
+        # Python refuses integer literals above sys.get_int_max_str_digits() digits.
+        raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}") from None
     if i + j > MAX_DEGREE:
         raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}")
     return i, j

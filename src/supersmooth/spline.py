@@ -10,8 +10,10 @@ Smoothness orders live on an enriched integer scale:
 two adjacent pieces up to total order r restricts to zero on the ray, which
 for polynomials is divisibility of the difference by the (r+1)st power of
 the ray's line form l = dy*x - dx*y.  The library computes that
-multiplicity one way, by differentiating across the line; the tests hold
-the all-partials definition and a division route as independent references.
+multiplicity one way, by exact integer division of each homogeneous
+component of the difference by l; the tests hold the all-partials
+definition, differentiation across the line and a change of variables as
+independent references.
 
 "C^m at the origin" means all per-piece partial derivatives up to total
 order m agree at the origin, that is, every jump p_j - p_0 starts at total
@@ -22,11 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .errors import DomainError
 from .fan import FanPartition, Ray, locate_sector
-from .poly import BiPoly, directional_derivative, restrict_to_ray
+# restrict_to_ray is unused here but stays bound: perfbench/spans.py patches
+# supersmooth.spline.restrict_to_ray by name.
+from .poly import BiPoly, restrict_to_ray  # noqa: F401
 
 # Enriched smoothness scale: plain ints plus these two sentinels.  Both
 # compare correctly under min() and <=, which is all the code relies on.
@@ -68,24 +72,63 @@ class PiecewisePoly:
         return self.pieces[locate_sector(self.fan, x, y)].evaluate(x, y)
 
 
-def smoothness_order_of_difference(diff: BiPoly, ray: Ray):
+def smoothness_order_of_difference(diff: BiPoly, ray) -> Order:
     """Largest r such that all partials of `diff` up to order r vanish on the ray.
 
     NOT_CONTINUOUS if the difference itself does not vanish, INFINITE if it
     is the zero polynomial.  The answer is one less than the multiplicity of
-    the line form l = dy*x - dx*y in `diff`.  Differentiating across the line
-    lowers that multiplicity by exactly one, since D_across l = -(dx^2 + dy^2)
-    is a nonzero constant, so the order counts the derivatives taken before
-    the restriction to the ray stops vanishing.
+    the line form l = dy*x - dx*y in `diff`, with (dx, dy) the primitive
+    integer direction of `ray`.  Since l is homogeneous, that multiplicity
+    is the least one among the homogeneous components of `diff`, each found
+    by exact integer division (see `_line_multiplicity`).
     """
     if diff.is_zero:
         return INFINITE
-    dx, dy = ray
-    order = NOT_CONTINUOUS
-    while restrict_to_ray(diff, ray).is_zero:
-        diff = directional_derivative(diff, (-dy, dx))
-        order += 1
-    return order
+    dx, dy = Ray(*ray)
+    common = lcm(*(c.denominator for c in diff.terms.values()))
+    # components[s][i] is the integer coefficient of x^i y^(s-i) in common*diff
+    components: dict[int, list[int]] = {}
+    for (i, j), c in diff.terms.items():
+        row = components.get(i + j)
+        if row is None:
+            row = components[i + j] = [0] * (i + j + 1)
+        row[i] = c.numerator * (common // c.denominator)
+    least = INFINITE
+    for coeffs in components.values():
+        least = _line_multiplicity(coeffs, dx, dy, least)
+        if least == 0:
+            break
+    return least - 1
+
+
+def _line_multiplicity(coeffs: list[int], dx: int, dy: int, limit) -> int:
+    """Multiplicity of l = dy*x - dx*y in sum_i coeffs[i] x^i y^(s-i), at most `limit`.
+
+    `coeffs` is a nonzero integer list and (dx, dy) is primitive.  On an
+    axis l is a unit times x or y, so the multiplicity is the count of zero
+    coefficients at that end.  Otherwise synthetic division gives the
+    quotient sum_i b_i x^i y^(s-1-i) from a_i = dy*b_(i-1) - dx*b_i, that is
+    b_i = (dy*b_(i-1) - a_i) / dx, and leaves the remainder check
+    a_s = dy*b_(s-1).  Because l is primitive, Gauss's lemma makes any exact
+    quotient integral, so an inexact step already means l does not divide.
+    """
+    if dx == 0 or dy == 0:
+        end = coeffs if dx == 0 else reversed(coeffs)
+        return min(limit, next(n for n, a in enumerate(end) if a))
+    count = 0
+    while count < limit:
+        quotient = []
+        b = 0
+        for a in coeffs[:-1]:
+            b, rest = divmod(dy * b - a, dx)
+            if rest:
+                return count
+            quotient.append(b)
+        if coeffs[-1] != dy * b:
+            break
+        coeffs = quotient
+        count += 1
+    return count
 
 
 def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):

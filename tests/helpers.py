@@ -6,11 +6,13 @@ from random import Random
 
 from supersmooth import (
     INFINITE,
+    NOT_CONTINUOUS,
     BiPoly,
     FanPartition,
     OriginSectorError,
     Ray,
     build_fan,
+    directional_derivative,
     rank,
     restrict_to_ray,
 )
@@ -116,6 +118,24 @@ def all_partials_order(diff: BiPoly, ray: Ray):
                 return order - 1
     # Some order-deg partial is a nonzero constant, so the loop always returns.
     raise AssertionError("unreachable: nonzero polynomial passed all orders")
+
+
+def transverse_order(diff: BiPoly, ray: Ray):
+    """Smoothness order across a ray by differentiating across its line.
+
+    D_across = -dy*d/dx + dx*d/dy maps the line form l = dy*x - dx*y to the
+    nonzero constant -(dx^2 + dy^2), so each derivative lowers the
+    multiplicity of l by one; the order counts the derivatives taken before
+    the restriction to the ray stops vanishing.
+    """
+    if diff.is_zero:
+        return INFINITE
+    dx, dy = ray
+    order = NOT_CONTINUOUS
+    while restrict_to_ray(diff, ray).is_zero:
+        diff = directional_derivative(diff, (-dy, dx))
+        order += 1
+    return order
 
 
 def line_divisibility_order(diff: BiPoly, slope):

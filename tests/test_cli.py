@@ -10,6 +10,7 @@ from supersmooth import (
     render_report,
     supersmoothness_verdict,
 )
+from supersmooth import cli
 from supersmooth.cli import main
 
 
@@ -232,6 +233,61 @@ def test_check_rejects_invalid_construction(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["check", str(path)]) == 1
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "ray, monomial, coeff",
+    [
+        ('"dx": "\u0663", "dy": "0"', "0,2", "1"),  # Arabic-Indic three
+        ('"dx": "1", "dy": "0"', "0,2", "\u0663/\u0664"),
+        ('"dx": "1", "dy": "0"', "0,2", "3\\n"),
+        ('"dx": "1", "dy": "0"', " +1_0 ,0", "1"),
+        ('"dx": "1", "dy": "0"', "\u0663,0", "1"),
+    ],
+    ids=["arabic-indic-dx", "arabic-indic-coeff", "trailing-newline-coeff", "loose-key", "arabic-indic-key"],
+)
+def test_check_rejects_loose_digits(tmp_path, capsys, ray, monomial, coeff):
+    path = tmp_path / "loose.json"
+    path.write_text(
+        '{"rays": [{' + ray + '}, {"dx": "-1", "dy": "0"}], '
+        '"pieces": [{"monomials": {}}, {"monomials": {"' + monomial + '": "' + coeff + '"}}]}'
+    )
+    assert main(["check", str(path)]) == 1
+    _one_error_line(capsys)
+
+
+def _outcome(argv, capsys) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
+    document = tmp_path / "c.json"
+    document.write_text(_axis_document("0,3"))
+    argvs = [
+        ["demo", "twopiece"],
+        ["dim", "--degree", "2", "--smoothness", "1", "--slopes", "1,2,3"],
+        ["check", str(document), "--max-order", "1"],
+        ["check", str(document), "--max-order", "x"],  # usage error
+        ["construct", "--n", "1", "--slopes", "1,2"],
+        ["--help"],
+        ["demo", "--help"],
+        ["sample"],  # usage error: no file
+        ["demo", "counterexample", "--n", "2", "--max-order", "0"],
+        ["check", str(document)],
+    ]
+    reused = [_outcome(argv, capsys) for argv in argvs]
+    assert cli._build_parser.cache_info().currsize == 1
+    fresh = []
+    for argv in argvs:
+        cli._build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 0, 2, 0, 0]
 
 
 # Keys of the spline schema, so that generated objects get past the first checks.

@@ -13,7 +13,11 @@ def test_parse_integer_and_fraction():
     assert parse_rational("6/4") == Fraction(3, 2)
 
 
-@pytest.mark.parametrize("bad", ["1/0", "3/-4", "1.5", "1e3", "", "a", "+3", "1 / 2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["1/0", "3/-4", "1.5", "1e3", "", "a", "+3", "1 / 2", "3\n", "-3/4\n", "1_000",
+     "\u0663", "\u0663/\u0664", "-\u0661\u0662", "\uff11"],  # Arabic-Indic and fullwidth digits
+)
 def test_parse_rejects_loose_forms(bad):
     with pytest.raises(RationalParseError):
         parse_rational(bad)

@@ -81,10 +81,24 @@ def test_decode_rejects_length_mismatch():
 
 
 def test_decode_rejects_bad_monomial_key():
-    for key in ("0", "0,2,1", "-1,0", "a,b"):
+    for key in ("0", "0,2,1", "-1,0", "a,b", " +1_0 ,0", "1_0,0", "+1,0", "1,0 ", "\u0663,0", "0,\uff12"):
         doc = _document(pieces=[{"monomials": {}}, {"monomials": {key: "1"}}])
         with pytest.raises(SchemaError):
             decode_spline(json.dumps(doc))
+
+
+def test_decode_rejects_overlong_exponent():
+    # beyond Python's integer digit limit as well as MAX_DEGREE
+    doc = _document(pieces=[{"monomials": {}}, {"monomials": {"1" * 5000 + ",0": "1"}}])
+    with pytest.raises(SchemaError, match="total degree above"):
+        decode_spline(json.dumps(doc))
+
+
+def test_encoded_keys_round_trip():
+    fan = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 3)])
+    pieces = (BiPoly({(0, 0): 1, (10, 0): -2, (0, 1000): 3}), BiPoly({(123, 456): 1, (1, 1): 7}), BiPoly.zero())
+    spline = PiecewisePoly(fan=fan, pieces=pieces)
+    assert decode_spline(encode_spline(spline)).pieces == pieces
 
 
 def test_decode_rejects_non_clockwise_rays():

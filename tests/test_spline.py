@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersmooth import (
     INFINITE,
@@ -29,6 +31,7 @@ from helpers import (
     random_bipoly,
     random_collinear_free_fan,
     random_direction,
+    transverse_order,
 )
 
 TWO_GENERIC = build_fan([Ray(1, 0), Ray(1, -1)])
@@ -180,8 +183,75 @@ def test_transverse_order_equals_all_partials_order():
         multiplicity = rng.randint(0, 5)
         diff = line**multiplicity * random_bipoly(rng, max_degree=3, terms=4)
         order = smoothness_order_of_difference(diff, ray)
-        assert order == all_partials_order(diff, ray)
+        assert order == all_partials_order(diff, ray) == transverse_order(diff, ray)
         assert order >= multiplicity - 1
+
+
+_rationals = st.builds(
+    Fraction,
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(1, 10**6),
+)
+_primitive_rays = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any).map(lambda d: Ray(*d))
+
+
+def _homogeneous(coeffs) -> BiPoly:
+    """sum_i coeffs[i] x^i y^(s-i) with s = len(coeffs) - 1."""
+    s = len(coeffs) - 1
+    return BiPoly({(i, s - i): c for i, c in enumerate(coeffs)})
+
+
+@st.composite
+def _planted_jumps(draw):
+    """A ray and a jump whose homogeneous components carry chosen powers of its line form.
+
+    Component k is c_k * l^m_k * (t^e_k + l*g_k): t = dx*x + dy*y does not
+    vanish on the ray, so l divides it exactly m_k times.  Total degrees
+    m_k + e_k are distinct, so the components do not mix and the least m_k
+    is the multiplicity of l in the jump (none for the zero jump).
+    """
+    ray = draw(st.sampled_from(AXIS_RAYS) | _primitive_rays)
+    line = BiPoly({(1, 0): ray.dy, (0, 1): -ray.dx})
+    transverse = BiPoly({(1, 0): ray.dx, (0, 1): ray.dy})
+    plan = draw(st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 3)), max_size=3, unique_by=lambda me: sum(me)
+    ))
+    diff = BiPoly.zero()
+    for m, e in plan:
+        rest = _homogeneous(draw(st.lists(_rationals, min_size=e, max_size=e))) if e else BiPoly.zero()
+        diff = diff + line**m * (transverse**e + line * rest) * draw(_rationals)
+    return ray, diff, min((m for m, _ in plan), default=INFINITE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_planted_jumps(), _rationals)
+def test_integer_kernel_matches_reference_routes(case, scale):
+    ray, diff, multiplicity = case
+    order = smoothness_order_of_difference(diff, ray)
+    assert order == multiplicity - 1
+    assert order == all_partials_order(diff, ray) == transverse_order(diff, ray)
+    # any nonzero multiple of the direction names the same line
+    assert smoothness_order_of_difference(diff, (ray.dx * scale, ray.dy * scale)) == order
+
+
+_small_jumps = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)), st.integers(-3, 3) | _rationals, max_size=6
+).map(BiPoly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(AXIS_RAYS) | _primitive_rays, _small_jumps)
+def test_integer_kernel_matches_reference_routes_on_arbitrary_jumps(ray, diff):
+    # small coefficients make inexact division steps whose remainder alone decides
+    assert smoothness_order_of_difference(diff, ray) == all_partials_order(diff, ray) == transverse_order(diff, ray)
+
+
+def test_integer_kernel_normalises_the_direction():
+    diff = (2 * X + Y) ** 3 * (X - Y) + (2 * X + Y) ** 2 * Fraction(1, 7)
+    assert smoothness_order_of_difference(diff, Ray(1, -2)) == 1
+    for direction in [(2, -4), (Fraction(1, 2), -1), (-3, 6), (Fraction(-1, 3), Fraction(2, 3))]:
+        assert smoothness_order_of_difference(diff, direction) == 1
+        assert smoothness_order_of_difference(BiPoly.zero(), direction) == INFINITE
 
 
 def _origin_order_from_partials(spline, max_order):
