@@ -88,7 +88,6 @@ from .spline import (
     SmoothnessReport,
     format_order,
     global_smoothness_order,
-    origin_partials,
     origin_smoothness_order,
     render_report,
     smoothness_across_ray,

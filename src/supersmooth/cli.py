@@ -5,6 +5,14 @@ Subcommands: construct (build a counterexample spline as JSON), check
 slope fan), demo (built-in examples and numeric fixtures), sample (CSV grid
 of a spline file).  Exit codes: 0 success, 1 domain error or unreadable
 input file, 2 usage error.
+
+Each integer argument that sizes exact or grid work has a constant cap, as
+`serialize.MAX_DEGREE` caps documents, so a short command line cannot buy
+unbounded CPU: MAX_DIM_DEGREE for `dim --degree` and `--smoothness`, MAX_N
+for `construct --n` and `demo --n`, MAX_GRID_N for `sample --grid-n`.  At a
+cap a command on small inputs takes about a second at most; time still grows
+with the number of slopes or the size of the document.  A value above its
+cap is a domain error.
 """
 
 from __future__ import annotations
@@ -41,6 +49,10 @@ from .serialize import (
 )
 from .spline import PiecewisePoly, render_report, supersmoothness_verdict
 
+MAX_DIM_DEGREE = 64
+MAX_N = 64
+MAX_GRID_N = 150
+
 SPLINE_DEMOS = ("farin", "halfplane", "counterexample", "twopiece")
 FIXTURE_DEMOS = tuple(FIXTURES)
 
@@ -50,6 +62,11 @@ def _slopes_arg(text: str) -> list[Fraction]:
         return [parse_rational(part.strip()) for part in text.split(",")]
     except DomainError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _check_cap(option: str, value: int, cap: int) -> None:
+    if value > cap:
+        raise DomainError(f"{option} {value} is above the limit of {cap}")
 
 
 @functools.cache
@@ -62,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_construct = sub.add_parser("construct", help="build the sharp counterexample spline")
-    p_construct.add_argument("--n", type=int, required=True, help="smoothness order n (>= 1)")
+    p_construct.add_argument("--n", type=int, required=True, help=f"smoothness order n (1 to {MAX_N})")
     p_construct.add_argument("--slopes", type=_slopes_arg, required=True,
                              help="n+1 comma-separated nonzero rational slopes")
     p_construct.add_argument("-o", "--output", help="write JSON here instead of stdout")
@@ -73,14 +90,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="cap the origin-order search (display only)")
 
     p_dim = sub.add_parser("dim", help="dimension of a smooth spline space over a slope fan")
-    p_dim.add_argument("--degree", type=int, required=True)
-    p_dim.add_argument("--smoothness", type=int, required=True)
+    p_dim.add_argument("--degree", type=int, required=True, help=f"at most {MAX_DIM_DEGREE}")
+    p_dim.add_argument("--smoothness", type=int, required=True, help=f"at most {MAX_DIM_DEGREE}")
     p_dim.add_argument("--slopes", type=_slopes_arg, required=True,
                        help="slopes of the gluing lines besides the x-axis")
 
     p_demo = sub.add_parser("demo", help="run a named demo or numeric fixture")
     p_demo.add_argument("name", choices=SPLINE_DEMOS + FIXTURE_DEMOS)
-    p_demo.add_argument("--n", type=int, default=1, help="order for halfplane/counterexample")
+    p_demo.add_argument("--n", type=int, default=1, help=f"order for halfplane/counterexample (at most {MAX_N})")
     p_demo.add_argument("--slopes", type=_slopes_arg, default=None,
                         help="override slopes for the counterexample demo")
     p_demo.add_argument("--seed", type=int, default=0, help="seed for sampled demos")
@@ -89,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="CSV grid sample of a spline JSON file")
     p_sample.add_argument("file", help="spline JSON file")
-    p_sample.add_argument("--grid-n", type=int, default=33, help="points per axis (>= 2)")
+    p_sample.add_argument("--grid-n", type=int, default=33, help=f"points per axis (2 to {MAX_GRID_N})")
     p_sample.add_argument("--radius", type=float, default=1.0, help="half-width of the grid")
     p_sample.add_argument("-o", "--output", help="write CSV here instead of stdout")
     return parser
@@ -104,6 +121,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_construct(args) -> int:
+    _check_cap("--n", args.n, MAX_N)
     spec = build_counterexample(args.slopes, args.n)
     _emit(encode_counterexample(spec), args.output)
     return 0
@@ -118,6 +136,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dim(args) -> int:
+    _check_cap("--degree", args.degree, MAX_DIM_DEGREE)
+    _check_cap("--smoothness", args.smoothness, MAX_DIM_DEGREE)
     fan = fan_from_slopes(args.slopes)
     print(spline_space_dimension(fan, args.degree, args.smoothness))
     return 0
@@ -168,6 +188,7 @@ def _demo_fixture(name: str) -> None:
 
 
 def _cmd_demo(args) -> int:
+    _check_cap("--n", args.n, MAX_N)
     if args.name in FIXTURE_DEMOS:
         _demo_fixture(args.name)
         return 0
@@ -178,6 +199,7 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    _check_cap("--grid-n", args.grid_n, MAX_GRID_N)
     with open(args.file, "r", encoding="utf-8") as handle:
         spline = decode_spline(handle.read())
     rows = sample_grid(spline, args.grid_n, args.radius)

@@ -2,7 +2,7 @@
 
 The cumulative counterexample glues pieces 0, c2*l2^n, c2*l2^n + c3*l3^n, ...
 clockwise around the origin, where l_i is the line y + a_i*x = 0 and the
-coefficients c_i solve a Vandermonde-type system that makes the final piece
+coefficients c_i ~ 1 / (a_i * prod_(j != i) (a_i - a_j)) make the final piece
 rejoin the zero piece C^(n-1)-smoothly across the x-axis.  The result is
 C^(n-1) everywhere but loses exactly one order at the origin.
 
@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .errors import InvalidSlopesError
 from .fan import FanPartition, Ray, build_fan
-from .linalg import nullspace
+from .linalg import nullspace  # noqa: F401 -- unused; perfbench/spans.py patches it here
 from .poly import BiPoly, linear_form_power
+from .rational import primitive
 from .spline import PiecewisePoly, global_smoothness_order, origin_smoothness_order
 
 
@@ -34,12 +36,8 @@ class CounterexampleSpec:
     spline: PiecewisePoly
 
 
-def _checked_slopes(slopes: Sequence, n: int) -> list[Fraction]:
-    if n < 1:
-        raise InvalidSlopesError("order n must be at least 1 (n = 0 has no polynomial example)")
+def _distinct_nonzero(slopes: Sequence) -> list[Fraction]:
     values = [Fraction(s) for s in slopes]
-    if len(values) != n + 1:
-        raise InvalidSlopesError(f"order {n} needs exactly {n + 1} slopes, got {len(values)}")
     if any(v == 0 for v in values):
         raise InvalidSlopesError("slopes must be nonzero (the x-axis is already a gluing line)")
     if len(set(values)) != len(values):
@@ -47,20 +45,25 @@ def _checked_slopes(slopes: Sequence, n: int) -> list[Fraction]:
     return values
 
 
+def _checked_slopes(slopes: Sequence, n: int) -> list[Fraction]:
+    if n < 1:
+        raise InvalidSlopesError("order n must be at least 1 (n = 0 has no polynomial example)")
+    values = _distinct_nonzero(slopes)
+    if len(values) != n + 1:
+        raise InvalidSlopesError(f"order {n} needs exactly {n + 1} slopes, got {len(values)}")
+    return values
+
+
 def counterexample_coeffs(slopes: Sequence, n: int) -> list[int]:
     """Primitive kernel vector of sum_i c_i a_i^s = 0 for s = 1..n.
 
-    The system has n equations in n+1 unknowns; for distinct nonzero slopes
-    its null space is exactly one-dimensional with all entries nonzero (any
-    n columns form a scaled Vandermonde matrix on distinct nonzero nodes).
+    With w_i = c_i * a_i this is the n x (n+1) Vandermonde system
+    sum_i w_i a_i^t = 0 for t = 0..n-1, whose kernel is spanned by the
+    divided-difference weights w_i = 1 / prod_(j != i) (a_i - a_j).  For
+    distinct nonzero slopes every entry is nonzero.
     """
     values = _checked_slopes(slopes, n)
-    rows = [[a**s for a in values] for s in range(1, n + 1)]
-    basis = nullspace(rows)
-    assert len(basis) == 1, "distinct nonzero slopes must leave a 1-dimensional kernel"
-    coeffs = basis[0]
-    assert all(c != 0 for c in coeffs), "kernel of a Vandermonde-type system has no zero entry"
-    return coeffs
+    return primitive([1 / (a * prod(a - b for b in values if b != a)) for a in values])
 
 
 def _lower_halfplane_ray(slope: Fraction) -> Ray:
@@ -72,10 +75,8 @@ def _lower_halfplane_ray(slope: Fraction) -> Ray:
 
 def fan_from_slopes(slopes: Sequence) -> FanPartition:
     """Fan of the positive x-axis plus the lower-half-plane ray of each slope line."""
-    values = [Fraction(s) for s in slopes]
-    if any(v == 0 for v in values) or len(set(values)) != len(values):
-        raise InvalidSlopesError("slopes must be nonzero and pairwise distinct")
-    return build_fan([Ray(1, 0)] + [_lower_halfplane_ray(a) for a in sorted(values, key=lambda a: (a < 0, a))])
+    values = sorted(_distinct_nonzero(slopes), key=lambda a: (a < 0, a))
+    return build_fan([Ray(1, 0)] + [_lower_halfplane_ray(a) for a in values])
 
 
 def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
@@ -85,12 +86,10 @@ def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
     rays first; the cumulative pieces only glue correctly when consecutive
     pieces sit in consecutive sectors.
     """
-    values = _checked_slopes(slopes, n)
-    values.sort(key=lambda a: (a < 0, a))
+    values = sorted(_checked_slopes(slopes, n), key=lambda a: (a < 0, a))
     coeffs = counterexample_coeffs(values, n)
-    rays = [Ray(1, 0)] + [_lower_halfplane_ray(a) for a in values]
-    fan = build_fan(rays)
-    assert fan.rays == tuple(rays), "slope sort must already realize the clockwise order"
+    fan = fan_from_slopes(values)
+    assert fan.rays[1:] == tuple(map(_lower_halfplane_ray, values)), "slope sort must match the fan's order"
 
     pieces = [BiPoly.zero()]
     running = BiPoly.zero()

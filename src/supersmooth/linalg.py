@@ -1,29 +1,22 @@
-"""Exact rank and null-space computation over the rationals.
+"""Exact rank and null-space computation over the rationals, in integers only.
 
 Matrices come in as sequences of rows with int or Fraction entries.  Rows
-are first cleared to primitive integer form, then eliminated fraction-free
+are first scaled to `rational.primitive` form, then eliminated fraction-free
 with full pivoting: the pivot is the first entry of maximal absolute value
 in the remaining submatrix, which makes ranks and null bases reproducible
 bit for bit.  Each updated row is divided by its content gcd to keep the
-integers small.
+integers small.  Back-substitution stays in integers too (after Bareiss,
+Math. Comp. 22, 1968): each pivot scales the partial null vector just enough
+to keep it integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-
-def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
-    """Scale a rational row to primitive integers (empty rows stay empty)."""
-    fracs = [Fraction(v) for v in row]
-    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    content = gcd(*ints) if ints else 0
-    if content > 1:
-        ints = [v // content for v in ints]
-    return ints
+from .rational import primitive
 
 
 def _eliminate(rows: Sequence[Sequence[Fraction | int]], cols: int):
@@ -33,7 +26,7 @@ def _eliminate(rows: Sequence[Sequence[Fraction | int]], cols: int):
     permuted column order, col_perm[i] gives the original index of permuted
     column i, and the first `rank` permuted columns are the pivot columns.
     """
-    work = [_integer_row(r) for r in rows]
+    work = [primitive(r) for r in rows]
     for r in work:
         if len(r) != cols:
             raise ValueError("ragged matrix")
@@ -99,16 +92,19 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], cols: int | None = None)
     echelon, col_perm, r = _eliminate(rows, cols)
     basis = []
     for free in range(r, cols):
-        permuted = [Fraction(0)] * cols
-        permuted[free] = Fraction(1)
+        permuted = [0] * cols
+        permuted[free] = 1
         for p in range(r - 1, -1, -1):
             row = echelon[p]
-            s = sum((row[q] * permuted[q] for q in range(p + 1, cols)), Fraction(0))
-            permuted[p] = -s / row[p]
-        vector = [Fraction(0)] * cols
+            s = sum(row[q] * permuted[q] for q in range(p + 1, cols))
+            g = gcd(s, row[p])
+            scale = row[p] // g
+            permuted = [v * scale for v in permuted]
+            permuted[p] = -s // g
+        vector = [0] * cols
         for pos, value in enumerate(permuted):
             vector[col_perm[pos]] = value
-        basis.append(_primitive(vector))
+        basis.append(primitive(vector))
     return basis
 
 
@@ -140,15 +136,3 @@ def _unit_vector(cols: int, k: int) -> list[int]:
     v[k] = 1
     return v
 
-
-def _primitive(vector: list[Fraction]) -> list[int]:
-    """Clear denominators, divide by the gcd, make the first nonzero entry positive."""
-    denom = lcm(*(f.denominator for f in vector))
-    ints = [int(f * denom) for f in vector]
-    content = gcd(*ints)
-    if content > 1:
-        ints = [v // content for v in ints]
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return ints

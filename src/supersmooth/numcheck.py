@@ -115,6 +115,15 @@ def _richardson(estimates: list[float], error_powers) -> tuple[float, float]:
     return estimates[-1], delta
 
 
+def _unit(direction) -> tuple[float, float]:
+    """The unit vector of a nonzero direction, in floats."""
+    ux, uy = map(float, direction)
+    norm = math.hypot(ux, uy)
+    if norm == 0.0:
+        raise DomainError("direction must be nonzero")
+    return (ux / norm, uy / norm)
+
+
 def one_sided_directional_derivative(f: Field, point, direction,
                                      cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
     """One-sided derivative of f at `point` along the unit vector of `direction`.
@@ -123,12 +132,7 @@ def one_sided_directional_derivative(f: Field, point, direction,
     steps; the returned error estimate is the last extrapolation delta
     (infinite when a single level leaves nothing to compare).
     """
-    ux, uy = direction
-    ux, uy = float(ux), float(uy)
-    norm = math.hypot(ux, uy)
-    if norm == 0.0:
-        raise DomainError("direction must be nonzero")
-    unit = (ux / norm, uy / norm)
+    unit = _unit(direction)
     levels = cfg.richardson_levels
     estimates = [
         _one_sided_stencil(f, point, unit, cfg.base_step / 2**i) for i in range(levels)
@@ -169,12 +173,7 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
     Only the direction along the ray is constrained; transversal mismatch is
     invisible to this check by design.
     """
-    ux, uy = ray
-    ux, uy = float(ux), float(uy)
-    norm = math.hypot(ux, uy)
-    if norm == 0.0:
-        raise DomainError("ray direction must be nonzero")
-    unit = (ux / norm, uy / norm)
+    unit = _unit(ray)
     value_gap = 0.0
     deriv_gap = 0.0
     for k in range(cfg.samples_per_ray):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Collection
 
 Rational = Fraction
 
@@ -41,3 +43,13 @@ def format_rational(value: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def primitive(values: Collection[Fraction | int]) -> list[int]:
+    """Coprime integer multiple of a rational vector, first nonzero entry positive (zeros stay zeros)."""
+    common = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (common // v.denominator) for v in values]
+    content = gcd(*ints)
+    if next((v for v in ints if v), 0) < 0:
+        content = -content
+    return [v // content for v in ints] if content not in (0, 1) else ints

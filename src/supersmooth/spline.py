@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
 
 from .errors import DomainError
 from .fan import FanPartition, Ray, locate_sector
 # restrict_to_ray is unused here but stays bound: perfbench/spans.py patches
 # supersmooth.spline.restrict_to_ray by name.
 from .poly import BiPoly, restrict_to_ray  # noqa: F401
+from .rational import primitive
 
 # Enriched smoothness scale: plain ints plus these two sentinels.  Both
 # compare correctly under min() and <=, which is all the code relies on.
@@ -85,14 +85,13 @@ def smoothness_order_of_difference(diff: BiPoly, ray) -> Order:
     if diff.is_zero:
         return INFINITE
     dx, dy = Ray(*ray)
-    common = lcm(*(c.denominator for c in diff.terms.values()))
-    # components[s][i] is the integer coefficient of x^i y^(s-i) in common*diff
+    # components[s][i] is the integer coefficient of x^i y^(s-i) in primitive(diff)
     components: dict[int, list[int]] = {}
-    for (i, j), c in diff.terms.items():
+    for (i, j), c in zip(diff.terms, primitive(diff.terms.values())):
         row = components.get(i + j)
         if row is None:
             row = components[i + j] = [0] * (i + j + 1)
-        row[i] = c.numerator * (common // c.denominator)
+        row[i] = c
     least = INFINITE
     for coeffs in components.values():
         least = _line_multiplicity(coeffs, dx, dy, least)
@@ -144,21 +143,6 @@ def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
 def global_smoothness_order(spline: PiecewisePoly):
     """Min of the per-ray orders; NOT_CONTINUOUS if any ray fails order 0."""
     return min(smoothness_across_ray(spline, j) for j in range(len(spline.fan.rays)))
-
-
-def origin_partials(spline: PiecewisePoly, max_order: int) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-    """Per-piece values of every partial derivative of total order <= max_order at 0.
-
-    Keyed by (x_order, y_order) in increasing total order; a multi-index
-    "agrees" when all pieces give the same value.
-    """
-    table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for order in range(max_order + 1):
-        for i in range(order + 1):
-            j = order - i
-            fact = factorial(i) * factorial(j)
-            table[(i, j)] = tuple(p.coefficient(i, j) * fact for p in spline.pieces)
-    return table
 
 
 def origin_smoothness_order(spline: PiecewisePoly, max_order: int | None = None):

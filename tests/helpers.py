@@ -1,7 +1,7 @@
 """Shared randomized generators and reference routes for the test suite (all seeded by callers)."""
 
 from fractions import Fraction
-from math import perm
+from math import factorial, gcd, lcm, perm
 from random import Random
 
 from supersmooth import (
@@ -10,6 +10,7 @@ from supersmooth import (
     BiPoly,
     FanPartition,
     OriginSectorError,
+    PiecewisePoly,
     Ray,
     build_fan,
     directional_derivative,
@@ -17,6 +18,7 @@ from supersmooth import (
     restrict_to_ray,
 )
 from supersmooth.fan import _clockwise_cmp
+from supersmooth.linalg import _eliminate
 
 
 def random_bipoly(rng: Random, max_degree: int = 6, terms: int = 8, bound: int = 9) -> BiPoly:
@@ -184,3 +186,59 @@ def termwise_evaluate(p: BiPoly, x, y) -> Fraction:
     for (i, j), coeff in p.terms.items():
         total += coeff * vx**i * vy**j
     return total
+
+
+def origin_partials(spline: PiecewisePoly, max_order: int) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """Per-piece values of every partial derivative of total order <= max_order at 0.
+
+    Keyed by (x_order, y_order) in increasing total order; a multi-index
+    "agrees" when all pieces give the same value.
+    """
+    table: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    for order in range(max_order + 1):
+        for i in range(order + 1):
+            j = order - i
+            fact = factorial(i) * factorial(j)
+            table[(i, j)] = tuple(p.coefficient(i, j) * fact for p in spline.pieces)
+    return table
+
+
+def fraction_nullspace(rows, cols: int | None = None) -> list[list[int]]:
+    """Null basis by back-substitution in Fractions over the library's echelon form.
+
+    One vector per free column, cleared of denominators, divided by its gcd
+    and made positive in its first nonzero entry.
+    """
+    cols = len(rows[0]) if cols is None else cols
+    if cols == 0:
+        return []
+    if not rows:
+        return [[int(i == k) for i in range(cols)] for k in range(cols)]
+    echelon, col_perm, r = _eliminate(rows, cols)
+    basis = []
+    for free in range(r, cols):
+        permuted = [Fraction(0)] * cols
+        permuted[free] = Fraction(1)
+        for p in range(r - 1, -1, -1):
+            row = echelon[p]
+            s = sum((row[q] * permuted[q] for q in range(p + 1, cols)), Fraction(0))
+            permuted[p] = -s / row[p]
+        vector = [Fraction(0)] * cols
+        for pos, value in enumerate(permuted):
+            vector[col_perm[pos]] = value
+        denom = lcm(*(f.denominator for f in vector))
+        ints = [int(f * denom) for f in vector]
+        content = gcd(*ints)
+        sign = -1 if next(v for v in ints if v) < 0 else 1
+        basis.append([sign * v // content for v in ints])
+    return basis
+
+
+def vandermonde_coeffs(slopes, n: int) -> list[int]:
+    """Counterexample coefficients as the null vector of sum_i c_i a_i^s = 0, s = 1..n.
+
+    The slopes are used in the given order and must be distinct and nonzero.
+    """
+    values = [Fraction(a) for a in slopes]
+    (coeffs,) = fraction_nullspace([[a**s for a in values] for s in range(1, n + 1)])
+    return coeffs

@@ -256,6 +256,41 @@ def test_check_rejects_loose_digits(tmp_path, capsys, ray, monomial, coeff):
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--degree", "240", "--smoothness", "0", "--slopes", "1,2"],
+        ["dim", "--degree", str(cli.MAX_DIM_DEGREE + 1), "--smoothness", "0", "--slopes", "1,2"],
+        ["dim", "--degree", "2", "--smoothness", str(cli.MAX_DIM_DEGREE + 1), "--slopes", "1,2"],
+        ["construct", "--n", str(cli.MAX_N + 1), "--slopes", ",".join(str(a) for a in range(1, cli.MAX_N + 3))],
+        ["demo", "halfplane", "--n", str(cli.MAX_N + 1)],
+        ["demo", "counterexample", "--n", str(cli.MAX_N + 1)],
+    ],
+)
+def test_argument_above_its_cap_exits_1(argv, capsys):
+    assert main(argv) == 1
+    _one_error_line(capsys)
+
+
+def test_grid_n_above_its_cap_exits_1(tmp_path, capsys):
+    spline_path = tmp_path / "c.json"
+    main(["construct", "--n", "1", "--slopes", "1,2", "-o", str(spline_path)])
+    capsys.readouterr()
+    assert main(["sample", str(spline_path), "--grid-n", str(cli.MAX_GRID_N + 1)]) == 1
+    _one_error_line(capsys)
+
+
+def test_arguments_at_their_caps_are_accepted(capsys):
+    assert main(["dim", "--degree", "2", "--smoothness", str(cli.MAX_DIM_DEGREE), "--slopes", "1,2"]) == 0
+    assert main(["demo", "halfplane", "--n", str(cli.MAX_N)]) == 0
+    assert capsys.readouterr().out.startswith(f"6\nhalf-plane example, n={cli.MAX_N}\n")
+
+
+def test_caps_admit_the_documented_sizes():
+    # dim degrees, orders n and grid sizes used by the tests, README and benchmark
+    assert cli.MAX_DIM_DEGREE > 12 and cli.MAX_N > 16 and cli.MAX_GRID_N > 129
+
+
 def _outcome(argv, capsys) -> tuple:
     try:
         code = main(argv)

@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supersmooth import (
     InvalidSlopesError,
@@ -20,7 +22,7 @@ from supersmooth import (
     smoothness_across_ray,
     supersmoothness_verdict,
 )
-from helpers import random_slope_set
+from helpers import random_slope_set, vandermonde_coeffs
 
 
 def test_coeffs_order_one():
@@ -50,6 +52,20 @@ def test_kernel_is_one_dimensional_with_nonzero_entries():
             coeffs = counterexample_coeffs(random_slope_set(rng, n + 1), n)
             assert len(coeffs) == n + 1
             assert all(c != 0 for c in coeffs)
+
+
+slope_sets = st.lists(
+    st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(lambda a: a != 0),
+    min_size=2,
+    max_size=13,
+    unique=True,
+)
+
+
+@given(slope_sets)
+def test_closed_form_coeffs_equal_the_vandermonde_null_vector(slopes):
+    # slopes are kept in the given order, not sorted clockwise
+    assert counterexample_coeffs(slopes, len(slopes) - 1) == vandermonde_coeffs(slopes, len(slopes) - 1)
 
 
 def test_build_order_one():

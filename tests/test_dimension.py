@@ -2,9 +2,12 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supersmooth import (
     DomainError,
+    nullspace,
     Ray,
     build_fan,
     fan_from_slopes,
@@ -16,7 +19,14 @@ from supersmooth import (
     spline_space_basis,
     spline_space_dimension,
 )
-from helpers import distinct_lines, partial_derivative_dimension, random_collinear_free_fan, random_fan
+from supersmooth.dimension import _blocks
+from helpers import (
+    distinct_lines,
+    fraction_nullspace,
+    partial_derivative_dimension,
+    random_collinear_free_fan,
+    random_fan,
+)
 
 GENERIC_3 = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 1)])
 GENERIC_4 = build_fan([Ray(1, 0), Ray(1, -1), Ray(-1, -1), Ray(-1, 2)])
@@ -170,3 +180,18 @@ def test_negative_degree_or_smoothness_is_domain_error(degree, smoothness):
             call(GENERIC_3, degree, smoothness)
     with pytest.raises(DomainError):
         sample_spline_space(GENERIC_3, degree, smoothness, count=1)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 6),
+    vertical=st.sampled_from([(), (Ray(0, 1),), (Ray(0, -1),), (Ray(0, 1), Ray(0, -1))]),
+    smoothness=st.integers(0, 3),
+    extra_degree=st.integers(0, 4),
+)
+def test_block_null_bases_equal_the_fraction_route(seed, k, vertical, smoothness, extra_degree):
+    # random_fan puts opposite pairs in about a third of its rays
+    fan = random_fan(Random(seed), k)
+    fan = build_fan(list(fan.rays) + [ray for ray in vertical if ray not in fan.rays])
+    for _, rows, cols in _blocks(fan, smoothness + extra_degree, smoothness):
+        assert nullspace(rows, cols=cols) == fraction_nullspace(rows, cols=cols)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supersmooth.linalg import nullspace, rank, row_reduce
+from helpers import fraction_nullspace
 
 
 def test_nullspace_single_row():
@@ -60,15 +61,17 @@ def test_deterministic_output():
 matrix_shapes = st.tuples(st.integers(1, 6), st.integers(1, 7))
 
 
-@given(
-    matrix_shapes.flatmap(
+def _matrices(entries):
+    return matrix_shapes.flatmap(
         lambda shape: st.lists(
-            st.lists(st.integers(-9, 9), min_size=shape[1], max_size=shape[1]),
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
             min_size=shape[0],
             max_size=shape[0],
         )
     )
-)
+
+
+@given(_matrices(st.integers(-9, 9)))
 def test_nullspace_property(rows):
     cols = len(rows[0])
     basis = nullspace(rows, cols=cols)
@@ -82,3 +85,14 @@ def test_nullspace_property(rows):
         assert gcd(*vec) == 1
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) == 0
+
+
+# the extra zeros make rank-deficient matrices, and so long null bases, common
+@given(_matrices(st.integers(-30, 30) | st.just(0)))
+def test_integer_back_substitution_equals_fraction_route_on_ints(rows):
+    assert nullspace(rows) == fraction_nullspace(rows)
+
+
+@given(_matrices(st.fractions(min_value=-9, max_value=9, max_denominator=8)))
+def test_integer_back_substitution_equals_fraction_route_on_fractions(rows):
+    assert nullspace(rows) == fraction_nullspace(rows)

@@ -6,6 +6,7 @@ import pytest
 
 from supersmooth import (
     CurveGluing,
+    DomainError,
     EvaluationError,
     NumericConfig,
     PiecewiseField,
@@ -57,6 +58,18 @@ def test_one_sided_absolute_value():
 def test_one_sided_rejects_non_finite():
     with pytest.raises(EvaluationError):
         one_sided_directional_derivative(lambda x, y: math.inf, (0.0, 0.0), (1, 0), CFG)
+
+
+@pytest.mark.parametrize("direction", [(0, 0), (0.0, -0.0), (Fraction(0), 0)])
+def test_one_sided_rejects_zero_direction(direction):
+    with pytest.raises(DomainError):
+        one_sided_directional_derivative(lambda x, y: x, (0.0, 0.0), direction, CFG)
+
+
+@pytest.mark.parametrize("ray", [(0, 0), (0.0, -0.0), (Fraction(0), 0)])
+def test_ray_lemma_rejects_zero_direction(ray):
+    with pytest.raises(DomainError):
+        verify_ray_lemma(lambda x, y: x, lambda x, y: x, ray, CFG)
 
 
 def test_stencil_is_second_order():

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from supersmooth import RationalParseError, format_rational, parse_rational
+from supersmooth.rational import primitive
 
 
 def test_parse_integer_and_fraction():
@@ -54,3 +56,32 @@ def test_arithmetic_stays_normalized(a, b):
 
         assert gcd(abs(value.numerator), value.denominator) == 1
         assert parse_rational(format_rational(value)) == value
+
+
+def test_primitive_empty_and_all_zero():
+    assert primitive([]) == []
+    assert primitive([0, Fraction(0), 0]) == [0, 0, 0]
+
+
+def test_primitive_makes_a_negative_lead_positive():
+    assert primitive([0, -4, 6, -2]) == [0, 2, -3, 1]
+    assert primitive([-7]) == [1]
+
+
+def test_primitive_mixed_int_and_fraction():
+    assert primitive([Fraction(1, 2), 3, Fraction(-5, 6)]) == [3, 18, -5]
+    assert primitive([Fraction(-2, 3), 0, Fraction(4, 9)]) == [3, 0, -2]
+
+
+@given(st.lists(st.fractions(max_denominator=50), max_size=6))
+def test_primitive_is_the_coprime_positive_multiple(values):
+    ints = primitive(values)
+    assert len(ints) == len(values)
+    if not any(values):
+        assert ints == [0] * len(values)
+        return
+    lead = next(i for i, v in enumerate(values) if v)
+    scale = Fraction(ints[lead]) / values[lead]
+    assert [v * scale for v in values] == ints
+    assert ints[lead] > 0
+    assert gcd(*ints) == 1

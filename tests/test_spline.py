@@ -18,7 +18,6 @@ from supersmooth import (
     format_order,
     global_smoothness_order,
     linear_form_power,
-    origin_partials,
     origin_smoothness_order,
     render_report,
     smoothness_across_ray,
@@ -28,6 +27,7 @@ from supersmooth import (
 from helpers import (
     all_partials_order,
     line_divisibility_order,
+    origin_partials,
     random_bipoly,
     random_collinear_free_fan,
     random_direction,
