@@ -40,7 +40,7 @@ from .numcheck import (
     verify_ray_lemma,
 )
 from .poly import BiPoly
-from .rational import parse_rational
+from .rational import format_rational, parse_rational
 from .serialize import (
     decode_spline,
     encode_counterexample,
@@ -86,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="smoothness report for a spline JSON file")
     p_check.add_argument("file", help="spline JSON file")
-    p_check.add_argument("--max-order", type=int, default=None,
-                         help="cap the origin-order search (display only)")
 
     p_dim = sub.add_parser("dim", help="dimension of a smooth spline space over a slope fan")
     p_dim.add_argument("--degree", type=int, required=True, help=f"at most {MAX_DIM_DEGREE}")
@@ -101,8 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--slopes", type=_slopes_arg, default=None,
                         help="override slopes for the counterexample demo")
     p_demo.add_argument("--seed", type=int, default=0, help="seed for sampled demos")
-    p_demo.add_argument("--max-order", type=int, default=None,
-                        help="cap the origin-order search (display only)")
 
     p_sample = sub.add_parser("sample", help="CSV grid sample of a spline JSON file")
     p_sample.add_argument("file", help="spline JSON file")
@@ -130,7 +126,7 @@ def _cmd_construct(args) -> int:
 def _cmd_check(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         spline = decode_spline(handle.read())
-    report = supersmoothness_verdict(spline, max_origin_order=args.max_order)
+    report = supersmoothness_verdict(spline)
     sys.stdout.write(render_report(report))
     return 0
 
@@ -155,8 +151,8 @@ def _demo_spline(args) -> PiecewisePoly:
     if args.name == "counterexample":
         slopes = args.slopes if args.slopes is not None else list(range(1, args.n + 2))
         spec = build_counterexample(slopes, args.n)
-        slope_text = ",".join(str(a) for a in spec.slopes)
-        coeff_text = ",".join(str(c) for c in spec.coeffs)
+        slope_text = ",".join(format_rational(a) for a in spec.slopes)
+        coeff_text = ",".join(format_rational(c) for c in spec.coeffs)
         print(f"counterexample n={spec.n}: slopes {slope_text}; coeffs {coeff_text}")
         return spec.spline
     # twopiece: the order-0 case; constant pieces 0 and 1 cannot join continuously.
@@ -193,7 +189,7 @@ def _cmd_demo(args) -> int:
         _demo_fixture(args.name)
         return 0
     spline = _demo_spline(args)
-    report = supersmoothness_verdict(spline, max_origin_order=args.max_order)
+    report = supersmoothness_verdict(spline)
     sys.stdout.write(render_report(report))
     return 0
 

@@ -43,6 +43,8 @@ def _blocks(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, 
         raise DomainError("degree must be nonnegative")
     if smoothness < 0:
         raise DomainError("smoothness must be nonnegative")
+    if smoothness >= degree:
+        return []  # S^r_d = P_d; the (r+1)-th line-form powers would go unused
     lines = [_line_power(ray, smoothness + 1) for ray in fan.rays]
     blocks = []
     for s in range(smoothness + 1, degree + 1):
@@ -78,11 +80,11 @@ def _combine(fan: FanPartition, degree: int, smoothness: int, kernels, weights) 
     The weighted kernel vectors are summed into one cofactor vector per
     degree, so each piece is assembled once.
     """
-    lines = [_line_power(ray, smoothness + 1) for ray in fan.rays]
+    lines = [_line_power(ray, smoothness + 1) for ray in fan.rays] if kernels else []
     globals_count = comb(degree + 2, 2)
     common = {mono: w for mono, w in zip(_monomials(degree), weights[:globals_count]) if w}
     rest = iter(weights[globals_count:])
-    jumps = [{} for _ in lines]
+    jumps = [{} for _ in fan.rays]
     for s, vectors in kernels:
         width = s - smoothness
         cofactor = [0] * (len(lines) * width)

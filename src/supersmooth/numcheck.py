@@ -85,16 +85,6 @@ def _eval(f: Field, x: float, y: float) -> float:
     return value
 
 
-def _one_sided_stencil(f: Field, point, direction, h: float) -> float:
-    """Second-order forward stencil (-3f(P) + 4f(P+h) - f(P+2h)) / (2h)."""
-    px, py = point
-    ux, uy = direction
-    f0 = _eval(f, px, py)
-    f1 = _eval(f, px + h * ux, py + h * uy)
-    f2 = _eval(f, px + 2 * h * ux, py + 2 * h * uy)
-    return (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-
-
 def _richardson(estimates: list[float], error_powers) -> tuple[float, float]:
     """Richardson-extrapolate estimates taken at successively halved steps.
 
@@ -128,14 +118,22 @@ def one_sided_directional_derivative(f: Field, point, direction,
                                      cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
     """One-sided derivative of f at `point` along the unit vector of `direction`.
 
-    Richardson-extrapolates the second-order forward stencil over halved
-    steps; the returned error estimate is the last extrapolation delta
-    (infinite when a single level leaves nothing to compare).
+    Richardson-extrapolates the second-order forward stencil
+    (-3f(P) + 4f(P+h*u) - f(P+2h*u)) / (2h) over halved steps h; the
+    returned error estimate is the last extrapolation delta (infinite when
+    a single level leaves nothing to compare).
     """
-    unit = _unit(direction)
+    px, py = point
+    ux, uy = _unit(direction)
     levels = cfg.richardson_levels
+    # Offsets 2h_0, h_0, h_1, ...: halving a normal float is exact, so each
+    # level's far point P + 2h_i*u is the previous level's near point.
+    offsets = [2 * cfg.base_step] + [cfg.base_step / 2**i for i in range(levels)]
+    f0 = _eval(f, px, py)
+    values = [_eval(f, px + t * ux, py + t * uy) for t in offsets]
     estimates = [
-        _one_sided_stencil(f, point, unit, cfg.base_step / 2**i) for i in range(levels)
+        (-3.0 * f0 + 4.0 * near - far) / (2.0 * h)
+        for far, near, h in zip(values, values[1:], offsets[1:])
     ]
     # Error series of the stencil: h^2, h^3, h^4, ...
     return _richardson(estimates, range(2, levels + 1))

@@ -19,7 +19,9 @@ from typing import Mapping, Sequence
 
 from .errors import ArityError, MissingDirectionError, SingularDecompositionError
 from .fan import FanPartition, Ray, are_collinear as _collinear, decompose_direction
-from .poly import BiPoly, directional_derivative
+# directional_derivative is unused here but stays bound: perfbench/spans.py
+# patches supersmooth.operators.directional_derivative by name.
+from .poly import BiPoly, _direction_components, directional_derivative  # noqa: F401
 
 
 class OperatorPoly:
@@ -43,33 +45,12 @@ class OperatorPoly:
     def identity(cls, arity: int) -> "OperatorPoly":
         return cls(arity, {(0,) * arity: 1})
 
-    @classmethod
-    def symbol(cls, arity: int, index: int, coeff=1) -> "OperatorPoly":
-        exps = [0] * arity
-        exps[index] = 1
-        return cls(arity, {tuple(exps): coeff})
-
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
         return self._terms
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=-1)
-
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self._terms)
-
-    def __add__(self, other: "OperatorPoly") -> "OperatorPoly":
-        if not isinstance(other, OperatorPoly) or other.arity != self.arity:
-            return NotImplemented
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return OperatorPoly(self.arity, out)
 
     def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
         if not isinstance(other, OperatorPoly) or other.arity != self.arity:
@@ -81,17 +62,10 @@ class OperatorPoly:
                 out[exps] = out.get(exps, Fraction(0)) + c1 * c2
         return OperatorPoly(self.arity, out)
 
-    def scale(self, factor) -> "OperatorPoly":
-        f = Fraction(factor)
-        return OperatorPoly(self.arity, {e: c * f for e, c in self._terms.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorPoly):
             return NotImplemented
         return self.arity == other.arity and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"OperatorPoly(arity={self.arity}, terms={self._terms!r})"
@@ -100,21 +74,31 @@ class OperatorPoly:
 def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly) -> BiPoly:
     """Substitute each symbol by the directional derivative along its ray.
 
-    `directions[k]` is the ray for symbol k; a missing or None entry for a
+    The symbols commute and D_v = v_x*d/dx + v_y*d/dy, so the operator is
+    sigma(d/dx, d/dy), where sigma is the BiPoly obtained by substituting
+    the linear form dx_k*X + dy_k*Y for symbol k:
+
+        op(p) = sum over (i, j) of sigma_ij * d^(i+j) p / dx^i dy^j,
+
+    one partial of p per term of sigma.  `directions[k]` is the ray for
+    symbol k, used with its raw components; a missing or None entry for a
     symbol the operator actually uses is an error.
     """
-    result = BiPoly.zero()
+    powers: dict[tuple[int, int], BiPoly] = {}
+    sigma = BiPoly.zero()
     for exponents, coeff in op.terms.items():
-        term = p
+        term = BiPoly.constant(coeff)
         for index, power in enumerate(exponents):
             if power == 0:
                 continue
-            if index >= len(directions) or directions[index] is None:
-                raise MissingDirectionError(f"no direction bound to symbol {index}")
-            for _ in range(power):
-                term = directional_derivative(term, directions[index])
-        result = result + term.scale(coeff)
-    return result
+            if (index, power) not in powers:
+                if index >= len(directions) or directions[index] is None:
+                    raise MissingDirectionError(f"no direction bound to symbol {index}")
+                dx, dy = _direction_components(directions[index])
+                powers[index, power] = BiPoly({(1, 0): dx, (0, 1): dy}) ** power
+            term = term * powers[index, power]
+        sigma = sigma + term
+    return sum((p.partial(i, j).scale(c) for (i, j), c in sigma.terms.items()), BiPoly.zero())
 
 
 @dataclass(frozen=True, slots=True)

@@ -8,9 +8,12 @@ is "p" for integers and "p/q" with q > 0 otherwise, e.g. "-3/4".
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Collection
+
+from .errors import DomainError, RationalParseError
 
 Rational = Fraction
 
@@ -22,8 +25,6 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical "p" or "p/q" form, rejecting anything looser."""
-    from .errors import RationalParseError
-
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
@@ -38,11 +39,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational in the canonical "p" or "p/q" form."""
+    """Render a rational in the canonical "p" or "p/q" form.
+
+    A part too long for str() (over sys.get_int_max_str_digits() digits) is
+    a DomainError: `parse_rational` could not read it back either.
+    """
     q = Fraction(value)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise DomainError(f"rational too long to print (over {sys.get_int_max_str_digits()} digits)") from None
 
 
 def primitive(values: Collection[Fraction | int]) -> list[int]:

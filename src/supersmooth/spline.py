@@ -145,21 +145,16 @@ def global_smoothness_order(spline: PiecewisePoly):
     return min(smoothness_across_ray(spline, j) for j in range(len(spline.fan.rays)))
 
 
-def origin_smoothness_order(spline: PiecewisePoly, max_order: int | None = None):
+def origin_smoothness_order(spline: PiecewisePoly):
     """Largest m such that all per-piece partials up to order m agree at the origin.
 
     That is one less than the lowest total degree of any jump p_j - p_0, or
-    INFINITE when all pieces are identical.  An explicit `max_order` caps
-    the answer: when it is below both the order and the maximal total
-    degree, the cap itself is returned (a lower bound on the true order).
+    INFINITE when all pieces are identical.
     """
     base = spline.pieces[0]
     jumps = (piece - base for piece in spline.pieces[1:])
     low_degrees = [min(i + j for i, j in jump.terms) for jump in jumps if not jump.is_zero]
-    order = min(low_degrees) - 1 if low_degrees else INFINITE
-    if max_order is not None and max_order < min(order, spline.max_total_degree()):
-        return max_order
-    return order
+    return min(low_degrees) - 1 if low_degrees else INFINITE
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,15 +176,11 @@ class SmoothnessReport:
     supersmoothness_holds: bool | None
 
 
-def supersmoothness_verdict(spline: PiecewisePoly, max_origin_order: int | None = None) -> SmoothnessReport:
-    """Compute all smoothness orders and the supersmoothness verdict.
-
-    `max_origin_order` caps the origin-order search (display use only; the
-    report invariants assume the uncapped default).
-    """
+def supersmoothness_verdict(spline: PiecewisePoly) -> SmoothnessReport:
+    """Compute all smoothness orders and the supersmoothness verdict."""
     per_ray = tuple(smoothness_across_ray(spline, j) for j in range(len(spline.fan.rays)))
     global_order = min(per_ray)
-    origin_order = origin_smoothness_order(spline, max_order=max_origin_order)
+    origin_order = origin_smoothness_order(spline)
     k = len(spline.fan.rays)
     applicable = spline.fan.collinear_free and global_order >= k - 2
     gained = origin_order >= global_order + 1

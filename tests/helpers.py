@@ -9,6 +9,8 @@ from supersmooth import (
     NOT_CONTINUOUS,
     BiPoly,
     FanPartition,
+    MissingDirectionError,
+    OperatorPoly,
     OriginSectorError,
     PiecewisePoly,
     Ray,
@@ -19,6 +21,7 @@ from supersmooth import (
 )
 from supersmooth.fan import _clockwise_cmp
 from supersmooth.linalg import _eliminate
+from supersmooth.numcheck import _richardson, _unit
 
 
 def random_bipoly(rng: Random, max_degree: int = 6, terms: int = 8, bound: int = 9) -> BiPoly:
@@ -242,3 +245,41 @@ def vandermonde_coeffs(slopes, n: int) -> list[int]:
     values = [Fraction(a) for a in slopes]
     (coeffs,) = fraction_nullspace([[a**s for a in values] for s in range(1, n + 1)])
     return coeffs
+
+
+def apply_by_directions(op: OperatorPoly, directions, p: BiPoly) -> BiPoly:
+    """Apply an operator monomial by monomial, one directional derivative per symbol factor.
+
+    `directions[k]` is the ray for symbol k; a missing or None entry for a
+    symbol the operator actually uses is an error.
+    """
+    result = BiPoly.zero()
+    for exponents, coeff in op.terms.items():
+        term = p
+        for index, power in enumerate(exponents):
+            if power == 0:
+                continue
+            if index >= len(directions) or directions[index] is None:
+                raise MissingDirectionError(f"no direction bound to symbol {index}")
+            for _ in range(power):
+                term = directional_derivative(term, directions[index])
+        result = result + term.scale(coeff)
+    return result
+
+
+def one_sided_stencil(f, point, direction, h: float) -> float:
+    """Second-order forward stencil (-3f(P) + 4f(P+h) - f(P+2h)) / (2h), three fresh evaluations."""
+    px, py = point
+    ux, uy = direction
+    f0 = f(px, py)
+    f1 = f(px + h * ux, py + h * uy)
+    f2 = f(px + 2 * h * ux, py + 2 * h * uy)
+    return (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
+
+
+def stencil_derivative(f, point, direction, cfg) -> tuple[float, float]:
+    """One-sided directional derivative with one full stencil per Richardson level (3L evaluations)."""
+    unit = _unit(direction)
+    levels = cfg.richardson_levels
+    estimates = [one_sided_stencil(f, point, unit, cfg.base_step / 2**i) for i in range(levels)]
+    return _richardson(estimates, range(2, levels + 1))

@@ -322,7 +322,45 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
         cli._build_parser.cache_clear()
         fresh.append(_outcome(argv, capsys))
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0, 0, 2, 0, 0]
+    assert [code for code, _, _ in reused] == [0, 0, 2, 2, 0, 0, 0, 2, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "DOC", "--max-order", "1"],
+        ["demo", "counterexample", "--n", "2", "--max-order", "-1"],
+        ["demo", "halfplane", "--n", "2", "--max-order", "0"],
+    ],
+)
+def test_origin_order_cap_is_not_an_option(tmp_path, capsys, argv):
+    document = tmp_path / "c.json"
+    document.write_text(_axis_document("0,3"))
+    with pytest.raises(SystemExit) as exc:
+        main([str(document) if arg == "DOC" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+_LONG_SLOPES = ",".join(str(k * 10**2999 + 1) for k in (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "2", "--slopes", _LONG_SLOPES],
+        ["demo", "counterexample", "--n", "2", "--slopes", _LONG_SLOPES],
+    ],
+    ids=["construct", "demo"],
+)
+def test_number_too_long_to_print_exits_1(tmp_path, capsys, argv):
+    assert main(argv) == 1
+    _one_error_line(capsys)
+    if argv[0] == "construct":
+        output = tmp_path / "c.json"
+        assert main(argv + ["-o", str(output)]) == 1
+        _one_error_line(capsys)
+        assert not output.exists()
 
 
 # Keys of the spline schema, so that generated objects get past the first checks.

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supersmooth import (
+    BiPoly,
     DomainError,
+    PiecewisePoly,
     nullspace,
     Ray,
     build_fan,
@@ -19,6 +21,7 @@ from supersmooth import (
     spline_space_basis,
     spline_space_dimension,
 )
+from supersmooth import dimension
 from supersmooth.dimension import _blocks
 from helpers import (
     distinct_lines,
@@ -112,6 +115,22 @@ def schumaker_dimension(k: int, m: int, degree: int, smoothness: int) -> int:
     if r >= d:
         return comb(d + 2, 2)
     return comb(r + 2, 2) + k * comb(d - r + 1, 2) + sum(max(r + j + 1 - j * m, 0) for j in range(1, d - r + 1))
+
+
+def test_no_line_powers_when_smoothness_reaches_the_degree(monkeypatch):
+    # S^r_d = P_d for r >= d: no cofactor block, so no (r+1)-th line-form power
+    powers = []
+    line_power = dimension._line_power
+    monkeypatch.setattr(dimension, "_line_power", lambda ray, power: powers.append(power) or line_power(ray, power))
+    assert spline_space_dimension(GENERIC_4, 1, 5000) == 3
+    basis = spline_space_basis(GENERIC_4, 2, 2)
+    samples = sample_spline_space(GENERIC_4, 2, 9, count=3, seed=4)
+    assert powers == []
+    k = len(GENERIC_4.rays)
+    monomials = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert basis == [PiecewisePoly(fan=GENERIC_4, pieces=(BiPoly({m: 1}),) * k) for m in monomials]
+    assert samples == sample_spline_space(GENERIC_4, 2, 2, count=3, seed=4)
+    assert all(len(set(s.pieces)) == 1 for s in samples)
 
 
 def test_dimension_matches_schumaker_on_random_fans():

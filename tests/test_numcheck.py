@@ -1,8 +1,11 @@
 import math
+import struct
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supersmooth import (
     CurveGluing,
@@ -21,7 +24,7 @@ from supersmooth import (
     verify_field_rays,
     verify_ray_lemma,
 )
-from helpers import random_bipoly, random_direction
+from helpers import random_bipoly, random_direction, stencil_derivative
 
 CFG = NumericConfig()
 
@@ -84,6 +87,32 @@ def test_stencil_is_second_order():
     )[0]
     ratio = abs(coarse - target) / abs(fine - target)
     assert 3.4 < ratio < 4.6
+
+
+_unit_interval = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@given(
+    st.integers(1, 6),
+    st.floats(min_value=2.0**-20, max_value=0.1),
+    st.tuples(_unit_interval, _unit_interval),
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda d: d != (0, 0)),
+    st.tuples(_unit_interval, _unit_interval, _unit_interval),
+)
+def test_shared_stencil_points_match_the_three_point_stencil_bitwise(levels, base_step, point, direction, coeffs):
+    a, b, c = coeffs
+    points = []
+
+    def f(x, y):
+        points.append((x, y))
+        return math.sin(a * x + b * y) + c * x * y * y
+
+    cfg = NumericConfig(base_step=base_step, richardson_levels=levels)
+    got = one_sided_directional_derivative(f, point, direction, cfg)
+    # f(P) once, then one point per level plus the first level's far point
+    assert len(points) == levels + 2
+    expected = stencil_derivative(f, point, direction, cfg)
+    assert struct.pack("<2d", *got) == struct.pack("<2d", *expected)
 
 
 def test_matches_exact_directional_derivative():

@@ -1,10 +1,13 @@
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supersmooth import (
     ArityError,
     BiPoly,
+    InvalidDirectionError,
     MissingDirectionError,
     OperatorPoly,
     Ray,
@@ -16,7 +19,7 @@ from supersmooth import (
     directional_derivative,
     expand_power_operator,
 )
-from helpers import random_bipoly, random_collinear_free_fan
+from helpers import apply_by_directions, random_bipoly, random_collinear_free_fan
 
 
 def test_expand_order_one():
@@ -110,3 +113,46 @@ def test_power_identity_expanded_and_split_forms():
                 for ray in fan.rays[2:]:
                     cross = directional_derivative(cross, ray)
                 assert split + cross.scale(expansion.cross_coefficient) == direct
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_bipolys = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda m: sum(m) <= 6), _fractions, max_size=8
+).map(BiPoly)
+_directions = (
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda d: d != (0, 0)).map(lambda d: Ray(*d))
+    | st.tuples(_fractions, _fractions)  # raw components, not primitive; may be the zero tuple
+)
+
+
+@st.composite
+def _operators_with_directions(draw):
+    arity = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "zero", "identity"]))
+    if kind == "identity":
+        op = OperatorPoly.identity(arity)
+    else:
+        exponents = st.tuples(*[st.integers(0, 3)] * arity)
+        op = OperatorPoly(arity, {} if kind == "zero" else draw(st.dictionaries(exponents, _fractions, max_size=6)))
+    used = {k for exps in op.terms for k, e in enumerate(exps) if e}
+    # unused symbols may have no direction; rarely a used one lacks it too
+    directions = [
+        draw(_directions if k in used and draw(st.integers(0, 19)) else st.none() | _directions)
+        for k in range(arity)
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        directions = directions[: draw(st.integers(0, arity))]  # trailing symbols unbound
+    return op, directions
+
+
+def _outcome(route, op, directions, p):
+    try:
+        return route(op, directions, p)
+    except (InvalidDirectionError, MissingDirectionError) as exc:
+        return type(exc)
+
+
+@given(_operators_with_directions(), _bipolys)
+def test_apply_through_the_symbol_equals_the_direction_loop(case, p):
+    op, directions = case
+    assert _outcome(apply_operator, op, directions, p) == _outcome(apply_by_directions, op, directions, p)

@@ -113,11 +113,9 @@ def test_origin_order_identical_pieces():
     assert origin_smoothness_order(spline) == INFINITE
 
 
-def test_origin_order_respects_cap():
+def test_origin_order_of_a_pure_power_jump():
     spline = _two_piece(X_AXIS, BiPoly.zero(), Y**4)
     assert origin_smoothness_order(spline) == 3
-    assert origin_smoothness_order(spline, max_order=2) == 2
-    assert origin_smoothness_order(spline, max_order=9) == 3
 
 
 def test_verdict_halfplane_not_applicable():
@@ -254,16 +252,11 @@ def test_integer_kernel_normalises_the_direction():
         assert smoothness_order_of_difference(BiPoly.zero(), direction) == INFINITE
 
 
-def _origin_order_from_partials(spline, max_order):
-    """The capped origin order from the first disagreeing partial in origin_partials."""
-    degree = spline.max_total_degree()
-    cap = degree if max_order is None else min(max_order, degree)
-    disagree = [i + j for (i, j), row in origin_partials(spline, cap).items() if len(set(row)) > 1]
-    if disagree:
-        return min(disagree) - 1
-    if max_order is not None and max_order < degree:
-        return max_order
-    return INFINITE
+def _origin_order_from_partials(spline):
+    """The origin order from the first disagreeing partial in origin_partials."""
+    table = origin_partials(spline, spline.max_total_degree())
+    disagree = [i + j for (i, j), row in table.items() if len(set(row)) > 1]
+    return min(disagree) - 1 if disagree else INFINITE
 
 
 def test_origin_order_equals_first_disagreeing_partial():
@@ -282,9 +275,7 @@ def test_origin_order_equals_first_disagreeing_partial():
                 base + (X + Y) ** low * random_bipoly(rng, max_degree=2, terms=3) for _ in fan.rays[1:]
             )
         spline = PiecewisePoly(fan=fan, pieces=pieces)
-        for max_order in [None, -3, -1] + list(range(spline.max_total_degree() + 2)):
-            expected = _origin_order_from_partials(spline, max_order)
-            assert origin_smoothness_order(spline, max_order=max_order) == expected
+        assert origin_smoothness_order(spline) == _origin_order_from_partials(spline)
 
 
 def test_format_order():
