@@ -65,7 +65,6 @@ from .operators import (
 )
 from .poly import (
     BiPoly,
-    UniPoly,
     X,
     Y,
     directional_derivative,

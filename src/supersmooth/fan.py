@@ -7,13 +7,13 @@ first input ray; sector j is the region swept clockwise from rays[j]
 (inclusive) to rays[j+1] (exclusive).
 
 Clockwise order is decided exactly, without angles: rays are bucketed by
-their half-turn relative to the base ray and compared by cross-product sign
-inside a bucket.
+their half-turn relative to the base ray b and, inside an open half-turn,
+ordered by the rational (b.v)/(b x v), which is -cot of the clockwise angle
+and so grows with it.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,19 +76,6 @@ def _half_turn_bucket(bx, by, vx, vy) -> int:
     return 1 if c < 0 else 3
 
 
-def _clockwise_cmp(base, u, v) -> int:
-    """Order by clockwise angle from base in [0, full turn); 0 means equal angle."""
-    bu, bv = _half_turn_bucket(*base, *u), _half_turn_bucket(*base, *v)
-    if bu != bv:
-        return -1 if bu < bv else 1
-    if bu in (0, 2):
-        return 0
-    c = _cross(u, v)
-    if c == 0:
-        return 0
-    return -1 if c < 0 else 1
-
-
 @dataclass(frozen=True, slots=True)
 class FanPartition:
     """Clockwise-ordered rays; sector j opens clockwise at rays[j]."""
@@ -108,20 +95,23 @@ def build_fan(rays: Iterable[Ray]) -> FanPartition:
     ray_list = [r if isinstance(r, Ray) else Ray(*r) for r in rays]
     if len(ray_list) < 2:
         raise FanSizeError("a fan partition needs at least 2 rays")
-    seen = set()
+    directions = set()
     for r in ray_list:
-        if r in seen:
+        if (r.dx, r.dy) in directions:
             raise DuplicateRayError(f"duplicate oriented direction {r!r}")
-        seen.add(r)
+        directions.add((r.dx, r.dy))
     base = ray_list[0]
-    ordered = [base] + sorted(
-        ray_list[1:], key=functools.cmp_to_key(lambda u, v: _clockwise_cmp(base, u, v))
-    )
-    collinear_free = all(
-        not are_collinear(ordered[i], ordered[j])
-        for i in range(len(ordered))
-        for j in range(i + 1, len(ordered))
-    )
+    bx, by = base.dx, base.dy
+
+    def clockwise_key(v: Ray) -> tuple[int, Fraction | int]:
+        bucket = _half_turn_bucket(bx, by, v.dx, v.dy)
+        if bucket == 2:  # only the opposite ray; its cross product is 0
+            return bucket, 0
+        return bucket, Fraction(bx * v.dx + by * v.dy, bx * v.dy - by * v.dx)
+
+    ordered = [base] + sorted(ray_list[1:], key=clockwise_key)
+    # Primitive distinct rays share a line only when they are opposite.
+    collinear_free = all((-dx, -dy) not in directions for dx, dy in directions)
     return FanPartition(rays=tuple(ordered), collinear_free=collinear_free)
 
 

@@ -114,15 +114,8 @@ def _unit(direction) -> tuple[float, float]:
     return (ux / norm, uy / norm)
 
 
-def one_sided_directional_derivative(f: Field, point, direction,
-                                     cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
-    """One-sided derivative of f at `point` along the unit vector of `direction`.
-
-    Richardson-extrapolates the second-order forward stencil
-    (-3f(P) + 4f(P+h*u) - f(P+2h*u)) / (2h) over halved steps h; the
-    returned error estimate is the last extrapolation delta (infinite when
-    a single level leaves nothing to compare).
-    """
+def _one_sided(f: Field, point, direction, cfg: NumericConfig) -> tuple[float, float, float]:
+    """f(P), then what `one_sided_directional_derivative` returns, from one set of evaluations."""
     px, py = point
     ux, uy = _unit(direction)
     levels = cfg.richardson_levels
@@ -136,7 +129,19 @@ def one_sided_directional_derivative(f: Field, point, direction,
         for far, near, h in zip(values, values[1:], offsets[1:])
     ]
     # Error series of the stencil: h^2, h^3, h^4, ...
-    return _richardson(estimates, range(2, levels + 1))
+    return (f0, *_richardson(estimates, range(2, levels + 1)))
+
+
+def one_sided_directional_derivative(f: Field, point, direction,
+                                     cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
+    """One-sided derivative of f at `point` along the unit vector of `direction`.
+
+    Richardson-extrapolates the second-order forward stencil
+    (-3f(P) + 4f(P+h*u) - f(P+2h*u)) / (2h) over halved steps h; the
+    returned error estimate is the last extrapolation delta (infinite when
+    a single level leaves nothing to compare).
+    """
+    return _one_sided(f, point, direction, cfg)[1:]
 
 
 def _central_partial(f: Field, point, axis: int, cfg: NumericConfig) -> float:
@@ -177,9 +182,9 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
     for k in range(cfg.samples_per_ray):
         t = RAY_EXTENT * k / cfg.samples_per_ray
         point = (t * unit[0], t * unit[1])
-        value_gap = max(value_gap, abs(_eval(f, *point) - _eval(g, *point)))
-        df, _ = one_sided_directional_derivative(f, point, unit, cfg)
-        dg, _ = one_sided_directional_derivative(g, point, unit, cfg)
+        f0, df, _ = _one_sided(f, point, unit, cfg)
+        g0, dg, _ = _one_sided(g, point, unit, cfg)
+        value_gap = max(value_gap, abs(f0 - g0))
         deriv_gap = max(deriv_gap, abs(df - dg))
     passed = value_gap <= cfg.tolerance and deriv_gap <= cfg.tolerance
     return RayLemmaReport(max_value_gap=value_gap, max_dirderiv_gap=deriv_gap, passed=passed)
@@ -264,33 +269,6 @@ def corner_witness_check(h: Field, gluing: CurveGluing,
 
 # -- built-in fixtures -------------------------------------------------
 
-def _corner_quadratic() -> CurveGluing:
-    return CurveGluing(
-        g=abs,
-        corner_x=0.0,
-        f_upper=lambda x, y: y * y - x * x,
-        f_lower=lambda x, y: 0.0,
-    )
-
-
-def _smooth_parabola() -> CurveGluing:
-    return CurveGluing(
-        g=lambda x: x * x,
-        corner_x=0.0,
-        f_upper=lambda x, y: y - x * x,
-        f_lower=lambda x, y: 0.0,
-    )
-
-
-def _halfplane_n1() -> CurveGluing:
-    return CurveGluing(
-        g=lambda x: 0.0,
-        corner_x=0.0,
-        f_upper=lambda x, y: y * y,
-        f_lower=lambda x, y: 0.0,
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class RayLemmaFixture:
     f: Field
@@ -298,24 +276,35 @@ class RayLemmaFixture:
     ray: tuple[float, float]
 
 
-def _lemma_xy() -> RayLemmaFixture:
-    return RayLemmaFixture(
+FIXTURES: dict[str, CurveGluing | RayLemmaFixture] = {
+    "corner-quadratic": CurveGluing(
+        g=abs,
+        corner_x=0.0,
+        f_upper=lambda x, y: y * y - x * x,
+        f_lower=lambda x, y: 0.0,
+    ),
+    "smooth-parabola": CurveGluing(
+        g=lambda x: x * x,
+        corner_x=0.0,
+        f_upper=lambda x, y: y - x * x,
+        f_lower=lambda x, y: 0.0,
+    ),
+    "halfplane-n1": CurveGluing(
+        g=lambda x: 0.0,
+        corner_x=0.0,
+        f_upper=lambda x, y: y * y,
+        f_lower=lambda x, y: 0.0,
+    ),
+    "lemma-xy": RayLemmaFixture(
         f=lambda x, y: x * x,
         g=lambda x, y: x * x + x * y,
         ray=(1.0, 0.0),
-    )
-
-
-FIXTURES: dict[str, Callable[[], "CurveGluing | RayLemmaFixture"]] = {
-    "corner-quadratic": _corner_quadratic,
-    "smooth-parabola": _smooth_parabola,
-    "halfplane-n1": _halfplane_n1,
-    "lemma-xy": _lemma_xy,
+    ),
 }
 
 
 def get_fixture(name: str):
     try:
-        return FIXTURES[name]()
+        return FIXTURES[name]
     except KeyError:
         raise DomainError(f"unknown fixture {name!r}; known: {', '.join(sorted(FIXTURES))}") from None

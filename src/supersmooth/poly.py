@@ -1,16 +1,16 @@
-"""Exact sparse polynomial algebra in two variables (plus univariate restrictions).
+"""Exact sparse polynomial algebra in two variables.
 
 A BiPoly maps exponent pairs (i, j) for x^i y^j to nonzero Fraction
 coefficients; the zero polynomial is the empty map.  All operations are
 pure and exact.  Restricting a BiPoly to a ray through the origin yields
-a UniPoly in the ray parameter t.
+a BiPoly in x alone, with x standing for the ray parameter t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from .errors import InvalidDirectionError
 
@@ -222,50 +222,6 @@ X = BiPoly({(1, 0): 1})
 Y = BiPoly({(0, 1): 1})
 
 
-class UniPoly:
-    """Univariate polynomial in t with exact rational coefficients."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coefficients: Iterable[Fraction | int] = ()):
-        coeffs = [_as_fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
-
-    @property
-    def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly(k * c for k, c in enumerate(self._coeffs) if k)
-
-    def evaluate(self, t) -> Fraction:
-        point = _as_fraction(t)
-        value = _ZERO
-        for coeff in reversed(self._coeffs):
-            value = value * point + coeff
-        return value
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"UniPoly({list(self._coeffs)!r})"
-
-
 def _direction_components(direction) -> tuple[Fraction, Fraction]:
     dx, dy = direction
     dx, dy = _as_fraction(dx), _as_fraction(dy)
@@ -285,17 +241,14 @@ def directional_derivative(p: BiPoly, direction) -> BiPoly:
     return p.partial(1, 0).scale(dx) + p.partial(0, 1).scale(dy)
 
 
-def restrict_to_ray(p: BiPoly, direction) -> UniPoly:
-    """The univariate polynomial t -> p(t*dx, t*dy), exact."""
+def restrict_to_ray(p: BiPoly, direction) -> BiPoly:
+    """The restriction t -> p(t*dx, t*dy), exact, as a BiPoly in x alone (x is t)."""
     dx, dy = _direction_components(direction)
-    if p.is_zero:
-        return UniPoly()
-    by_power: dict[int, Fraction] = {}
+    by_power: dict[Monomial, Fraction] = {}
     for (i, j), coeff in p.terms.items():
-        power = i + j
-        by_power[power] = by_power.get(power, _ZERO) + coeff * dx**i * dy**j
-    top = max(by_power)
-    return UniPoly(by_power.get(k, _ZERO) for k in range(top + 1))
+        key = (i + j, 0)
+        by_power[key] = by_power.get(key, _ZERO) + coeff * dx**i * dy**j
+    return BiPoly(by_power)
 
 
 def linear_form_power(slope, n: int) -> BiPoly:

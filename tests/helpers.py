@@ -19,7 +19,7 @@ from supersmooth import (
     rank,
     restrict_to_ray,
 )
-from supersmooth.fan import _clockwise_cmp
+from supersmooth.fan import _half_turn_bucket
 from supersmooth.linalg import _eliminate
 from supersmooth.numcheck import _richardson, _unit
 
@@ -165,11 +165,28 @@ def line_divisibility_order(diff: BiPoly, slope):
     return multiplicity - 1
 
 
+def clockwise_cmp(base, u, v) -> int:
+    """Order by clockwise angle from base in [0, full turn); 0 means equal angle.
+
+    Compares by half-turn bucket, then by the sign of the cross product.
+    """
+    bu, bv = _half_turn_bucket(*base, *u), _half_turn_bucket(*base, *v)
+    if bu != bv:
+        return -1 if bu < bv else 1
+    if bu in (0, 2):
+        return 0
+    (ux, uy), (vx, vy) = u, v
+    c = ux * vy - uy * vx
+    if c == 0:
+        return 0
+    return -1 if c < 0 else 1
+
+
 def fraction_locate_sector(fan: FanPartition, x, y) -> int:
     """Sector of a nonzero point by comparing it, as a Fraction pair, with every ray.
 
-    Uses the clockwise comparator that `build_fan` sorts by: the sector is
-    the last ray whose clockwise angle from rays[0] does not exceed the point's.
+    Uses `clockwise_cmp`: the sector is the last ray whose clockwise angle
+    from rays[0] does not exceed the point's.
     """
     point = (Fraction(x), Fraction(y))
     if point == (0, 0):
@@ -177,7 +194,7 @@ def fraction_locate_sector(fan: FanPartition, x, y) -> int:
     base = fan.rays[0]
     sector = 0
     for j in range(1, len(fan.rays)):
-        if _clockwise_cmp(base, fan.rays[j], point) <= 0:
+        if clockwise_cmp(base, fan.rays[j], point) <= 0:
             sector = j
     return sector
 

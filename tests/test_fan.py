@@ -1,4 +1,6 @@
+import time
 from fractions import Fraction
+from functools import cmp_to_key
 from random import Random
 
 import pytest
@@ -17,7 +19,12 @@ from supersmooth import (
     decompose_direction,
     locate_sector,
 )
-from helpers import fraction_locate_sector, random_collinear_free_fan, random_direction
+from helpers import (
+    clockwise_cmp,
+    fraction_locate_sector,
+    random_collinear_free_fan,
+    random_direction,
+)
 
 
 def test_ray_canonical_form():
@@ -206,3 +213,51 @@ def test_collinear_free_matches_pairwise_checks():
             are_collinear(a, b) for i, a in enumerate(rays) for b in rays[i + 1 :]
         )
         assert fan.collinear_free == expected
+
+
+@st.composite
+def _ray_inputs(draw):
+    """Distinct rays in any order, with axis rays and opposite pairs, as Rays or Fraction tuples."""
+    rays = []
+    for d in draw(st.lists(_directions, min_size=2, max_size=8)):
+        candidates = [Ray(*d)] + ([Ray(-d[0], -d[1])] if draw(st.booleans()) else [])
+        rays.extend(r for r in candidates if r not in rays)
+    if len(rays) < 2:
+        rays.append(Ray(-rays[0].dx, -rays[0].dy))
+    rays = draw(st.permutations(rays))
+    if draw(st.booleans()):
+        # a positive rational multiple of each direction names the same ray
+        scales = [draw(st.fractions(min_value=Fraction(1, 9), max_value=9)) for _ in rays]
+        return rays, [(r.dx * scale, r.dy * scale) for r, scale in zip(rays, scales)]
+    return rays, rays
+
+
+@given(_ray_inputs())
+def test_build_fan_order_matches_the_clockwise_comparator(case):
+    rays, given_rays = case
+    fan = build_fan(given_rays)
+    base = rays[0]
+    expected = [base] + sorted(rays[1:], key=cmp_to_key(lambda u, v: clockwise_cmp(base, u, v)))
+    assert list(fan.rays) == expected
+    pairwise_free = not any(
+        are_collinear(a, b) for i, a in enumerate(rays) for b in rays[i + 1:]
+    )
+    assert fan.collinear_free == pairwise_free
+
+
+def test_large_fan_builds_in_bounded_time():
+    # Collinear-free is the worst case: no collinear pair ends the check early.
+    rng = Random(53)
+    rays, lines = [], set()
+    while len(rays) < 4000:
+        ray = Ray(*random_direction(rng, bound=100))
+        line = max((ray.dx, ray.dy), (-ray.dx, -ray.dy))
+        if line not in lines:
+            lines.add(line)
+            rays.append(ray)
+    start = time.perf_counter()
+    fan = build_fan(rays)
+    elapsed = time.perf_counter() - start
+    assert len(fan) == 4000 and fan.collinear_free
+    # a scan over all pairs of rays takes seconds at this size
+    assert elapsed < 1.0

@@ -115,6 +115,36 @@ def test_shared_stencil_points_match_the_three_point_stencil_bitwise(levels, bas
     assert struct.pack("<2d", *got) == struct.pack("<2d", *expected)
 
 
+@pytest.mark.parametrize("samples, levels", [(9, 3), (4, 1)])
+def test_ray_lemma_evaluates_each_field_once_per_stencil_point(samples, levels):
+    calls = {"f": 0, "g": 0}
+
+    def counted(name, field):
+        def wrapped(x, y):
+            calls[name] += 1
+            return field(x, y)
+        return wrapped
+
+    f = lambda x, y: math.sin(x) + x * y
+    g = lambda x, y: math.sin(x) + 0.5 * y * y
+    cfg = NumericConfig(samples_per_ray=samples, richardson_levels=levels)
+    report = verify_ray_lemma(counted("f", f), counted("g", g), (2, 1), cfg)
+    # per sample: f(P) once, then one point per level plus the first far point
+    assert calls == {"f": samples * (levels + 2), "g": samples * (levels + 2)}
+    # the value gap reuses the stencil's f(P); the report is the one that
+    # separate evaluations give
+    ux, uy = 2 / math.hypot(2, 1), 1 / math.hypot(2, 1)
+    value_gap = deriv_gap = 0.0
+    for k in range(samples):
+        t = k / samples
+        point = (t * ux, t * uy)
+        value_gap = max(value_gap, abs(f(*point) - g(*point)))
+        df, _ = one_sided_directional_derivative(f, point, (ux, uy), cfg)
+        dg, _ = one_sided_directional_derivative(g, point, (ux, uy), cfg)
+        deriv_gap = max(deriv_gap, abs(df - dg))
+    assert (report.max_value_gap, report.max_dirderiv_gap) == (value_gap, deriv_gap)
+
+
 def test_matches_exact_directional_derivative():
     rng = Random(1234)
     for _ in range(50):
@@ -215,11 +245,12 @@ def test_witness_candidate_must_vanish():
 def test_lemma_fixture_registry():
     fixture = get_fixture("lemma-xy")
     assert isinstance(fixture, RayLemmaFixture)
+    assert get_fixture("lemma-xy") is fixture
     assert verify_ray_lemma(fixture.f, fixture.g, fixture.ray, CFG).passed
 
 
 def test_unknown_fixture_name():
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError):
         get_fixture("no-such-fixture")
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from supersmooth import (
     BiPoly,
     InvalidDirectionError,
-    UniPoly,
     X,
     Y,
     directional_derivative,
@@ -78,12 +77,19 @@ def test_restrict_symmetric_cancellation():
 
 
 def test_restrict_direct_substitution():
-    assert restrict_to_ray(X * Y, (2, 1)) == UniPoly([0, 0, 2])
+    assert restrict_to_ray(X * Y, (2, 1)) == BiPoly({(2, 0): 2})
 
 
 def test_restrict_along_level_line():
     # direct substitution: (-2t + 2t)^3 = 0
     assert restrict_to_ray((Y + 2 * X) ** 3, (1, -2)).is_zero
+
+
+@given(bipolys, directions, st.fractions(min_value=-5, max_value=5, max_denominator=7))
+def test_restriction_is_a_polynomial_in_x_alone(p, d, t):
+    r = restrict_to_ray(p, d)
+    assert all(j == 0 for _, j in r.terms)
+    assert r.evaluate(t, 0) == p.evaluate(t * d[0], t * d[1])
 
 
 def test_restrict_rejects_zero_direction():
@@ -140,14 +146,8 @@ def test_chain_rule_for_restriction(p, v):
     # Restricting the directional derivative equals differentiating the
     # restriction; this is what makes unnormalized directions harmless.
     lhs = restrict_to_ray(directional_derivative(p, v), v)
-    rhs = restrict_to_ray(p, v).derivative()
+    rhs = restrict_to_ray(p, v).partial(1, 0)
     assert lhs == rhs
-
-
-def test_unipoly_normalizes_trailing_zeros():
-    assert UniPoly([1, 2, 0, 0]).coefficients == (1, 2)
-    assert UniPoly([0, 0]).is_zero
-    assert UniPoly([]).degree() == -1
 
 
 def test_chain_rule_seeded_sweep():
@@ -155,4 +155,4 @@ def test_chain_rule_seeded_sweep():
     for _ in range(25):
         p = random_bipoly(rng)
         v = random_direction(rng)
-        assert restrict_to_ray(directional_derivative(p, v), v) == restrict_to_ray(p, v).derivative()
+        assert restrict_to_ray(directional_derivative(p, v), v) == restrict_to_ray(p, v).partial(1, 0)

@@ -1,5 +1,6 @@
 """README's command lines and Python quickstart run, and print what README shows."""
 
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -55,3 +56,13 @@ def test_readme_library_quickstart(capsys):
     assert int(dimension) > 10  # more than the 10 global cubics
     # random C^1 cubics over three rays gain an order at the vertex
     assert len(origin_orders) == 5 and all(float(order) >= 2 for order in origin_orders)
+
+
+def test_readme_module_table_names_exist():
+    rows = re.findall(r"^\| `(\w+)` *\| (.*) \|$", README, re.M)
+    assert {module for module, _ in rows} >= {"poly", "fan", "spline", "numcheck"}
+    for module, contents in rows:
+        namespace = importlib.import_module(f"supersmooth.{module}")
+        for name in re.findall(r"`([^`]+)`", contents):
+            if name.isidentifier():
+                assert hasattr(namespace, name), (module, name)
