@@ -75,21 +75,19 @@ def _lower_halfplane_ray(slope: Fraction) -> Ray:
 
 def fan_from_slopes(slopes: Sequence) -> FanPartition:
     """Fan of the positive x-axis plus the lower-half-plane ray of each slope line."""
-    values = sorted(_distinct_nonzero(slopes), key=lambda a: (a < 0, a))
-    return build_fan([Ray(1, 0)] + [_lower_halfplane_ray(a) for a in values])
+    return build_fan([Ray(1, 0)] + [_lower_halfplane_ray(a) for a in _distinct_nonzero(slopes)])
 
 
 def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
     """Build the degree-n spline that is C^(n-1) everywhere but not C^n at 0.
 
-    Slopes are sorted into the clockwise order of their lower-half-plane
-    rays first; the cumulative pieces only glue correctly when consecutive
-    pieces sit in consecutive sectors.
+    The slopes are taken in the fan's clockwise order of their
+    lower-half-plane rays; the cumulative pieces only glue correctly when
+    consecutive pieces sit in consecutive sectors.
     """
-    values = sorted(_checked_slopes(slopes, n), key=lambda a: (a < 0, a))
+    fan = fan_from_slopes(_checked_slopes(slopes, n))
+    values = [Fraction(-ray.dy, ray.dx) for ray in fan.rays[1:]]
     coeffs = counterexample_coeffs(values, n)
-    fan = fan_from_slopes(values)
-    assert fan.rays[1:] == tuple(map(_lower_halfplane_ray, values)), "slope sort must match the fan's order"
 
     pieces = [BiPoly.zero()]
     running = BiPoly.zero()

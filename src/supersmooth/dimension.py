@@ -23,6 +23,8 @@ from .fan import FanPartition
 from .poly import BiPoly
 from .spline import PiecewisePoly
 
+SAMPLE_WEIGHT_BOUND = 9
+
 
 def _monomials(degree: int) -> list[tuple[int, int]]:
     return [(i, s - i) for s in range(degree + 1) for i in range(s + 1)]
@@ -116,10 +118,10 @@ def spline_space_basis(fan: FanPartition, degree: int, smoothness: int) -> list[
 
 
 def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: int,
-                        seed: int = 0, coefficient_bound: int = 9) -> list[PiecewisePoly]:
+                        seed: int = 0) -> list[PiecewisePoly]:
     """Random elements of the spline space: integer combinations of the basis.
 
-    Weights are drawn uniformly from [-coefficient_bound, coefficient_bound]
+    Weights are drawn uniformly from [-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND]
     with a fixed default seed, so samples are reproducible.
     """
     kernels = _kernels(fan, degree, smoothness)
@@ -127,6 +129,6 @@ def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: 
     rng = random.Random(seed)
     return [
         _combine(fan, degree, smoothness, kernels,
-                 [rng.randint(-coefficient_bound, coefficient_bound) for _ in range(dim)])
+                 [rng.randint(-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND) for _ in range(dim)])
         for _ in range(count)
     ]

@@ -1,8 +1,10 @@
 """Shared randomized generators and reference routes for the test suite (all seeded by callers)."""
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, perm
+from math import comb, factorial, gcd, lcm, perm
 from random import Random
+
+import sympy
 
 from supersmooth import (
     INFINITE,
@@ -22,6 +24,7 @@ from supersmooth import (
 from supersmooth.fan import _half_turn_bucket
 from supersmooth.linalg import _eliminate
 from supersmooth.numcheck import _richardson, _unit
+from supersmooth.rational import primitive
 
 
 def random_bipoly(rng: Random, max_degree: int = 6, terms: int = 8, bound: int = 9) -> BiPoly:
@@ -77,6 +80,14 @@ def random_fan(rng: Random, k: int, opposite_share: float = 0.3, bound: int = 5)
         if candidate not in rays:
             rays.append(candidate)
     return build_fan(rays)
+
+
+def schumaker_dimension(k: int, m: int, degree: int, smoothness: int) -> int:
+    """Schumaker's (1979) dim S^r_d on a vertex star of k rays on m distinct lines."""
+    d, r = degree, smoothness
+    if r >= d:
+        return comb(d + 2, 2)
+    return comb(r + 2, 2) + k * comb(d - r + 1, 2) + sum(max(r + j + 1 - j * m, 0) for j in range(1, d - r + 1))
 
 
 def partial_derivative_dimension(fan: FanPartition, degree: int, smoothness: int) -> int:
@@ -230,28 +241,26 @@ def fraction_nullspace(rows, cols: int | None = None) -> list[list[int]]:
     and made positive in its first nonzero entry.
     """
     cols = len(rows[0]) if cols is None else cols
-    if cols == 0:
-        return []
-    if not rows:
-        return [[int(i == k) for i in range(cols)] for k in range(cols)]
-    echelon, col_perm, r = _eliminate(rows, cols)
+    echelon, pivots = _eliminate(rows, cols)
     basis = []
-    for free in range(r, cols):
-        permuted = [Fraction(0)] * cols
-        permuted[free] = Fraction(1)
-        for p in range(r - 1, -1, -1):
-            row = echelon[p]
-            s = sum((row[q] * permuted[q] for q in range(p + 1, cols)), Fraction(0))
-            permuted[p] = -s / row[p]
-        vector = [Fraction(0)] * cols
-        for pos, value in enumerate(permuted):
-            vector[col_perm[pos]] = value
+    for free in (c for c in range(cols) if c not in pivots):
+        vector = [Fraction(int(c == free)) for c in range(cols)]
+        for row, p in reversed(list(zip(echelon, pivots))):
+            s = sum((row[q] * vector[q] for q in range(p + 1, cols)), Fraction(0))
+            vector[p] = -s / row[p]
         denom = lcm(*(f.denominator for f in vector))
         ints = [int(f * denom) for f in vector]
         content = gcd(*ints)
         sign = -1 if next(v for v in ints if v) < 0 else 1
         basis.append([sign * v // content for v in ints])
     return basis
+
+
+def sympy_nullspace(rows, cols: int | None = None) -> list[list[int]]:
+    """sympy's reduced-echelon null basis, each vector scaled by `primitive`."""
+    cols = len(rows[0]) if cols is None else cols
+    basis = sympy.Matrix(len(rows), cols, [sympy.Rational(v.numerator, v.denominator) for row in rows for v in row])
+    return [primitive([Fraction(int(v.p), int(v.q)) for v in vector]) for vector in basis.nullspace()]
 
 
 def vandermonde_coeffs(slopes, n: int) -> list[int]:

@@ -12,6 +12,7 @@ from supersmooth import (
 )
 from supersmooth import cli
 from supersmooth.cli import main
+from helpers import schumaker_dimension
 
 
 def test_construct_check_pipeline_matches_in_memory(tmp_path, capsys):
@@ -256,6 +257,9 @@ def test_check_rejects_loose_digits(tmp_path, capsys, ray, monomial, coeff):
     _one_error_line(capsys)
 
 
+SLOPES_AT_CAP = ",".join(map(str, range(1, 47)))  # 46 slopes in 128 characters
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -265,6 +269,7 @@ def test_check_rejects_loose_digits(tmp_path, capsys, ray, monomial, coeff):
         ["construct", "--n", str(cli.MAX_N + 1), "--slopes", ",".join(str(a) for a in range(1, cli.MAX_N + 3))],
         ["demo", "halfplane", "--n", str(cli.MAX_N + 1)],
         ["demo", "counterexample", "--n", str(cli.MAX_N + 1)],
+        ["dim", "--degree", "2", "--smoothness", "1", "--slopes", SLOPES_AT_CAP + "0"],
     ],
 )
 def test_argument_above_its_cap_exits_1(argv, capsys):
@@ -284,6 +289,14 @@ def test_arguments_at_their_caps_are_accepted(capsys):
     assert main(["dim", "--degree", "2", "--smoothness", str(cli.MAX_DIM_DEGREE), "--slopes", "1,2"]) == 0
     assert main(["demo", "halfplane", "--n", str(cli.MAX_N)]) == 0
     assert capsys.readouterr().out.startswith(f"6\nhalf-plane example, n={cli.MAX_N}\n")
+
+
+def test_dim_slopes_at_the_text_cap_are_accepted_at_the_degree_cap(capsys):
+    assert len(SLOPES_AT_CAP) == cli.MAX_DIM_SLOPES_CHARS
+    # the cap counts the canonical text: "02/2" is written "1"
+    argv = ["dim", "--degree", str(cli.MAX_DIM_DEGREE), "--smoothness", "24", "--slopes", "02/2" + SLOPES_AT_CAP[1:]]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"{schumaker_dimension(47, 47, cli.MAX_DIM_DEGREE, 24)}\n"
 
 
 def test_caps_admit_the_documented_sizes():

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supersmooth.linalg import nullspace, rank, row_reduce
-from helpers import fraction_nullspace
+from helpers import fraction_nullspace, sympy_nullspace
 
 
 def test_nullspace_single_row():
@@ -87,12 +87,19 @@ def test_nullspace_property(rows):
             assert sum(a * b for a, b in zip(row, vec)) == 0
 
 
-# the extra zeros make rank-deficient matrices, and so long null bases, common
+# sympy's basis is the reduced-echelon one: one vector per free column, zero
+# at every other free column, so it depends on the matrix alone and is an
+# oracle independent of linalg.
+# The extra zeros make rank-deficient matrices, and so long null bases, common.
 @given(_matrices(st.integers(-30, 30) | st.just(0)))
 def test_integer_back_substitution_equals_fraction_route_on_ints(rows):
-    assert nullspace(rows) == fraction_nullspace(rows)
+    assert nullspace(rows) == fraction_nullspace(rows) == sympy_nullspace(rows)
 
 
 @given(_matrices(st.fractions(min_value=-9, max_value=9, max_denominator=8)))
 def test_integer_back_substitution_equals_fraction_route_on_fractions(rows):
-    assert nullspace(rows) == fraction_nullspace(rows)
+    assert nullspace(rows) == fraction_nullspace(rows) == sympy_nullspace(rows)
+
+
+def test_row_reduce_is_the_echelon_form():
+    assert row_reduce([[0, 2, 4], [0, 0, 0], [3, 1, 1], [0, 1, 2]]) == [[3, 1, 1], [0, 1, 2]]

@@ -5,6 +5,7 @@ import re
 import shlex
 from pathlib import Path
 
+from supersmooth import cli
 from supersmooth.cli import main
 
 README = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
@@ -66,3 +67,10 @@ def test_readme_module_table_names_exist():
         for name in re.findall(r"`([^`]+)`", contents):
             if name.isidentifier():
                 assert hasattr(namespace, name), (module, name)
+
+
+def test_readme_caps_paragraph_names_every_cap_with_its_value():
+    (paragraph,) = [p for p in README.split("\n\n") if "are capped:" in p]
+    named = re.findall(r"(\d+)(?: \w+)? \(`cli\.(MAX_\w+)`\)", " ".join(paragraph.split()))
+    caps = {name: value for name, value in vars(cli).items() if name.startswith("MAX_")}
+    assert {name: int(value) for value, name in named} == caps
