@@ -9,12 +9,10 @@ input file, 2 usage error.
 Each argument that sizes exact or grid work has a constant cap, as
 `serialize.MAX_DEGREE` caps documents, so a short command line cannot buy
 unbounded CPU: MAX_DIM_DEGREE for `dim --degree` and `--smoothness`,
-MAX_DIM_SLOPES_CHARS for the length of the canonical `dim --slopes` text,
 MAX_N for `construct --n` and `demo --n`, MAX_GRID_N for `sample --grid-n`.
-The slowest `dim` found within its caps, three slopes of 42-character p/q
-at degree 32 and smoothness 21, takes 1.4 s on a 2-core Xeon; `check` and
-`sample` time still grows with the size of the document.  A value above
-its cap is a domain error.
+`dim` reads the dimension off a closed form, so its cost does not depend on
+the slopes; `check` and `sample` time still grows with the size of the
+document.  A value above its cap is a domain error.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from .serialize import (
 from .spline import PiecewisePoly, render_report, supersmoothness_verdict
 
 MAX_DIM_DEGREE = 32
-MAX_DIM_SLOPES_CHARS = 128
 MAX_N = 64
 MAX_GRID_N = 150
 
@@ -137,8 +134,6 @@ def _cmd_check(args) -> int:
 def _cmd_dim(args) -> int:
     _check_cap("--degree", args.degree, MAX_DIM_DEGREE)
     _check_cap("--smoothness", args.smoothness, MAX_DIM_DEGREE)
-    slope_chars = len(",".join(map(format_rational, args.slopes)))
-    _check_cap("--slopes text length", slope_chars, MAX_DIM_SLOPES_CHARS)
     fan = fan_from_slopes(args.slopes)
     print(spline_space_dimension(fan, args.degree, args.smoothness))
     return 0

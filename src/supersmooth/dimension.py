@@ -10,6 +10,11 @@ integer system with s+1 rows (the monomials of degree s) and k*(s-r)
 columns (the coefficients of the cofactors' degree s-r-1 parts).  A kernel
 vector gives the cumulative pieces p_j = sum_{i<=j} q_i l_i^(r+1), the same
 construction as the counterexample builder's.
+
+Block s has rank min(s+1, m*(s-r)) when the k rays lie on m distinct lines
+(Schumaker 1979; Lai & Schumaker, Spline Functions on Triangulations, 2007,
+ch. 9), so dim S^r_d = C(d+2, 2) + sum_s kappa_s with kernel sizes
+kappa_s = k*(s-r) - min(s+1, m*(s-r)); only the basis needs elimination.
 """
 
 from __future__ import annotations
@@ -41,10 +46,6 @@ def _blocks(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, 
     Row i is the coefficient of x^i y^(s-i); column j*(s-r) + b is the
     coefficient of x^b y^(s-r-1-b) in the cofactor of ray j.
     """
-    if degree < 0:
-        raise DomainError("degree must be nonnegative")
-    if smoothness < 0:
-        raise DomainError("smoothness must be nonnegative")
     if smoothness >= degree:
         return []  # S^r_d = P_d; the (r+1)-th line-form powers would go unused
     lines = [_line_power(ray, smoothness + 1) for ray in fan.rays]
@@ -61,18 +62,24 @@ def _blocks(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, 
     return blocks
 
 
+def kernel_sizes(fan: FanPartition, degree: int, smoothness: int) -> list[int]:
+    """Kernel size kappa_s of the conformality block in each degree s = r+1..d, in closed form."""
+    if degree < 0:
+        raise DomainError("degree must be nonnegative")
+    if smoothness < 0:
+        raise DomainError("smoothness must be nonnegative")
+    k = len(fan.rays)
+    m = len({(ray.dx, ray.dy) if (ray.dx, ray.dy) > (0, 0) else (-ray.dx, -ray.dy) for ray in fan.rays})
+    return [k * (s - smoothness) - min(s + 1, m * (s - smoothness)) for s in range(smoothness + 1, degree + 1)]
+
+
 def spline_space_dimension(fan: FanPartition, degree: int, smoothness: int) -> int:
     """Dimension of the C^smoothness splines of degree <= degree over the fan."""
-    blocks = _blocks(fan, degree, smoothness)
-    return comb(degree + 2, 2) + sum(cols - linalg.rank(rows, cols=cols) for _, rows, cols in blocks)
+    return comb(degree + 2, 2) + sum(kernel_sizes(fan, degree, smoothness))
 
 
 def _kernels(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, list[list[int]]]]:
     return [(s, linalg.nullspace(rows, cols=cols)) for s, rows, cols in _blocks(fan, degree, smoothness)]
-
-
-def _size(degree: int, kernels) -> int:
-    return comb(degree + 2, 2) + sum(len(vectors) for _, vectors in kernels)
 
 
 def _combine(fan: FanPartition, degree: int, smoothness: int, kernels, weights) -> PiecewisePoly:
@@ -112,8 +119,8 @@ def spline_space_basis(fan: FanPartition, degree: int, smoothness: int) -> list[
     """A basis of the spline space, as piecewise polynomials with integer coefficients:
     the global monomials of degree <= degree, then the cumulative splines of
     the conformality kernel."""
+    dim = spline_space_dimension(fan, degree, smoothness)
     kernels = _kernels(fan, degree, smoothness)
-    dim = _size(degree, kernels)
     return [_combine(fan, degree, smoothness, kernels, [int(i == e) for i in range(dim)]) for e in range(dim)]
 
 
@@ -124,8 +131,8 @@ def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: 
     Weights are drawn uniformly from [-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND]
     with a fixed default seed, so samples are reproducible.
     """
+    dim = spline_space_dimension(fan, degree, smoothness)
     kernels = _kernels(fan, degree, smoothness)
-    dim = _size(degree, kernels)
     rng = random.Random(seed)
     return [
         _combine(fan, degree, smoothness, kernels,

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersmooth import (
+    INFINITE,
     BiPoly,
     DomainError,
     PiecewisePoly,
@@ -22,9 +23,11 @@ from supersmooth import (
     smoothness_across_ray,
     spline_space_basis,
     spline_space_dimension,
+    supersmoothness_verdict,
 )
-from supersmooth import dimension
-from supersmooth.dimension import _blocks
+from supersmooth import dimension, linalg
+from supersmooth.cli import main
+from supersmooth.dimension import _blocks, kernel_sizes
 from helpers import (
     distinct_lines,
     fraction_nullspace,
@@ -209,15 +212,74 @@ def test_block_null_bases_equal_the_fraction_route(seed, k, vertical, smoothness
     # random_fan puts opposite pairs in about a third of its rays
     fan = random_fan(Random(seed), k)
     fan = build_fan(list(fan.rays) + [ray for ray in vertical if ray not in fan.rays])
-    for _, rows, cols in _blocks(fan, smoothness + extra_degree, smoothness):
+    degree = smoothness + extra_degree
+    blocks = _blocks(fan, degree, smoothness)
+    for (_, rows, cols), kappa in zip(blocks, kernel_sizes(fan, degree, smoothness), strict=True):
+        basis = nullspace(rows, cols=cols)
         # sympy's reduced-echelon basis is an oracle independent of linalg
-        assert nullspace(rows, cols=cols) == fraction_nullspace(rows, cols=cols) == sympy_nullspace(rows, cols=cols)
+        assert basis == fraction_nullspace(rows, cols=cols) == sympy_nullspace(rows, cols=cols)
+        assert len(basis) == kappa
+
+
+TWO_DIGIT_SLOPES = [Fraction(90 + i, 97 - i % 5) * (-1) ** i for i in range(16)]
 
 
 def test_two_digit_rational_slopes_at_degree_32_are_fast():
     # Pivoting on the largest entry made the integers grow with the slopes:
     # about 7 s on a 2-core Xeon, against 0.2 s with column-order pivots.
-    fan = fan_from_slopes([Fraction(90 + i, 97 - i % 5) * (-1) ** i for i in range(16)])
+    fan = fan_from_slopes(TWO_DIGIT_SLOPES)
+    blocks = _blocks(fan, 32, 16)
     start = time.perf_counter()
-    assert spline_space_dimension(fan, 32, 16) == schumaker_dimension(17, 17, 32, 16) == 2466
+    ranks = [linalg.rank(rows, cols=cols) for _, rows, cols in blocks]
     assert time.perf_counter() - start < 2
+    kernel = sum(cols for _, _, cols in blocks) - sum(ranks)
+    assert kernel == sum(kernel_sizes(fan, 32, 16)) == 2466 - comb(34, 2)
+
+
+def test_dimension_eliminates_nothing(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dimension is a closed form")
+
+    monkeypatch.setattr(linalg, "rank", refuse)
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    fan = fan_from_slopes(TWO_DIGIT_SLOPES)
+    assert spline_space_dimension(fan, 32, 16) == 2466
+    slopes = ",".join(map(str, TWO_DIGIT_SLOPES))
+    assert main(["dim", "--degree", "32", "--smoothness", "16", "--slopes", slopes]) == 0
+    assert capsys.readouterr().out == "2466\n"
+
+
+def _least_kernel_order(fan, degree, smoothness):
+    """rho = min{s : kappa_s > 0} - 1, the least origin order over S^r_d."""
+    sizes = kernel_sizes(fan, degree, smoothness)
+    return next((s - 1 for s, kappa in enumerate(sizes, smoothness + 1) if kappa), INFINITE)
+
+
+def test_least_origin_order_of_the_basis_is_read_off_the_kernel_sizes():
+    rng = Random(2010)
+    random_cases = [(random_fan(rng, k), rng.randint(0, 5)) for k in range(2, 7) for _ in range(5)]
+    # three rays at r = 3 gain two orders: rho = 5
+    cases = [(GENERIC_3, 7, 3)] + [(fan, r + rng.randint(0, 6), r) for fan, r in random_cases]
+    gains = set()
+    for fan, d, r in cases:
+        rho = _least_kernel_order(fan, d, r)
+        orders = [origin_smoothness_order(spline) for spline in spline_space_basis(fan, d, r)]
+        assert all(order >= rho for order in orders), (fan, d, r)
+        assert min(orders) == rho, (fan, d, r)
+        gains.add(rho - r)
+    assert {0, 1, 2, INFINITE} <= gains  # S^r_d = P_d gives INFINITE
+
+
+def test_vertex_gain_of_higher_order_on_sampled_splines():
+    # Over k rays on k distinct lines, every C^r spline is C^(r + (r+1)//(k-1))
+    # at the vertex (Sorokina, Numer. Math. 116, 2010); from degree gain+1 on,
+    # a random element of the space has no more.
+    rng = Random(116)
+    for k in range(3, 7):
+        for r in range(0, 2 * k):
+            fan = random_collinear_free_fan(rng, k)
+            gain = r + (r + 1) // (k - 1)
+            d = gain + 1 + rng.randint(0, 2)
+            samples = sample_spline_space(fan, d, r, count=3, seed=r)
+            orders = [supersmoothness_verdict(spline).origin_order for spline in samples]
+            assert min(orders) == gain, (fan, d, r)
