@@ -11,8 +11,9 @@ Each argument that sizes exact or grid work has a constant cap, as
 unbounded CPU: MAX_DIM_DEGREE for `dim --degree` and `--smoothness`,
 MAX_N for `construct --n` and `demo --n`, MAX_GRID_N for `sample --grid-n`.
 `dim` reads the dimension off a closed form, so its cost does not depend on
-the slopes; `check` and `sample` time still grows with the size of the
-document.  A value above its cap is a domain error.
+the slopes; `check` time still grows with the size of the document, and
+`sample` time with grid_n^2 integer Horner steps times the document's
+degree.  A value above its cap is a domain error.
 """
 
 from __future__ import annotations

@@ -62,7 +62,11 @@ def counterexample_coeffs(slopes: Sequence, n: int) -> list[int]:
     divided-difference weights w_i = 1 / prod_(j != i) (a_i - a_j).  For
     distinct nonzero slopes every entry is nonzero.
     """
-    values = _checked_slopes(slopes, n)
+    return _coeffs(_checked_slopes(slopes, n))
+
+
+def _coeffs(values: list[Fraction]) -> list[int]:
+    """`counterexample_coeffs` of already checked slopes."""
     return primitive([1 / (a * prod(a - b for b in values if b != a)) for a in values])
 
 
@@ -75,7 +79,12 @@ def _lower_halfplane_ray(slope: Fraction) -> Ray:
 
 def fan_from_slopes(slopes: Sequence) -> FanPartition:
     """Fan of the positive x-axis plus the lower-half-plane ray of each slope line."""
-    return build_fan([Ray(1, 0)] + [_lower_halfplane_ray(a) for a in _distinct_nonzero(slopes)])
+    return _slope_fan(_distinct_nonzero(slopes))
+
+
+def _slope_fan(values: list[Fraction]) -> FanPartition:
+    """`fan_from_slopes` of already checked slopes."""
+    return build_fan([Ray(1, 0)] + [_lower_halfplane_ray(a) for a in values])
 
 
 def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
@@ -85,9 +94,9 @@ def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
     lower-half-plane rays; the cumulative pieces only glue correctly when
     consecutive pieces sit in consecutive sectors.
     """
-    fan = fan_from_slopes(_checked_slopes(slopes, n))
+    fan = _slope_fan(_checked_slopes(slopes, n))
     values = [Fraction(-ray.dy, ray.dx) for ray in fan.rays[1:]]
-    coeffs = counterexample_coeffs(values, n)
+    coeffs = _coeffs(values)
 
     pieces = [BiPoly.zero()]
     running = BiPoly.zero()

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import DomainError, SchemaError
-from .fan import Ray, build_fan, locate_sector
+from .fan import FanPartition, Ray, build_fan, locate_sector
 from .poly import BiPoly
 from .rational import format_rational, parse_rational
 from .spline import PiecewisePoly
@@ -186,12 +187,64 @@ def decode_spline(text: str) -> PiecewisePoly:
 CSV_HEADER = "x,y,value,sector"
 
 
+def _integer_terms(piece: BiPoly) -> tuple[list[list[tuple[int, int]]], int, int]:
+    """The piece times its common denominator D, as [(j, c_ij)] per x-exponent i
+    from the top down, with D and the top y-exponent J (as `BiPoly.evaluate` clears)."""
+    terms = piece.terms
+    if not terms:
+        return [[]], 1, 0
+    common = math.lcm(*(c.denominator for c in terms.values()))
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(max(i for i, _ in terms) + 1)]
+    for (i, j), c in terms.items():
+        columns[i].append((j, c.numerator * (common // c.denominator)))
+    return columns[::-1], common, max(j for _, j in terms)
+
+
+def _restrict_to_row(integer_terms, ay: int, by: int) -> tuple[list[int], int]:
+    """Integer coefficients of the piece on the row y = ay/by, top x-power first, and their denominator."""
+    columns, common, top_j = integer_terms
+    powers = [ay**j * by ** (top_j - j) for j in range(top_j + 1)]
+    return [sum(c * powers[j] for j, c in column) for column in columns], common * by**top_j
+
+
+def _row_runs(fan: FanPartition, xs: list[Fraction], fy: Fraction):
+    """(start, stop, sector) runs of the ascending xs on the row y = fy.
+
+    The sector changes only where a ray crosses the row: at x = fy*dx/dy for
+    the rays with dy of fy's sign, or at the origin on the row y = 0.  A grid
+    point exactly on a crossing is a run of its own; the origin has sector -1.
+    """
+    if fy == 0:
+        crossings = [Fraction(0)]
+    else:
+        crossings = sorted(fy * r.dx / r.dy for r in fan.rays if r.dy and (r.dy > 0) == (fy > 0))
+    start = 0
+    for cut in crossings:
+        stop = bisect_left(xs, cut, start)
+        if start < stop:
+            yield start, stop, locate_sector(fan, xs[start], fy)
+        if stop < len(xs) and xs[stop] == cut:
+            yield stop, stop + 1, locate_sector(fan, cut, fy) if fy else -1
+            stop += 1
+        start = stop
+    if start < len(xs):
+        yield start, len(xs), locate_sector(fan, xs[start], fy)
+
+
 def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple[float, float, float, int]]:
     """Evaluate the spline on a uniform grid over [-radius, radius]^2.
 
     Rows are emitted row-major with y descending (top row first) and x
     ascending.  The exact origin has no sector; it reports sector -1 and the
     value of piece 0.
+
+    Each row is scanned once.  A ray crosses a row y = c != 0 at most once,
+    so the sector is looked up only at the first point of each run between
+    crossings and at points exactly on one: O(k*grid_n) lookups for k rays.
+    Each piece in use is restricted to the row once, in integers; a point
+    then costs one integer Horner pass of the piece's x-degree (grid_n^2
+    passes in all) and one correctly rounded int/int division.  The rows are
+    identical to those of locating and evaluating each point on its own.
     """
     if grid_n < 2:
         raise DomainError("grid_n must be at least 2")
@@ -200,22 +253,31 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
         raise DomainError("radius must be positive and small enough for finite grid coordinates")
     coords = [-radius + 2.0 * radius * i / (grid_n - 1) for i in range(grid_n)]
     exact = [Fraction(c) for c in coords]
+    ratios = [c.as_integer_ratio() for c in coords]
+    pieces = [_integer_terms(piece) for piece in spline.pieces]
     rows = []
     for y, fy in zip(reversed(coords), reversed(exact)):
-        for x, fx in zip(coords, exact):
-            if x == 0.0 and y == 0.0:
-                sector = -1
-                value = spline.pieces[0].evaluate(0, 0)
-            else:
-                sector = locate_sector(spline.fan, fx, fy)
-                value = spline.pieces[sector].evaluate(fx, fy)
-            try:
-                value = float(value)
-            except OverflowError:
-                raise DomainError(
-                    f"the value at ({x!r}, {y!r}) is too large for a float; use a smaller radius"
-                ) from None
-            rows.append((x, y, value, sector))
+        restricted: dict[int, tuple[list[int], int]] = {}
+        for start, stop, sector in _row_runs(spline.fan, exact, fy):
+            if sector not in restricted:
+                # The origin's sector -1 takes piece 0.
+                restricted[sector] = _restrict_to_row(pieces[max(sector, 0)], fy.numerator, fy.denominator)
+            coeffs, row_den = restricted[sector]
+            top, rest = coeffs[0], coeffs[1:]
+            for k in range(start, stop):
+                ax, bx = ratios[k]
+                # Homogeneous Horner: num / (row_den * bx^degree) is the exact value.
+                num, scale = top, 1
+                for coeff in rest:
+                    scale *= bx
+                    num = num * ax + coeff * scale
+                try:
+                    value = num / (row_den * scale)
+                except OverflowError:
+                    raise DomainError(
+                        f"the value at ({coords[k]!r}, {y!r}) is too large for a float; use a smaller radius"
+                    ) from None
+                rows.append((coords[k], y, value, sector))
     return rows
 
 

@@ -1,5 +1,6 @@
 """Shared randomized generators and reference routes for the test suite (all seeded by callers)."""
 
+import math
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
 from random import Random
@@ -10,6 +11,7 @@ from supersmooth import (
     INFINITE,
     NOT_CONTINUOUS,
     BiPoly,
+    DomainError,
     FanPartition,
     MissingDirectionError,
     OperatorPoly,
@@ -18,6 +20,7 @@ from supersmooth import (
     Ray,
     build_fan,
     directional_derivative,
+    locate_sector,
     rank,
     restrict_to_ray,
 )
@@ -217,6 +220,33 @@ def termwise_evaluate(p: BiPoly, x, y) -> Fraction:
     for (i, j), coeff in p.terms.items():
         total += coeff * vx**i * vy**j
     return total
+
+
+def pointwise_sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple[float, float, float, int]]:
+    """`sample_grid` point by point: locate each point's sector and evaluate its piece as a Fraction."""
+    if grid_n < 2:
+        raise DomainError("grid_n must be at least 2")
+    if not (0 < radius and math.isfinite(2.0 * radius * (grid_n - 1))):
+        raise DomainError("radius must be positive and small enough for finite grid coordinates")
+    coords = [-radius + 2.0 * radius * i / (grid_n - 1) for i in range(grid_n)]
+    exact = [Fraction(c) for c in coords]
+    rows = []
+    for y, fy in zip(reversed(coords), reversed(exact)):
+        for x, fx in zip(coords, exact):
+            if x == 0.0 and y == 0.0:
+                sector = -1
+                value = spline.pieces[0].evaluate(0, 0)
+            else:
+                sector = locate_sector(spline.fan, fx, fy)
+                value = spline.pieces[sector].evaluate(fx, fy)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise DomainError(
+                    f"the value at ({x!r}, {y!r}) is too large for a float; use a smaller radius"
+                ) from None
+            rows.append((x, y, value, sector))
+    return rows
 
 
 def origin_partials(spline: PiecewisePoly, max_order: int) -> dict[tuple[int, int], tuple[Fraction, ...]]:

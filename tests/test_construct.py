@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from supersmooth import construct
 from supersmooth import (
     InvalidSlopesError,
     Ray,
@@ -99,6 +100,16 @@ def test_build_sorts_slopes_clockwise():
 def test_build_rejects_duplicates():
     with pytest.raises(InvalidSlopesError):
         build_counterexample([1, 1], 1)
+
+
+def test_build_checks_the_slopes_once(monkeypatch):
+    checks = []
+    distinct_nonzero = construct._distinct_nonzero
+    monkeypatch.setattr(construct, "_distinct_nonzero", lambda slopes: checks.append(1) or distinct_nonzero(slopes))
+    spec = build_counterexample([3, Fraction(-1, 2), 1], 2)
+    assert len(checks) == 1
+    assert spec.coeffs == tuple(counterexample_coeffs(spec.slopes, 2))
+    assert spec.spline.fan == fan_from_slopes(spec.slopes)
 
 
 def test_per_ray_orders_are_sharp():

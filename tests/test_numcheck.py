@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersmooth import (
@@ -19,7 +19,10 @@ from supersmooth import (
     corner_witness_check,
     directional_derivative,
     get_fixture,
+    locate_sector,
     one_sided_directional_derivative,
+    origin_smoothness_order,
+    sample_spline_space,
     verify_corner_gradient,
     verify_field_rays,
     verify_ray_lemma,
@@ -263,3 +266,35 @@ def test_piecewise_field_ray_checks():
     reports = verify_field_rays(field, CFG)
     assert len(reports) == 3
     assert all(r.passed for r in reports)
+
+
+def _float_field(piece):
+    terms = [(float(c), i, j) for (i, j), c in piece.terms.items()]
+    return lambda x, y: sum(c * x**i * y**j for c, i, j in terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4), st.integers(-4, 4), st.integers(-4, -1), st.integers(-4, 4),
+    st.booleans(), st.integers(0, 4), st.integers(0, 2**16),
+)
+def test_corner_gradient_agrees_with_the_exact_origin_order(a, b, c, d, opposite, degree, seed):
+    # Rays (a, b) and (c, d) with a > 0 > c: their union is the graph of
+    # g(x) = (b/a)x for x >= 0 and (d/c)x for x < 0, a corner unless b/a == d/c.
+    if opposite:
+        c, d = -a, -b
+    fan = build_fan([Ray(a, b), Ray(c, d)])
+    (spline,) = sample_spline_space(fan, degree, 0, count=1, seed=seed)
+    upper = locate_sector(fan, 0, 1)
+    gluing = CurveGluing(
+        g=lambda x: (b / a) * x if x >= 0 else (d / c) * x,
+        corner_x=0.0,
+        f_upper=_float_field(spline.pieces[upper]),
+        f_lower=_float_field(spline.pieces[1 - upper]),
+    )
+    passed = verify_corner_gradient(gluing, CFG).passed
+    exact_gain = origin_smoothness_order(spline) >= 1
+    if Fraction(b, a) != Fraction(d, c):
+        assert passed and exact_gain
+    else:
+        assert passed == exact_gain

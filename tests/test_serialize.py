@@ -1,8 +1,11 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supersmooth import (
     BiPoly,
@@ -22,6 +25,7 @@ from supersmooth import (
     render_grid_csv,
     sample_grid,
 )
+from helpers import pointwise_sample_grid
 
 
 def test_round_trip_counterexample():
@@ -225,13 +229,112 @@ def test_csv_rendering_is_deterministic():
 
 def test_sample_grid_validates_arguments():
     spline = build_halfplane_example(0)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="grid_n"):
         sample_grid(spline, 1, 1.0)
-    with pytest.raises(Exception):
+    with pytest.raises(DomainError, match="radius"):
         sample_grid(spline, 4, 0.0)
+    with pytest.raises(DomainError, match="radius"):
+        sample_grid(spline, 4, float("nan"))
 
 
 def test_sample_grid_rejects_values_beyond_float_range():
     spline = build_counterexample([1, 2, 3, 4, 5], 4).spline
     with pytest.raises(DomainError, match="too large for a float"):
         sample_grid(spline, 4, 1e100)
+
+
+# -- the row scan against the per-point route ------------------------------------
+
+def _csv_or_error(route, spline, grid_n, radius) -> str:
+    try:
+        return render_grid_csv(route(spline, grid_n, radius))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _assert_routes_agree(spline, grid_n, radius) -> str:
+    text = _csv_or_error(sample_grid, spline, grid_n, radius)
+    assert text == _csv_or_error(pointwise_sample_grid, spline, grid_n, radius)
+    return text
+
+
+_DIRECTIONS = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda d: d != (0, 0))
+_AXES = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+_PIECES = st.dictionaries(
+    st.tuples(st.integers(0, 5), st.integers(0, 5)).filter(lambda m: sum(m) <= 5),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+    max_size=6,
+).map(BiPoly)  # the empty map is the zero piece
+
+
+@st.composite
+def _grid_splines(draw) -> PiecewisePoly:
+    """Fans of 2..7 rays in [-4, 4]^2, with axis rays and opposite pairs drawn often.
+
+    A 2-ray fan that is not an opposite pair has a sector wider than a half-turn.
+    """
+    directions = draw(st.lists(st.one_of(_DIRECTIONS, _AXES), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        dx, dy = draw(st.sampled_from(directions))
+        directions.append((-dx, -dy))
+    rays = list(dict.fromkeys(Ray(*d) for d in directions))
+    if len(rays) < 2:
+        rays.append(Ray(-rays[0].dx, -rays[0].dy))
+    fan = build_fan(rays)
+    return PiecewisePoly(fan=fan, pieces=tuple(draw(_PIECES) for _ in fan.rays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _grid_splines(),
+    st.integers(2, 40),
+    st.sampled_from([1e-3, 0.1, 1.0, 1.5, 7.0, 123.456]),
+)
+def test_row_scan_csv_equals_the_pointwise_route(spline, grid_n, radius):
+    _assert_routes_agree(spline, grid_n, radius)
+
+
+def test_row_scan_points_exactly_on_a_diagonal_ray():
+    fan = build_fan([Ray(1, 1), Ray(-1, 0), Ray(-1, -1), Ray(1, -3)])
+    spline = PiecewisePoly(fan=fan, pieces=(X * Y, Y * Y - X * Fraction(1, 3), X + 1, X * X * Y - Y * Fraction(1, 7)))
+    for grid_n in (5, 9, 17):
+        text = _assert_routes_agree(spline, grid_n, 1.0)
+        cells = [line.split(",") for line in text.splitlines()[1:]]
+        sectors = {sector for x, y, _, sector in cells if x == y}
+        assert sectors == {str(fan.rays.index(Ray(1, 1))), str(fan.rays.index(Ray(-1, -1))), "-1"}
+
+
+def test_row_scan_origin_row():
+    fan = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 0), Ray(2, 1)])
+    spline = PiecewisePoly(fan=fan, pieces=(X - 2, Y * X, X * X + Fraction(1, 3), Y - 5))
+    text = _assert_routes_agree(spline, 5, 1.0)
+    origin_row = [line for line in text.splitlines()[1:] if line.split(",")[1] == "0"]
+    assert [line.split(",")[3] for line in origin_row] == ["2", "2", "-1", "0", "0"]
+    assert origin_row[2] == "0,0,-2,-1"
+
+
+@pytest.mark.parametrize("radius", [1e100, 1e60, 1e80])
+def test_row_scan_at_large_radii_names_the_same_overflow_point(radius):
+    spline = build_counterexample([1, 2, 3, 4, 5], 4).spline
+    _assert_routes_agree(spline, 4, radius)
+
+
+def test_row_scan_overflow_inside_the_grid_names_the_same_point():
+    # x^400 on the lower-right quadrant, zero elsewhere: the first value too
+    # large for a float is just right of the origin, in the middle of a row.
+    fan = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 0)])
+    spline = PiecewisePoly(fan=fan, pieces=(X**400, BiPoly.zero(), BiPoly.zero()))
+    text = _assert_routes_agree(spline, 7, 100.0)
+    assert text.startswith("DomainError: the value at (33.33333333333334, 0.0)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(2**3000), 2**3000), st.integers(1, 2**3000))
+def test_int_true_division_is_the_correctly_rounded_fraction(num, den):
+    try:
+        expected = float(Fraction(num, den))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            num / den
+    else:
+        assert num / den == expected
