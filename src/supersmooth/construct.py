@@ -15,13 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .errors import InvalidSlopesError
 from .fan import FanPartition, Ray, build_fan
 from .linalg import nullspace  # noqa: F401 -- unused; perfbench/spans.py patches it here
-from .poly import BiPoly, linear_form_power
+# linear_form_power is unused here but stays bound: perfbench/spans.py
+# patches supersmooth.construct.linear_form_power by name.
+from .poly import BiPoly, linear_form_power  # noqa: F401
 from .rational import primitive
 from .spline import PiecewisePoly, global_smoothness_order, origin_smoothness_order
 
@@ -66,8 +68,17 @@ def counterexample_coeffs(slopes: Sequence, n: int) -> list[int]:
 
 
 def _coeffs(values: list[Fraction]) -> list[int]:
-    """`counterexample_coeffs` of already checked slopes."""
-    return primitive([1 / (a * prod(a - b for b in values if b != a)) for a in values])
+    """`counterexample_coeffs` of already checked slopes, in integers.
+
+    With a_i = p_i/q_i, a_i - a_j = (p_i q_j - p_j q_i)/(q_i q_j), so the
+    weights are, up to the common positive factor prod_j q_j,
+    q_i^n / (p_i * prod_(j != i) (p_i q_j - p_j q_i)).
+    """
+    n = len(values) - 1
+    pairs = [(a.numerator, a.denominator) for a in values]
+    denominators = [p * prod(p * q_j - p_j * q for p_j, q_j in pairs if (p_j, q_j) != (p, q)) for p, q in pairs]
+    common = lcm(*denominators)
+    return primitive([q**n * (common // den) for (_, q), den in zip(pairs, denominators)])
 
 
 def _lower_halfplane_ray(slope: Fraction) -> Ray:
@@ -93,16 +104,25 @@ def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
     The slopes are taken in the fan's clockwise order of their
     lower-half-plane rays; the cumulative pieces only glue correctly when
     consecutive pieces sit in consecutive sectors.
+
+    Piece k's coefficient of x^t*y^(n-t) is the sum over i <= k of
+    c_i*comb(n, t)*(p_i/q_i)^t for slopes p_i/q_i, so each is one running
+    Fraction per monomial, advanced by an integer over q_i^t.  Fraction
+    addition reduces by the gcd of the two denominators, which is cheaper
+    than reducing one common denominator lcm(q_i)^t per term when n is
+    large and the q_i are many and distinct.
     """
     fan = _slope_fan(_checked_slopes(slopes, n))
     values = [Fraction(-ray.dy, ray.dx) for ray in fan.rays[1:]]
     coeffs = _coeffs(values)
 
     pieces = [BiPoly.zero()]
-    running = BiPoly.zero()
+    running = [Fraction(0)] * (n + 1)
     for coeff, slope in zip(coeffs, values):
-        running = running + linear_form_power(slope, n).scale(coeff)
-        pieces.append(running)
+        p, q = slope.numerator, slope.denominator
+        for t in range(n + 1):
+            running[t] += Fraction(coeff * comb(n, t) * p**t, q**t)
+        pieces.append(BiPoly._new({(t, n - t): v for t, v in enumerate(running) if v}))
     spline = PiecewisePoly(fan=fan, pieces=tuple(pieces))
 
     assert global_smoothness_order(spline) == n - 1, "construction must be exactly C^(n-1) globally"

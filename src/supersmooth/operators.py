@@ -8,20 +8,22 @@ v1 = alpha_j*v2 + beta_j*vj for each later ray vj, the n-fold product
     (alpha_3 D2 + beta_3 D3) ... (alpha_{n+2} D2 + beta_{n+2} D_{n+2})
 
 expands and splits as D2 * (cofactor) + (cross coefficient) * D3...D_{n+2},
-where the cross coefficient is the product of the betas.
+where the cross coefficient is the product of the betas.  `apply_operator`
+turns an operator into derivatives of a BiPoly in one integer pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, lcm, perm
 from typing import Mapping, Sequence
 
 from .errors import ArityError, MissingDirectionError, SingularDecompositionError
 from .fan import FanPartition, Ray, are_collinear as _collinear, decompose_direction
 # directional_derivative is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.operators.directional_derivative by name.
-from .poly import BiPoly, _direction_components, directional_derivative  # noqa: F401
+from .poly import BiPoly, _as_fraction, _cleared, _direction_components, directional_derivative  # noqa: F401
 
 
 class OperatorPoly:
@@ -36,7 +38,9 @@ class OperatorPoly:
             for exponents, coeff in terms.items():
                 if len(exponents) != arity:
                     raise ValueError(f"exponent tuple {exponents} does not match arity {arity}")
-                c = Fraction(coeff)
+                if not all(isinstance(e, int) and e >= 0 for e in exponents):
+                    raise ValueError(f"exponent tuple {exponents} needs nonnegative integers")
+                c = _as_fraction(coeff)
                 if c != 0:
                     clean[tuple(exponents)] = c
         self._terms = clean
@@ -75,30 +79,67 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
     """Substitute each symbol by the directional derivative along its ray.
 
     The symbols commute and D_v = v_x*d/dx + v_y*d/dy, so the operator is
-    sigma(d/dx, d/dy), where sigma is the BiPoly obtained by substituting
-    the linear form dx_k*X + dy_k*Y for symbol k:
+    sigma(d/dx, d/dy), where sigma is the polynomial obtained by
+    substituting the linear form dx_k*X + dy_k*Y for symbol k:
 
-        op(p) = sum over (i, j) of sigma_ij * d^(i+j) p / dx^i dy^j,
+        op(p) = sum over (i, j) of sigma_ij * d^(i+j) p / dx^i dy^j.
 
-    one partial of p per term of sigma.  `directions[k]` is the ray for
+    Both sums run in integers: each direction is cleared of denominators
+    (m_k*(dx_k, dy_k) is integral), sigma is held over one common
+    denominator and p over its own, so a term c*x^a*y^b of p meets sigma_ij
+    as c*sigma_ij*perm(a, i)*perm(b, j) at x^(a-i)*y^(b-j), and one Fraction
+    is built per output monomial.  `directions[k]` is the ray for
     symbol k, used with its raw components; a missing or None entry for a
-    symbol the operator actually uses is an error.
+    symbol the operator actually uses is an error, even when p is zero.
     """
-    powers: dict[tuple[int, int], BiPoly] = {}
-    sigma = BiPoly.zero()
+    cleared: dict[int, tuple[int, int, int]] = {}
+    powers: dict[tuple[int, int], list[int]] = {}
+    products = []
     for exponents, coeff in op.terms.items():
-        term = BiPoly.constant(coeff)
+        product, denominator = [1], coeff.denominator
         for index, power in enumerate(exponents):
             if power == 0:
                 continue
-            if (index, power) not in powers:
+            if index not in cleared:
                 if index >= len(directions) or directions[index] is None:
                     raise MissingDirectionError(f"no direction bound to symbol {index}")
                 dx, dy = _direction_components(directions[index])
-                powers[index, power] = BiPoly({(1, 0): dx, (0, 1): dy}) ** power
-            term = term * powers[index, power]
-        sigma = sigma + term
-    return sum((p.partial(i, j).scale(c) for (i, j), c in sigma.terms.items()), BiPoly.zero())
+                m = lcm(dx.denominator, dy.denominator)
+                cleared[index] = (dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator), m)
+            ux, uy, m = cleared[index]
+            if (index, power) not in powers:
+                # (ux*X + uy*Y)^power by x-exponent
+                powers[index, power] = [comb(power, a) * ux**a * uy ** (power - a) for a in range(power + 1)]
+            product = _times(product, powers[index, power])
+            denominator *= m**power
+        products.append((product, coeff.numerator, denominator))
+    common = lcm(*(den for _, _, den in products))
+    sigma: dict[tuple[int, int], int] = {}
+    for product, numerator, den in products:
+        factor = numerator * (common // den)
+        top = len(product) - 1
+        for a, v in enumerate(product):
+            sigma[a, top - a] = sigma.get((a, top - a), 0) + factor * v
+    terms, p_common = _cleared(p.terms)
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), s in sigma.items():
+        if not s:
+            continue
+        for a, b, c in terms:
+            if a >= i and b >= j:
+                key = (a - i, b - j)
+                out[key] = out.get(key, 0) + c * s * perm(a, i) * perm(b, j)
+    common *= p_common
+    return BiPoly._new({mono: Fraction(v, common) for mono, v in out.items() if v})
+
+
+def _times(left: list[int], right: list[int]) -> list[int]:
+    """Product of two homogeneous polynomials given by x-exponent."""
+    out = [0] * (len(left) + len(right) - 1)
+    for a, u in enumerate(left):
+        for b, v in enumerate(right):
+            out[a + b] += u * v
+    return out
 
 
 @dataclass(frozen=True, slots=True)

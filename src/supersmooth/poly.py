@@ -9,7 +9,8 @@ a BiPoly in x alone, with x standing for the ray parameter t.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, perm
+from operator import add, sub
 from typing import Mapping, Tuple
 
 from .errors import InvalidDirectionError
@@ -27,6 +28,12 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _cleared(terms: Mapping[Monomial, Fraction]) -> tuple[list[tuple[int, int, int]], int]:
+    """Terms as (i, j, integer coefficient) over their common denominator, and that denominator."""
+    common = lcm(*(c.denominator for c in terms.values()))
+    return [(i, j, c.numerator * (common // c.denominator)) for (i, j), c in terms.items()], common
+
+
 class BiPoly:
     """Bivariate polynomial with exact rational coefficients, stored sparsely."""
 
@@ -42,6 +49,13 @@ class BiPoly:
                 if c != 0:
                     clean[(i, j)] = c
         self._terms = clean
+
+    @classmethod
+    def _new(cls, clean: dict[Monomial, Fraction]) -> "BiPoly":
+        """Wrap a dict that already maps valid monomials to nonzero Fractions, unchecked."""
+        poly = object.__new__(cls)
+        poly._terms = clean
+        return poly
 
     @classmethod
     def zero(cls) -> "BiPoly":
@@ -89,24 +103,32 @@ class BiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in rhs._terms.items():
-            out[mono] = out.get(mono, _ZERO) + coeff
-        return BiPoly(out)
+        return self._combine(rhs, add)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({mono: -coeff for mono, coeff in self._terms.items()})
+        return BiPoly._new({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other) -> "BiPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._combine(rhs, sub)
 
     def __rsub__(self, other) -> "BiPoly":
         return (-self) + other
+
+    def _combine(self, rhs: "BiPoly", op) -> "BiPoly":
+        """op(self, rhs) term by term, for op = operator.add or operator.sub; cancelled terms go."""
+        out = dict(self._terms)
+        for mono, coeff in rhs._terms.items():
+            c = op(out.get(mono, _ZERO), coeff)
+            if c:
+                out[mono] = c
+            else:
+                del out[mono]  # only an existing term can cancel: coeff is nonzero
+        return BiPoly._new(out)
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -126,7 +148,7 @@ class BiPoly:
         f = _as_fraction(factor)
         if f == 0:
             return BiPoly()
-        return BiPoly({mono: coeff * f for mono, coeff in self._terms.items()})
+        return BiPoly._new({mono: coeff * f for mono, coeff in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "BiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -155,17 +177,12 @@ class BiPoly:
         """Exact mixed partial derivative of the given orders."""
         if x_order < 0 or y_order < 0:
             raise ValueError("derivative orders must be nonnegative")
-        out: dict[Monomial, Fraction] = {}
-        for (i, j), coeff in self._terms.items():
-            if i < x_order or j < y_order:
-                continue
-            c = coeff
-            for step in range(x_order):
-                c *= i - step
-            for step in range(y_order):
-                c *= j - step
-            out[(i - x_order, j - y_order)] = out.get((i - x_order, j - y_order), _ZERO) + c
-        return BiPoly(out)
+        # Distinct monomials stay distinct, and their coefficients nonzero.
+        return BiPoly._new({
+            (i - x_order, j - y_order): coeff * (perm(i, x_order) * perm(j, y_order))
+            for (i, j), coeff in self._terms.items()
+            if i >= x_order and j >= y_order
+        })
 
     def evaluate(self, x, y) -> Fraction:
         """Exact value at a rational point.

@@ -19,9 +19,12 @@ from supersmooth import (
     PiecewisePoly,
     Ray,
     build_fan,
+    construct,
     directional_derivative,
+    linear_form_power,
     locate_sector,
     rank,
+    poly,
     restrict_to_ray,
 )
 from supersmooth.fan import _half_turn_bucket
@@ -301,6 +304,58 @@ def vandermonde_coeffs(slopes, n: int) -> list[int]:
     values = [Fraction(a) for a in slopes]
     (coeffs,) = fraction_nullspace([[a**s for a in values] for s in range(1, n + 1)])
     return coeffs
+
+
+def fraction_add(p: BiPoly, q: BiPoly) -> BiPoly:
+    """p + q term by term in Fractions."""
+    out = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        out[mono] = out.get(mono, Fraction(0)) + coeff
+    return BiPoly(out)
+
+
+def fraction_sub(p: BiPoly, q: BiPoly) -> BiPoly:
+    """p - q as p plus the negated q, term by term in Fractions."""
+    return fraction_add(p, BiPoly({mono: -coeff for mono, coeff in q.terms.items()}))
+
+
+def fraction_scale(p: BiPoly, factor) -> BiPoly:
+    """factor * p, one Fraction product per term."""
+    return BiPoly({mono: coeff * factor for mono, coeff in p.terms.items()})
+
+
+def fraction_partial(p: BiPoly, x_order: int, y_order: int) -> BiPoly:
+    """d^(x_order + y_order) p / dx^x_order dy^y_order, one factor of the falling factorials at a time."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j), coeff in p.terms.items():
+        if i < x_order or j < y_order:
+            continue
+        c = coeff
+        for step in range(x_order):
+            c *= i - step
+        for step in range(y_order):
+            c *= j - step
+        out[(i - x_order, j - y_order)] = out.get((i - x_order, j - y_order), Fraction(0)) + c
+    return BiPoly(out)
+
+
+def cumulative_pieces(coeffs, slopes, n: int) -> list[BiPoly]:
+    """The counterexample's pieces 0, c_1*l_1^n, c_1*l_1^n + c_2*l_2^n, ..., summed as BiPolys."""
+    pieces = [BiPoly.zero()]
+    for coeff, slope in zip(coeffs, slopes):
+        pieces.append(pieces[-1] + linear_form_power(slope, n).scale(coeff))
+    return pieces
+
+
+def refuse_polynomial_products(monkeypatch) -> None:
+    """Make every BiPoly product, power, scaling, partial and line-form power raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("this route works in integers")
+
+    for name in ("__mul__", "__rmul__", "__pow__", "scale", "partial"):
+        monkeypatch.setattr(BiPoly, name, refuse)
+    monkeypatch.setattr(poly, "linear_form_power", refuse)
+    monkeypatch.setattr(construct, "linear_form_power", refuse)
 
 
 def apply_by_directions(op: OperatorPoly, directions, p: BiPoly) -> BiPoly:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersmooth import construct
@@ -23,7 +23,12 @@ from supersmooth import (
     smoothness_across_ray,
     supersmoothness_verdict,
 )
-from helpers import random_slope_set, vandermonde_coeffs
+from helpers import (
+    cumulative_pieces,
+    random_slope_set,
+    refuse_polynomial_products,
+    vandermonde_coeffs,
+)
 
 
 def test_coeffs_order_one():
@@ -58,7 +63,7 @@ def test_kernel_is_one_dimensional_with_nonzero_entries():
 slope_sets = st.lists(
     st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(lambda a: a != 0),
     min_size=2,
-    max_size=13,
+    max_size=17,
     unique=True,
 )
 
@@ -67,6 +72,30 @@ slope_sets = st.lists(
 def test_closed_form_coeffs_equal_the_vandermonde_null_vector(slopes):
     # slopes are kept in the given order, not sorted clockwise
     assert counterexample_coeffs(slopes, len(slopes) - 1) == vandermonde_coeffs(slopes, len(slopes) - 1)
+
+
+signed_slope_sets = st.lists(
+    st.builds(Fraction, st.integers(-40, 40).filter(bool), st.integers(1, 9)),
+    min_size=2,
+    max_size=17,
+    unique=True,
+)
+
+
+@given(signed_slope_sets)
+@settings(max_examples=60, deadline=None)
+def test_pieces_equal_the_cumulative_linear_form_powers(slopes):
+    n = len(slopes) - 1
+    spec = build_counterexample(slopes, n)
+    assert list(spec.spline.pieces) == cumulative_pieces(spec.coeffs, spec.slopes, n)
+    assert all(type(c) is Fraction for piece in spec.spline.pieces for c in piece.terms.values())
+
+
+def test_build_multiplies_no_polynomials(monkeypatch):
+    slopes = [Fraction(-7, 3), 2, Fraction(5, 4), -1, Fraction(1, 9)]
+    expected = build_counterexample(slopes, 4)
+    refuse_polynomial_products(monkeypatch)
+    assert build_counterexample(slopes, 4) == expected
 
 
 def test_build_order_one():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -19,7 +20,7 @@ from supersmooth import (
     directional_derivative,
     expand_power_operator,
 )
-from helpers import apply_by_directions, random_bipoly, random_collinear_free_fan
+from helpers import apply_by_directions, random_bipoly, random_collinear_free_fan, refuse_polynomial_products
 
 
 def test_expand_order_one():
@@ -89,6 +90,42 @@ def test_apply_requires_all_directions():
         apply_operator(op, [Ray(1, 1), None], X * Y)
 
 
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ({(1,): 0.1}, TypeError),
+        ({(1,): "1/3"}, TypeError),
+        ({(1,): None}, TypeError),
+        ({(-1,): 1}, ValueError),
+        ({(1.5,): 1}, ValueError),
+        ({(1, 0): 1}, ValueError),
+    ],
+)
+def test_operator_rejects_inexact_coefficients_and_bad_exponents(terms, error):
+    with pytest.raises(error):
+        OperatorPoly(1, terms)
+
+
+def test_operator_keeps_exact_coefficients():
+    assert OperatorPoly(2, {(1, 0): Fraction(1, 3), (0, 2): 2, (1, 1): 0}).terms == {(1, 0): Fraction(1, 3), (0, 2): 2}
+
+
+def test_missing_direction_is_an_error_for_the_zero_polynomial():
+    op = OperatorPoly(2, {(0, 1): Fraction(2, 7)})
+    with pytest.raises(MissingDirectionError):
+        apply_operator(op, [Ray(1, 0)], BiPoly.zero())
+    assert apply_operator(op, [None, (Fraction(1, 2), Fraction(-3, 5))], BiPoly.zero()).is_zero
+
+
+def test_apply_multiplies_no_polynomials(monkeypatch):
+    fan = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 2), Ray(3, 1), Ray(-2, -5)])
+    expansion = expand_power_operator(fan, 3)
+    q = BiPoly({(4, 1): Fraction(3, 7), (2, 2): -5, (0, 5): Fraction(1, 9)})
+    expected = _nth_directional(q, fan.rays[0], 3)
+    refuse_polynomial_products(monkeypatch)
+    assert apply_operator(expansion.product, list(fan.rays[1:]), q) == expected
+
+
 def _nth_directional(q: BiPoly, ray: Ray, n: int) -> BiPoly:
     for _ in range(n):
         q = directional_derivative(q, ray)
@@ -115,8 +152,11 @@ def test_power_identity_expanded_and_split_forms():
                 assert split + cross.scale(expansion.cross_coefficient) == direct
 
 
-_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-_bipolys = st.dictionaries(
+# Small denominators, and large ones that rarely share factors.
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6) | st.fractions(
+    min_value=-9, max_value=9, max_denominator=10**9
+)
+_bipolys = st.just(BiPoly.zero()) | st.dictionaries(
     st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda m: sum(m) <= 6), _fractions, max_size=8
 ).map(BiPoly)
 _directions = (
@@ -128,12 +168,16 @@ _directions = (
 @st.composite
 def _operators_with_directions(draw):
     arity = draw(st.integers(1, 4))
-    kind = draw(st.sampled_from(["random", "zero", "identity"]))
+    kind = draw(st.sampled_from(["random", "homogeneous", "zero", "identity"]))
     if kind == "identity":
         op = OperatorPoly.identity(arity)
     else:
         exponents = st.tuples(*[st.integers(0, 3)] * arity)
-        op = OperatorPoly(arity, {} if kind == "zero" else draw(st.dictionaries(exponents, _fractions, max_size=6)))
+        terms = {} if kind == "zero" else draw(st.dictionaries(exponents, _fractions, max_size=6))
+        if kind == "homogeneous" and terms:
+            degree = sum(next(iter(terms)))
+            terms = {e: c for e, c in terms.items() if sum(e) == degree}
+        op = OperatorPoly(arity, terms)
     used = {k for exps in op.terms for k, e in enumerate(exps) if e}
     # unused symbols may have no direction; rarely a used one lacks it too
     directions = [

@@ -14,7 +14,15 @@ from supersmooth import (
     linear_form_power,
     restrict_to_ray,
 )
-from helpers import random_bipoly, random_direction, termwise_evaluate
+from helpers import (
+    fraction_add,
+    fraction_partial,
+    fraction_scale,
+    fraction_sub,
+    random_bipoly,
+    random_direction,
+    termwise_evaluate,
+)
 
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=5)
 monomials = st.tuples(st.integers(0, 4), st.integers(0, 4))
@@ -156,3 +164,39 @@ def test_chain_rule_seeded_sweep():
         p = random_bipoly(rng)
         v = random_direction(rng)
         assert restrict_to_ray(directional_derivative(p, v), v) == restrict_to_ray(p, v).partial(1, 0)
+
+
+# Coefficients with small and with large (coprime-prone) denominators.
+wide_coefficients = coefficients | st.fractions(max_denominator=10**12).filter(lambda c: c != 0)
+wide_bipolys = st.dictionaries(monomials, wide_coefficients, max_size=6).map(BiPoly)
+
+
+@st.composite
+def _operand_pairs(draw):
+    """Two polys, the second often sharing monomials with the first so that terms cancel."""
+    p = draw(wide_bipolys)
+    q = draw(wide_bipolys)
+    if p.terms and draw(st.booleans()):
+        shared = draw(st.sets(st.sampled_from(sorted(p.terms)), min_size=1))
+        q = BiPoly({**q.terms, **{mono: p.terms[mono] for mono in shared}})
+    return p, q
+
+
+def _well_formed(p: BiPoly) -> bool:
+    return all(type(c) is Fraction and c != 0 for c in p.terms.values())
+
+
+@given(_operand_pairs(), wide_coefficients | st.just(0) | st.integers(-5, 5), st.integers(0, 5), st.integers(0, 5))
+def test_arithmetic_equals_the_fraction_loops(pair, factor, x_order, y_order):
+    p, q = pair
+    cases = [
+        (p + q, fraction_add(p, q)),
+        (p - q, fraction_sub(p, q)),
+        (p - p, BiPoly.zero()),
+        (-q, fraction_sub(BiPoly.zero(), q)),
+        (p.scale(factor), fraction_scale(p, factor)),
+        (p.partial(x_order, y_order), fraction_partial(p, x_order, y_order)),
+    ]
+    for got, expected in cases:
+        assert got == expected
+        assert _well_formed(got)
