@@ -19,6 +19,7 @@ extrapolation; tolerances are absolute and assume O(1)-scaled inputs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,14 +44,15 @@ class NumericConfig:
     samples_per_ray: int = 9
 
     def __post_init__(self):
-        if self.base_step <= 0:
-            raise DomainError("base_step must be positive")
-        if self.richardson_levels < 1:
-            raise DomainError("richardson_levels must be at least 1")
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
-        if self.samples_per_ray < 1:
-            raise DomainError("samples_per_ray must be at least 1")
+        for name in ("base_step", "tolerance"):
+            value = getattr(self, name)
+            # The chained comparison is False for NaN, infinities and ints beyond float range.
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= sys.float_info.max:
+                raise DomainError(f"{name} must be a finite positive number, not {value!r}")
+        for name in ("richardson_levels", "samples_per_ray"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DomainError(f"{name} must be an integer of at least 1, not {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -114,14 +116,16 @@ def _unit(direction) -> tuple[float, float]:
     return (ux / norm, uy / norm)
 
 
-def _one_sided(f: Field, point, direction, cfg: NumericConfig) -> tuple[float, float, float]:
+def _offsets(cfg: NumericConfig) -> list[float]:
+    """Stencil offsets 2h_0, h_0, h_1, ...: halving a normal float is exact, so
+    each level's far point P + 2h_i*u is the previous level's near point."""
+    return [2 * cfg.base_step] + [cfg.base_step / 2**i for i in range(cfg.richardson_levels)]
+
+
+def _one_sided(f: Field, point, unit: tuple[float, float], offsets: list[float]) -> tuple[float, float, float]:
     """f(P), then what `one_sided_directional_derivative` returns, from one set of evaluations."""
     px, py = point
-    ux, uy = _unit(direction)
-    levels = cfg.richardson_levels
-    # Offsets 2h_0, h_0, h_1, ...: halving a normal float is exact, so each
-    # level's far point P + 2h_i*u is the previous level's near point.
-    offsets = [2 * cfg.base_step] + [cfg.base_step / 2**i for i in range(levels)]
+    ux, uy = unit
     f0 = _eval(f, px, py)
     values = [_eval(f, px + t * ux, py + t * uy) for t in offsets]
     estimates = [
@@ -129,7 +133,7 @@ def _one_sided(f: Field, point, direction, cfg: NumericConfig) -> tuple[float, f
         for far, near, h in zip(values, values[1:], offsets[1:])
     ]
     # Error series of the stencil: h^2, h^3, h^4, ...
-    return (f0, *_richardson(estimates, range(2, levels + 1)))
+    return (f0, *_richardson(estimates, range(2, len(offsets))))
 
 
 def one_sided_directional_derivative(f: Field, point, direction,
@@ -141,7 +145,7 @@ def one_sided_directional_derivative(f: Field, point, direction,
     returned error estimate is the last extrapolation delta (infinite when
     a single level leaves nothing to compare).
     """
-    return _one_sided(f, point, direction, cfg)[1:]
+    return _one_sided(f, point, _unit(direction), _offsets(cfg))[1:]
 
 
 def _central_partial(f: Field, point, axis: int, cfg: NumericConfig) -> float:
@@ -177,13 +181,18 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
     invisible to this check by design.
     """
     unit = _unit(ray)
+    # The stencil steps along the unit vector normalised once more, as
+    # `one_sided_directional_derivative(f, point, unit)` does; the second
+    # normalisation moves some directions by an ulp, so it stays.
+    step = _unit(unit)
+    offsets = _offsets(cfg)
     value_gap = 0.0
     deriv_gap = 0.0
     for k in range(cfg.samples_per_ray):
         t = RAY_EXTENT * k / cfg.samples_per_ray
         point = (t * unit[0], t * unit[1])
-        f0, df, _ = _one_sided(f, point, unit, cfg)
-        g0, dg, _ = _one_sided(g, point, unit, cfg)
+        f0, df, _ = _one_sided(f, point, step, offsets)
+        g0, dg, _ = _one_sided(g, point, step, offsets)
         value_gap = max(value_gap, abs(f0 - g0))
         deriv_gap = max(deriv_gap, abs(df - dg))
     passed = value_gap <= cfg.tolerance and deriv_gap <= cfg.tolerance

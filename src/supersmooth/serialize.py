@@ -187,48 +187,63 @@ def decode_spline(text: str) -> PiecewisePoly:
 CSV_HEADER = "x,y,value,sector"
 
 
-def _integer_terms(piece: BiPoly) -> tuple[list[list[tuple[int, int]]], int, int]:
-    """The piece times its common denominator D, as [(j, c_ij)] per x-exponent i
-    from the top down, with D and the top y-exponent J (as `BiPoly.evaluate` clears)."""
+def _integer_terms(piece: BiPoly, frame: int) -> tuple[list[list[tuple[int, int]]], int]:
+    """The piece at (X/frame, Y/frame) as integers over one denominator.
+
+    With D the lcm of the piece's denominators and T its total degree,
+    p(X/frame, Y/frame) = sum c_ij D frame^(T-i-j) X^i Y^j / (D frame^T).
+    Returns those integer coefficients as [(j, c)] per x-exponent i, from
+    the top down, and the denominator D frame^T.
+    """
     terms = piece.terms
     if not terms:
-        return [[]], 1, 0
+        return [[]], 1
     common = math.lcm(*(c.denominator for c in terms.values()))
+    top = max(i + j for i, j in terms)
     columns: list[list[tuple[int, int]]] = [[] for _ in range(max(i for i, _ in terms) + 1)]
     for (i, j), c in terms.items():
-        columns[i].append((j, c.numerator * (common // c.denominator)))
-    return columns[::-1], common, max(j for _, j in terms)
+        columns[i].append((j, c.numerator * (common // c.denominator) * frame ** (top - i - j)))
+    return columns[::-1], common * frame**top
 
 
-def _restrict_to_row(integer_terms, ay: int, by: int) -> tuple[list[int], int]:
-    """Integer coefficients of the piece on the row y = ay/by, top x-power first, and their denominator."""
-    columns, common, top_j = integer_terms
-    powers = [ay**j * by ** (top_j - j) for j in range(top_j + 1)]
-    return [sum(c * powers[j] for j, c in column) for column in columns], common * by**top_j
+def _half_crossings(fan: FanPartition, sign: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """How rows y with the given sign meet the rays, left to right.
 
-
-def _row_runs(fan: FanPartition, xs: list[Fraction], fy: Fraction):
-    """(start, stop, sector) runs of the ascending xs on the row y = fy.
-
-    The sector changes only where a ray crosses the row: at x = fy*dx/dy for
-    the rays with dy of fy's sign, or at the origin on the row y = 0.  A grid
-    point exactly on a crossing is a run of its own; the origin has sector -1.
+    Returns the sector before the first crossing and, per ray with dy of that
+    sign in the order met, (dx, dy, sector on the ray, sector past it).  The
+    fan is clockwise, so a row above the origin meets its rays clockwise
+    (ascending dx/dy) and a row below meets them counterclockwise
+    (descending dx/dy); past rays[j] lies sector j above and j-1 below.
+    A half that no ray enters lies in one sector.
     """
-    if fy == 0:
-        crossings = [Fraction(0)]
-    else:
-        crossings = sorted(fy * r.dx / r.dy for r in fan.rays if r.dy and (r.dy > 0) == (fy > 0))
-    start = 0
-    for cut in crossings:
-        stop = bisect_left(xs, cut, start)
+    rays, k = fan.rays, len(fan.rays)
+    met = sorted((j for j, r in enumerate(rays) if r.dy * sign > 0),
+                 key=lambda j: Fraction(rays[j].dx, rays[j].dy), reverse=sign < 0)
+    if not met:
+        return locate_sector(fan, 0, sign), []
+    crossings = [(rays[j].dx, rays[j].dy, j, j if sign > 0 else (j - 1) % k) for j in met]
+    return (met[0] - 1) % k if sign > 0 else met[0], crossings
+
+
+def _row_runs(xs: list[int], row: int, before: int, crossings):
+    """(start, stop, sector) runs of the ascending integers xs on the row Y = row.
+
+    A ray (dx, dy) crosses the row at X = row*dx/dy; `divmod` gives the first
+    column at or past it and whether the crossing is exact.  A grid point
+    exactly on a crossing is a run of its own.
+    """
+    start, sector = 0, before
+    for dx, dy, on, past in crossings:
+        quotient, remainder = divmod(-row * dx, dy)  # the cut is ceil(row*dx/dy) = -quotient
+        stop = bisect_left(xs, -quotient, start)
         if start < stop:
-            yield start, stop, locate_sector(fan, xs[start], fy)
-        if stop < len(xs) and xs[stop] == cut:
-            yield stop, stop + 1, locate_sector(fan, cut, fy) if fy else -1
+            yield start, stop, sector
+        if not remainder and stop < len(xs) and xs[stop] == -quotient:
+            yield stop, stop + 1, on
             stop += 1
-        start = stop
+        start, sector = stop, past
     if start < len(xs):
-        yield start, len(xs), locate_sector(fan, xs[start], fy)
+        yield start, len(xs), sector
 
 
 def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple[float, float, float, int]]:
@@ -236,14 +251,19 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
 
     Rows are emitted row-major with y descending (top row first) and x
     ascending.  The exact origin has no sector; it reports sector -1 and the
-    value of piece 0.
+    value of piece 0.  A radius so small that the grid coordinates are not
+    distinct floats is a domain error.
 
-    Each row is scanned once.  A ray crosses a row y = c != 0 at most once,
-    so the sector is looked up only at the first point of each run between
-    crossings and at points exactly on one: O(k*grid_n) lookups for k rays.
-    Each piece in use is restricted to the row once, in integers; a point
-    then costs one integer Horner pass of the piece's x-degree (grid_n^2
-    passes in all) and one correctly rounded int/int division.  The rows are
+    Every coordinate is a float, so a dyadic rational; over the largest of
+    their denominators, B, each point is (X/B, Y/B) with integers X and Y.
+    Each row is scanned once.  A ray crosses a row Y != 0 at most once, at
+    X = Y*dx/dy, and the fan's clockwise order fixes the sector between
+    crossings, so `locate_sector` runs only for a half-plane that no ray
+    enters and for the two sides of the row y = 0: at most 4 calls a grid.
+    Each piece is cleared to integers over one fixed denominator once a
+    grid and restricted to a row once per sector met; a point then costs
+    one integer Horner pass of the piece's x-degree (grid_n^2 passes in
+    all) and one correctly rounded int/int division.  The rows are
     identical to those of locating and evaluating each point on its own.
     """
     if grid_n < 2:
@@ -252,27 +272,38 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     if not (0 < radius and math.isfinite(2.0 * radius * (grid_n - 1))):
         raise DomainError("radius must be positive and small enough for finite grid coordinates")
     coords = [-radius + 2.0 * radius * i / (grid_n - 1) for i in range(grid_n)]
-    exact = [Fraction(c) for c in coords]
+    if any(a >= b for a, b in zip(coords, coords[1:])):
+        raise DomainError("radius must be large enough for distinct grid coordinates")
     ratios = [c.as_integer_ratio() for c in coords]
-    pieces = [_integer_terms(piece) for piece in spline.pieces]
+    frame = max(b for _, b in ratios)
+    xs = [a * (frame // b) for a, b in ratios]
+    fan = spline.fan
+    upper, lower = _half_crossings(fan, 1), _half_crossings(fan, -1)
+    pieces = [_integer_terms(piece, frame) for piece in spline.pieces]
+    top_j = max((j for piece in spline.pieces for _, j in piece.terms), default=0)
     rows = []
-    for y, fy in zip(reversed(coords), reversed(exact)):
+    for y, row in zip(reversed(coords), reversed(xs)):
+        powers = [row**j for j in range(top_j + 1)]
+        if row:
+            before, crossings = upper if row > 0 else lower
+        else:
+            # The row through the origin: one crossing, at the origin, whose sector is -1.
+            before, crossings = locate_sector(fan, -1, 0), [(0, 1, -1, locate_sector(fan, 1, 0))]
         restricted: dict[int, tuple[list[int], int]] = {}
-        for start, stop, sector in _row_runs(spline.fan, exact, fy):
+        for start, stop, sector in _row_runs(xs, row, before, crossings):
             if sector not in restricted:
-                # The origin's sector -1 takes piece 0.
-                restricted[sector] = _restrict_to_row(pieces[max(sector, 0)], fy.numerator, fy.denominator)
-            coeffs, row_den = restricted[sector]
+                # The piece on this row, in X; the origin's sector -1 takes piece 0.
+                columns, den = pieces[max(sector, 0)]
+                restricted[sector] = [sum(c * powers[j] for j, c in column) for column in columns], den
+            coeffs, den = restricted[sector]
             top, rest = coeffs[0], coeffs[1:]
             for k in range(start, stop):
-                ax, bx = ratios[k]
-                # Homogeneous Horner: num / (row_den * bx^degree) is the exact value.
-                num, scale = top, 1
+                x = xs[k]
+                num = top
                 for coeff in rest:
-                    scale *= bx
-                    num = num * ax + coeff * scale
+                    num = num * x + coeff
                 try:
-                    value = num / (row_den * scale)
+                    value = num / den
                 except OverflowError:
                     raise DomainError(
                         f"the value at ({coords[k]!r}, {y!r}) is too large for a float; use a smaller radius"
@@ -282,8 +313,24 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
 
 
 def render_grid_csv(rows: Sequence[tuple[float, float, float, int]]) -> str:
-    """Deterministic CSV text: fixed header, 17 significant digits."""
+    """Deterministic CSV text: fixed header, 17 significant digits.
+
+    A grid repeats its coordinates, so each distinct nonzero one is
+    formatted once; zeros are never stored and are formatted afresh, since
+    0.0 and -0.0 are one dict key but print differently.
+    """
+    text: dict[float, str] = {}
     lines = [CSV_HEADER]
     for x, y, value, sector in rows:
-        lines.append(f"{x:.17g},{y:.17g},{value:.17g},{sector}")
+        tx = text.get(x)
+        if tx is None:
+            tx = f"{x:.17g}"
+            if x:
+                text[x] = tx
+        ty = text.get(y)
+        if ty is None:
+            ty = f"{y:.17g}"
+            if y:
+                text[y] = ty
+        lines.append(f"{tx},{ty},{value:.17g},{sector}")
     return "\n".join(lines) + "\n"

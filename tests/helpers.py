@@ -29,7 +29,7 @@ from supersmooth import (
 )
 from supersmooth.fan import _half_turn_bucket
 from supersmooth.linalg import _eliminate
-from supersmooth.numcheck import _richardson, _unit
+from supersmooth.numcheck import RAY_EXTENT, RayLemmaReport, _eval, _richardson, _unit
 from supersmooth.rational import primitive
 
 
@@ -232,6 +232,8 @@ def pointwise_sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> 
     if not (0 < radius and math.isfinite(2.0 * radius * (grid_n - 1))):
         raise DomainError("radius must be positive and small enough for finite grid coordinates")
     coords = [-radius + 2.0 * radius * i / (grid_n - 1) for i in range(grid_n)]
+    if any(a >= b for a, b in zip(coords, coords[1:])):
+        raise DomainError("radius must be large enough for distinct grid coordinates")
     exact = [Fraction(c) for c in coords]
     rows = []
     for y, fy in zip(reversed(coords), reversed(exact)):
@@ -250,6 +252,14 @@ def pointwise_sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> 
                 ) from None
             rows.append((x, y, value, sector))
     return rows
+
+
+def per_line_grid_csv(rows) -> str:
+    """`render_grid_csv` formatting every field of every row afresh."""
+    lines = ["x,y,value,sector"]
+    for x, y, value, sector in rows:
+        lines.append(f"{x:.17g},{y:.17g},{value:.17g},{sector}")
+    return "\n".join(lines) + "\n"
 
 
 def origin_partials(spline: PiecewisePoly, max_order: int) -> dict[tuple[int, int], tuple[Fraction, ...]]:
@@ -394,3 +404,34 @@ def stencil_derivative(f, point, direction, cfg) -> tuple[float, float]:
     levels = cfg.richardson_levels
     estimates = [one_sided_stencil(f, point, unit, cfg.base_step / 2**i) for i in range(levels)]
     return _richardson(estimates, range(2, levels + 1))
+
+
+def fresh_one_sided(f, point, direction, cfg) -> tuple[float, float, float]:
+    """f(P), the one-sided derivative and its error estimate, normalising the
+    direction and building the stencil offsets afresh on every call."""
+    px, py = point
+    ux, uy = _unit(direction)
+    levels = cfg.richardson_levels
+    offsets = [2 * cfg.base_step] + [cfg.base_step / 2**i for i in range(levels)]
+    f0 = _eval(f, px, py)
+    values = [_eval(f, px + t * ux, py + t * uy) for t in offsets]
+    estimates = [
+        (-3.0 * f0 + 4.0 * near - far) / (2.0 * h)
+        for far, near, h in zip(values, values[1:], offsets[1:])
+    ]
+    return (f0, *_richardson(estimates, range(2, levels + 1)))
+
+
+def fresh_ray_lemma(f, g, ray, cfg) -> RayLemmaReport:
+    """`verify_ray_lemma` with `fresh_one_sided` at every sample point."""
+    unit = _unit(ray)
+    value_gap = deriv_gap = 0.0
+    for k in range(cfg.samples_per_ray):
+        t = RAY_EXTENT * k / cfg.samples_per_ray
+        point = (t * unit[0], t * unit[1])
+        f0, df, _ = fresh_one_sided(f, point, unit, cfg)
+        g0, dg, _ = fresh_one_sided(g, point, unit, cfg)
+        value_gap = max(value_gap, abs(f0 - g0))
+        deriv_gap = max(deriv_gap, abs(df - dg))
+    passed = value_gap <= cfg.tolerance and deriv_gap <= cfg.tolerance
+    return RayLemmaReport(max_value_gap=value_gap, max_dirderiv_gap=deriv_gap, passed=passed)

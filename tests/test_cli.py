@@ -175,6 +175,18 @@ def test_sample_rejects_radius_whose_grid_overflows(tmp_path, capsys):
     assert main(["sample", str(spline_path), "--grid-n", "3", "--radius", "4e307"]) == 0
 
 
+@pytest.mark.parametrize("grid_n", ["4", "5", "33"])
+def test_sample_rejects_radius_too_small_for_distinct_coordinates(tmp_path, capsys, grid_n):
+    # At 5e-324 the coordinates round onto each other: [-5e-324, 0.0, 0.0, 5e-324] for 4 points
+    spline_path = tmp_path / "c.json"
+    main(["construct", "--n", "1", "--slopes", "1,2", "-o", str(spline_path)])
+    capsys.readouterr()
+    assert main(["sample", str(spline_path), "--grid-n", grid_n, "--radius", "5e-324"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radius must be large enough for distinct grid coordinates\n"
+
+
 def _axis_document(monomial: str) -> str:
     # the y-axis in both directions, with pieces 0 and the given monomial
     return (

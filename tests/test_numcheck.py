@@ -27,7 +27,7 @@ from supersmooth import (
     verify_field_rays,
     verify_ray_lemma,
 )
-from helpers import random_bipoly, random_direction, stencil_derivative
+from helpers import fresh_ray_lemma, random_bipoly, random_direction, stencil_derivative
 
 CFG = NumericConfig()
 
@@ -39,6 +39,26 @@ def test_config_validation():
         NumericConfig(richardson_levels=0)
     with pytest.raises(Exception):
         NumericConfig(tolerance=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_step", math.nan), ("base_step", math.inf), ("base_step", -math.inf), ("base_step", True),
+    ("base_step", "0.1"), ("base_step", 10**400),
+    ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", False), ("tolerance", None),
+    ("samples_per_ray", 2.5), ("samples_per_ray", 3.0), ("samples_per_ray", True),
+    ("richardson_levels", True), ("richardson_levels", 2.0), ("richardson_levels", Fraction(3)),
+], ids=lambda value: str(value)[:20])
+def test_config_rejects_values_that_would_fail_later_or_mislead(field, value):
+    with pytest.raises(DomainError, match=field):
+        NumericConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("base_step", 1), ("base_step", 5e-324), ("tolerance", 1.7976931348623157e308),
+    ("samples_per_ray", 1), ("richardson_levels", 7),
+])
+def test_config_accepts_finite_positive_steps_and_integer_counts(field, value):
+    assert getattr(NumericConfig(**{field: value}), field) == value
 
 
 def test_one_sided_quadratic_at_origin():
@@ -146,6 +166,22 @@ def test_ray_lemma_evaluates_each_field_once_per_stencil_point(samples, levels):
         dg, _ = one_sided_directional_derivative(g, point, (ux, uy), cfg)
         deriv_gap = max(deriv_gap, abs(df - dg))
     assert (report.max_value_gap, report.max_dirderiv_gap) == (value_gap, deriv_gap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda d: d != (0, 0)),
+    st.integers(1, 5),
+    st.integers(1, 12),
+    st.floats(min_value=2.0**-20, max_value=0.1),
+    st.tuples(_unit_interval, _unit_interval, _unit_interval),
+)
+def test_ray_lemma_equals_the_per_call_stencil(ray, levels, samples, base_step, coeffs):
+    a, b, c = coeffs
+    f = lambda x, y: math.sin(a * x + b * y) + c * x * y
+    g = lambda x, y: math.sin(a * x + b * y) + c * y * y
+    cfg = NumericConfig(base_step=base_step, richardson_levels=levels, samples_per_ray=samples)
+    assert verify_ray_lemma(f, g, ray, cfg) == fresh_ray_lemma(f, g, ray, cfg)
 
 
 def test_matches_exact_directional_derivative():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -22,10 +23,12 @@ from supersmooth import (
     decode_spline,
     encode_counterexample,
     encode_spline,
+    locate_sector,
     render_grid_csv,
     sample_grid,
+    serialize,
 )
-from helpers import pointwise_sample_grid
+from helpers import per_line_grid_csv, pointwise_sample_grid
 
 
 def test_round_trip_counterexample():
@@ -288,10 +291,120 @@ def _grid_splines(draw) -> PiecewisePoly:
 @given(
     _grid_splines(),
     st.integers(2, 40),
-    st.sampled_from([1e-3, 0.1, 1.0, 1.5, 7.0, 123.456]),
+    st.sampled_from([5e-324, 1e-320, 1e-3, 0.1, 1.0, 1.5, 7.0, 123.456]),
 )
 def test_row_scan_csv_equals_the_pointwise_route(spline, grid_n, radius):
     _assert_routes_agree(spline, grid_n, radius)
+
+
+_DENSE = st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda d: d != (0, 0))
+# Rays through points of the 5-, 9- and 17-point grids of radius 1, in both halves.
+_ON_GRID = st.sampled_from([(1, 1), (1, 2), (2, 1), (3, 1), (1, 3), (3, 2), (2, 3)]).flatmap(
+    lambda d: st.sampled_from([d, (-d[0], d[1]), (d[0], -d[1]), (-d[0], -d[1])])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.one_of(_DENSE, _ON_GRID, _AXES), min_size=2, max_size=14),
+    st.data(),
+    st.sampled_from([5, 9, 13, 17]),
+)
+def test_row_scan_on_dense_fans_equals_the_pointwise_route(directions, data, grid_n):
+    # Rays in [-60, 60]^2 often cross a row several times between two
+    # adjacent columns; the on-grid rays put grid points exactly on rays.
+    rays = list(dict.fromkeys(Ray(*d) for d in directions))
+    if len(rays) < 2:
+        rays.append(Ray(-rays[0].dx, -rays[0].dy))
+    fan = build_fan(rays)
+    spline = PiecewisePoly(fan=fan, pieces=tuple(data.draw(_PIECES) for _ in fan.rays))
+    _assert_routes_agree(spline, grid_n, 1.0)
+
+
+def _dense_fan_spline() -> PiecewisePoly:
+    # Three rays just above the diagonal in each half: on the row y = 1/4 of
+    # the 9-point grid they cross between the columns x = 0 and x = 1/4.
+    directions = [(1, 1), (10, 11), (11, 12), (12, 13), (-1, -1), (-10, -11), (-11, -12), (-12, -13), (1, -2), (-1, 3)]
+    fan = build_fan([Ray(*d) for d in directions])
+    pieces = [X * (j + 1) - Y * Fraction(1, j + 2) + X * Y * j for j in range(len(fan.rays))]
+    return PiecewisePoly(fan=fan, pieces=tuple(pieces))
+
+
+def test_row_scan_dense_fan_with_points_on_rays_in_both_halves():
+    spline = _dense_fan_spline()
+    rays = spline.fan.rays
+    text = _assert_routes_agree(spline, 9, 1.0)
+    cells = {(x, y): sector for x, y, _, sector in (line.split(",") for line in text.splitlines()[1:])}
+    assert cells["0.25", "0.25"] == str(rays.index(Ray(1, 1)))
+    assert cells["-0.25", "-0.25"] == str(rays.index(Ray(-1, -1)))
+    assert cells["0.5", "-1"] == str(rays.index(Ray(1, -2)))
+    # From x = 0 to x = 1/4 the row y = 1/4 passes three rays, then lands on a fourth.
+    assert (int(cells["0.25", "0.25"]) - int(cells["0", "0.25"])) % len(rays) == 4
+
+
+@pytest.mark.parametrize("directions", [
+    [(1, 1), (0, 1), (-1, 1), (-3, 1)],  # every ray above the x-axis
+    [(1, -1), (2, -1), (-5, -3)],  # every ray below it
+])
+@pytest.mark.parametrize("grid_n", [4, 5, 13])
+def test_row_scan_fan_in_one_half_plane(directions, grid_n):
+    fan = build_fan([Ray(*d) for d in directions])
+    spline = PiecewisePoly(fan=fan, pieces=tuple(X * j + Y * Y - j for j in range(len(fan.rays))))
+    _assert_routes_agree(spline, grid_n, 1.5)
+
+
+@pytest.mark.parametrize("directions", [[(1, 0), (0, 1)], [(2, -1), (-1, -3)], [(1, 1), (-1, 2)]])
+def test_row_scan_two_ray_fan_wider_than_a_half_turn(directions):
+    fan = build_fan([Ray(*d) for d in directions])
+    spline = PiecewisePoly(fan=fan, pieces=(X * X - Y, Y * Fraction(3, 7) + 1))
+    for grid_n in (5, 8, 13):
+        _assert_routes_agree(spline, grid_n, 1.0)
+
+
+@pytest.mark.parametrize("grid_n", [13, 129])
+def test_row_scan_counterexample_at_large_grids(grid_n):
+    spline = build_counterexample([1, Fraction(-2, 3), 3, Fraction(5, 2), -4], 4).spline
+    _assert_routes_agree(spline, grid_n, 1.5)
+
+
+@pytest.mark.parametrize("spline", [
+    build_counterexample([1, 2, 3], 2).spline,
+    build_halfplane_example(2),
+    _dense_fan_spline(),
+    PiecewisePoly(fan=build_fan([Ray(1, 1), Ray(-1, 1)]), pieces=(X, Y)),
+    PiecewisePoly(fan=build_fan([Ray(1, -1), Ray(-1, -2)]), pieces=(X, Y)),
+], ids=["counterexample", "halfplane", "dense", "upper-only", "lower-only"])
+@pytest.mark.parametrize("grid_n", [2, 9, 33])
+def test_row_scan_locates_at_most_four_points_per_grid(monkeypatch, spline, grid_n):
+    calls = []
+
+    def counted(fan, x, y):
+        calls.append((x, y))
+        return locate_sector(fan, x, y)
+
+    monkeypatch.setattr(serialize, "locate_sector", counted)
+    rows = sample_grid(spline, grid_n, 1.0)
+    assert len(rows) == grid_n**2
+    assert len(calls) <= 4
+
+
+_CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 0.1, 1 / 3]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_CSV_FLOATS, max_size=6),
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), _CSV_FLOATS, st.integers(-1, 20)), max_size=60),
+)
+def test_csv_equals_the_per_line_format(pool, cells):
+    # Coordinates come from a small pool, so each one repeats, as in a grid;
+    # 0.0 and -0.0 are always in it, and are one dict key.
+    pool = [0.0, -0.0, *pool]
+    rows = [(pool[i % len(pool)], pool[j % len(pool)], value, sector) for i, j, value, sector in cells]
+    assert render_grid_csv(rows) == per_line_grid_csv(rows)
 
 
 def test_row_scan_points_exactly_on_a_diagonal_ray():
