@@ -14,6 +14,11 @@ at a designated corner point P = (corner_x, g(corner_x)).  Three checks:
 
 Everything is estimated with finite differences plus Richardson
 extrapolation; tolerances are absolute and assume O(1)-scaled inputs.
+
+Cost: each call builds one stencil plan (step vectors, spans 2h and the
+Richardson stage factors), so with S samples per ray and L levels,
+verify_ray_lemma evaluates each field S*(L+2) times per ray and spends
+O(L^2) float operations per sample on the extrapolation.
 """
 
 from __future__ import annotations
@@ -32,6 +37,8 @@ Field = Callable[[float, float], float]
 # [0, RAY_EXTENT), curves on x in [corner_x - CURVE_EXTENT, corner_x + CURVE_EXTENT].
 RAY_EXTENT = 1.0
 CURVE_EXTENT = 0.5
+# The central stencil's last Richardson factor 2.0**(2*(levels - 1)) must be finite.
+MAX_RICHARDSON_LEVELS = (sys.float_info.max_exp + 1) // 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,6 +60,18 @@ class NumericConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise DomainError(f"{name} must be an integer of at least 1, not {value!r}")
+        # Richardson factors and stencil steps must be finite, and each
+        # h_i = base_step / 2**i normal, or halving it is not exact.  (A level
+        # count may have too many digits for str(), so it is not printed.)
+        if self.richardson_levels > MAX_RICHARDSON_LEVELS:
+            raise DomainError(f"richardson_levels must be at most {MAX_RICHARDSON_LEVELS}")
+        if not math.isfinite(2.0 * self.base_step):
+            raise DomainError(f"base_step must be at most half the largest float, not {self.base_step!r}")
+        if math.ldexp(self.base_step, 1 - self.richardson_levels) < sys.float_info.min:
+            raise DomainError(
+                f"base_step / 2**(richardson_levels - 1) must be a normal float, not "
+                f"{self.base_step!r} / 2**{self.richardson_levels - 1}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,31 +99,36 @@ class PiecewiseField:
             raise DomainError("one field per sector required")
 
 
+def _non_finite(value, x, y) -> EvaluationError:
+    return EvaluationError(f"function returned non-finite value {value!r} at ({x}, {y})")
+
+
 def _eval(f: Field, x: float, y: float) -> float:
     value = f(x, y)
     if not math.isfinite(value):
-        raise EvaluationError(f"function returned non-finite value {value!r} at ({x}, {y})")
+        raise _non_finite(value, x, y)
     return value
 
 
-def _richardson(estimates: list[float], error_powers) -> tuple[float, float]:
-    """Richardson-extrapolate estimates taken at successively halved steps.
+def _stages(error_powers) -> list[tuple[float, float]]:
+    """Richardson stage s kills the h^p term, p the s-th error power: (2^p, 2^p - 1) per stage."""
+    return [(2.0**p, 2.0**p - 1.0) for p in error_powers]
 
-    Stage s kills the h^p term, p the s-th entry of `error_powers`.  Returns
-    the extrapolated value and the last extrapolation delta (infinite when a
-    single estimate leaves nothing to compare).
+
+def _extrapolate(estimates: list[float], stages) -> float:
+    """Richardson-extrapolate, in place, estimates taken at successively halved steps.
+
+    The answer is left in estimates[-1].  Each stage runs from the last index
+    down, so estimates[i - 1] still holds the previous stage's value.  Returns
+    the last stage's change of estimates[-1] (infinite when there is no stage).
     """
-    levels = len(estimates)
-    delta = math.inf
-    for stage, power in zip(range(1, levels), error_powers):
-        factor = 2.0**power
-        next_row = [
-            (factor * estimates[i] - estimates[i - 1]) / (factor - 1.0)
-            for i in range(stage, levels)
-        ]
-        delta = abs(next_row[-1] - estimates[-1])
-        estimates[stage:] = next_row
-    return estimates[-1], delta
+    last = len(estimates) - 1
+    previous = math.inf
+    for stage, (factor, denominator) in enumerate(stages, 1):
+        previous = estimates[last]
+        for i in range(last, stage - 1, -1):
+            estimates[i] = (factor * estimates[i] - estimates[i - 1]) / denominator
+    return abs(estimates[last] - previous) if stages else math.inf
 
 
 def _unit(direction) -> tuple[float, float]:
@@ -122,18 +146,38 @@ def _offsets(cfg: NumericConfig) -> list[float]:
     return [2 * cfg.base_step] + [cfg.base_step / 2**i for i in range(cfg.richardson_levels)]
 
 
-def _one_sided(f: Field, point, unit: tuple[float, float], offsets: list[float]) -> tuple[float, float, float]:
-    """f(P), then what `one_sided_directional_derivative` returns, from one set of evaluations."""
-    px, py = point
+def _stencil_plan(unit: tuple[float, float], cfg: NumericConfig):
+    """The forward stencil along `unit`, built once a call: the first far step
+    2h_0*u, then (h_i*u, 2h_i) per level, and the Richardson stages of the
+    stencil's error series h^2, h^3, h^4, ..."""
     ux, uy = unit
-    f0 = _eval(f, px, py)
-    values = [_eval(f, px + t * ux, py + t * uy) for t in offsets]
-    estimates = [
-        (-3.0 * f0 + 4.0 * near - far) / (2.0 * h)
-        for far, near, h in zip(values, values[1:], offsets[1:])
-    ]
-    # Error series of the stencil: h^2, h^3, h^4, ...
-    return (f0, *_richardson(estimates, range(2, len(offsets))))
+    offsets = _offsets(cfg)
+    far_step = (offsets[0] * ux, offsets[0] * uy)
+    return far_step, [((h * ux, h * uy), 2.0 * h) for h in offsets[1:]], _stages(range(2, len(offsets)))
+
+
+def _one_sided(f: Field, px: float, py: float, plan) -> tuple[float, float, float]:
+    """f(P), then what `one_sided_directional_derivative` returns, from one set of evaluations."""
+    (far_x, far_y), levels, stages = plan
+    isfinite = math.isfinite
+    f0 = f(px, py)
+    if not isfinite(f0):
+        raise _non_finite(f0, px, py)
+    x, y = px + far_x, py + far_y
+    far = f(x, y)
+    if not isfinite(far):
+        raise _non_finite(far, x, y)
+    minus_3f0 = -3.0 * f0
+    estimates = []
+    for (sx, sy), span in levels:
+        x, y = px + sx, py + sy
+        near = f(x, y)
+        if not isfinite(near):
+            raise _non_finite(near, x, y)
+        estimates.append((minus_3f0 + 4.0 * near - far) / span)
+        far = near
+    delta = _extrapolate(estimates, stages)
+    return f0, estimates[-1], delta
 
 
 def one_sided_directional_derivative(f: Field, point, direction,
@@ -145,26 +189,33 @@ def one_sided_directional_derivative(f: Field, point, direction,
     returned error estimate is the last extrapolation delta (infinite when
     a single level leaves nothing to compare).
     """
-    return _one_sided(f, point, _unit(direction), _offsets(cfg))[1:]
-
-
-def _central_partial(f: Field, point, axis: int, cfg: NumericConfig) -> float:
-    """Central-difference partial with Richardson (error powers h^2, h^4, ...)."""
     px, py = point
-    levels = cfg.richardson_levels
-    vals = []
-    for i in range(levels):
-        h = cfg.base_step / 2**i
-        if axis == 0:
-            vals.append((_eval(f, px + h, py) - _eval(f, px - h, py)) / (2.0 * h))
-        else:
-            vals.append((_eval(f, px, py + h) - _eval(f, px, py - h)) / (2.0 * h))
-    return _richardson(vals, range(2, 2 * levels, 2))[0]
+    return _one_sided(f, px, py, _stencil_plan(_unit(direction), cfg))[1:]
+
+
+def _central_partial(f: Field, px: float, py: float, axis: int, steps, stages) -> float:
+    """Central-difference partial over (h, 2h) per level, Richardson (error powers h^2, h^4, ...)."""
+    isfinite = math.isfinite
+    estimates = []
+    for h, span in steps:
+        xp, yp, xm, ym = (px + h, py, px - h, py) if axis == 0 else (px, py + h, px, py - h)
+        plus = f(xp, yp)
+        if not isfinite(plus):
+            raise _non_finite(plus, xp, yp)
+        minus = f(xm, ym)
+        if not isfinite(minus):
+            raise _non_finite(minus, xm, ym)
+        estimates.append((plus - minus) / span)
+    _extrapolate(estimates, stages)
+    return estimates[-1]
 
 
 def estimate_gradient(f: Field, point, cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
     """Two-sided gradient estimate; requires f on a full neighborhood of the point."""
-    return (_central_partial(f, point, 0, cfg), _central_partial(f, point, 1, cfg))
+    steps = [(h, 2.0 * h) for h in _offsets(cfg)[1:]]
+    stages = _stages(range(2, 2 * cfg.richardson_levels, 2))
+    px, py = point
+    return (_central_partial(f, px, py, 0, steps, stages), _central_partial(f, px, py, 1, steps, stages))
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,19 +231,19 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
     Only the direction along the ray is constrained; transversal mismatch is
     invisible to this check by design.
     """
-    unit = _unit(ray)
+    ux, uy = _unit(ray)
     # The stencil steps along the unit vector normalised once more, as
     # `one_sided_directional_derivative(f, point, unit)` does; the second
     # normalisation moves some directions by an ulp, so it stays.
-    step = _unit(unit)
-    offsets = _offsets(cfg)
+    plan = _stencil_plan(_unit((ux, uy)), cfg)
+    samples = cfg.samples_per_ray
     value_gap = 0.0
     deriv_gap = 0.0
-    for k in range(cfg.samples_per_ray):
-        t = RAY_EXTENT * k / cfg.samples_per_ray
-        point = (t * unit[0], t * unit[1])
-        f0, df, _ = _one_sided(f, point, step, offsets)
-        g0, dg, _ = _one_sided(g, point, step, offsets)
+    for k in range(samples):
+        t = RAY_EXTENT * k / samples
+        px, py = t * ux, t * uy
+        f0, df, _ = _one_sided(f, px, py, plan)
+        g0, dg, _ = _one_sided(g, px, py, plan)
         value_gap = max(value_gap, abs(f0 - g0))
         deriv_gap = max(deriv_gap, abs(df - dg))
     passed = value_gap <= cfg.tolerance and deriv_gap <= cfg.tolerance

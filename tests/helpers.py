@@ -12,6 +12,7 @@ from supersmooth import (
     NOT_CONTINUOUS,
     BiPoly,
     DomainError,
+    EvaluationError,
     FanPartition,
     MissingDirectionError,
     OperatorPoly,
@@ -29,7 +30,7 @@ from supersmooth import (
 )
 from supersmooth.fan import _half_turn_bucket
 from supersmooth.linalg import _eliminate
-from supersmooth.numcheck import RAY_EXTENT, RayLemmaReport, _eval, _richardson, _unit
+from supersmooth.numcheck import RAY_EXTENT, RayLemmaReport, _unit
 from supersmooth.rational import primitive
 
 
@@ -388,6 +389,35 @@ def apply_by_directions(op: OperatorPoly, directions, p: BiPoly) -> BiPoly:
     return result
 
 
+def checked_eval(f, x: float, y: float) -> float:
+    """f(x, y), or the `EvaluationError` the numeric checks raise for a non-finite value."""
+    value = f(x, y)
+    if not math.isfinite(value):
+        raise EvaluationError(f"function returned non-finite value {value!r} at ({x}, {y})")
+    return value
+
+
+def richardson(estimates: list[float], error_powers) -> tuple[float, float]:
+    """Richardson-extrapolate estimates taken at successively halved steps.
+
+    Stage s kills the h^p term, p the s-th entry of `error_powers`, building a
+    new row each stage.  Returns the extrapolated value and the last
+    extrapolation delta (infinite when a single estimate leaves nothing to
+    compare).
+    """
+    levels = len(estimates)
+    delta = math.inf
+    for stage, power in zip(range(1, levels), error_powers):
+        factor = 2.0**power
+        next_row = [
+            (factor * estimates[i] - estimates[i - 1]) / (factor - 1.0)
+            for i in range(stage, levels)
+        ]
+        delta = abs(next_row[-1] - estimates[-1])
+        estimates[stage:] = next_row
+    return estimates[-1], delta
+
+
 def one_sided_stencil(f, point, direction, h: float) -> float:
     """Second-order forward stencil (-3f(P) + 4f(P+h) - f(P+2h)) / (2h), three fresh evaluations."""
     px, py = point
@@ -403,7 +433,7 @@ def stencil_derivative(f, point, direction, cfg) -> tuple[float, float]:
     unit = _unit(direction)
     levels = cfg.richardson_levels
     estimates = [one_sided_stencil(f, point, unit, cfg.base_step / 2**i) for i in range(levels)]
-    return _richardson(estimates, range(2, levels + 1))
+    return richardson(estimates, range(2, levels + 1))
 
 
 def fresh_one_sided(f, point, direction, cfg) -> tuple[float, float, float]:
@@ -413,13 +443,13 @@ def fresh_one_sided(f, point, direction, cfg) -> tuple[float, float, float]:
     ux, uy = _unit(direction)
     levels = cfg.richardson_levels
     offsets = [2 * cfg.base_step] + [cfg.base_step / 2**i for i in range(levels)]
-    f0 = _eval(f, px, py)
-    values = [_eval(f, px + t * ux, py + t * uy) for t in offsets]
+    f0 = checked_eval(f, px, py)
+    values = [checked_eval(f, px + t * ux, py + t * uy) for t in offsets]
     estimates = [
         (-3.0 * f0 + 4.0 * near - far) / (2.0 * h)
         for far, near, h in zip(values, values[1:], offsets[1:])
     ]
-    return (f0, *_richardson(estimates, range(2, levels + 1)))
+    return (f0, *richardson(estimates, range(2, levels + 1)))
 
 
 def fresh_ray_lemma(f, g, ray, cfg) -> RayLemmaReport:
@@ -435,3 +465,23 @@ def fresh_ray_lemma(f, g, ray, cfg) -> RayLemmaReport:
         deriv_gap = max(deriv_gap, abs(df - dg))
     passed = value_gap <= cfg.tolerance and deriv_gap <= cfg.tolerance
     return RayLemmaReport(max_value_gap=value_gap, max_dirderiv_gap=deriv_gap, passed=passed)
+
+
+def central_partial(f, point, axis: int, cfg) -> float:
+    """Central-difference partial with Richardson (error powers h^2, h^4, ...), each
+    step and span computed where it is used."""
+    px, py = point
+    levels = cfg.richardson_levels
+    vals = []
+    for i in range(levels):
+        h = cfg.base_step / 2**i
+        if axis == 0:
+            vals.append((checked_eval(f, px + h, py) - checked_eval(f, px - h, py)) / (2.0 * h))
+        else:
+            vals.append((checked_eval(f, px, py + h) - checked_eval(f, px, py - h)) / (2.0 * h))
+    return richardson(vals, range(2, 2 * levels, 2))[0]
+
+
+def fresh_gradient(f, point, cfg) -> tuple[float, float]:
+    """`estimate_gradient` by `central_partial` along each axis."""
+    return (central_partial(f, point, 0, cfg), central_partial(f, point, 1, cfg))

@@ -90,19 +90,37 @@ def test_demo_counterexample_with_slopes(capsys):
     assert "global: 1" in out
 
 
+_GLUING_DEMO = """\
+fixture: {name}
+continuity gap: 0.000e+00
+gradient upper: ({upper})
+gradient lower: (0.000000, 0.000000)
+gradient gap: {gap}
+corner gradient check: {check}
+witness candidate vanishes on curve: yes
+witness gradient norm at corner: {gap}
+smoothness witness: {witness}
+"""
+_NUMERIC_DEMOS = {
+    "corner-quadratic": _GLUING_DEMO.format(
+        name="corner-quadratic", upper="0.000000, 0.000000", gap="0.000e+00", check="pass", witness="no"),
+    "smooth-parabola": _GLUING_DEMO.format(
+        name="smooth-parabola", upper="0.000000, 1.000000", gap="1.000e+00", check="fail", witness="yes"),
+    "halfplane-n1": _GLUING_DEMO.format(
+        name="halfplane-n1", upper="0.000000, 0.000000", gap="0.000e+00", check="pass", witness="no"),
+    "lemma-xy": (
+        "fixture: lemma-xy\n"
+        "max value gap: 0.000e+00\n"
+        "max ray-derivative gap: 0.000e+00\n"
+        "ray lemma check: pass\n"
+    ),
+}
+
+
 def test_demo_numeric_fixtures(capsys):
-    assert main(["demo", "corner-quadratic"]) == 0
-    out = capsys.readouterr().out
-    assert "corner gradient check: pass" in out
-    assert "smoothness witness: no" in out
-
-    assert main(["demo", "smooth-parabola"]) == 0
-    out = capsys.readouterr().out
-    assert "corner gradient check: fail" in out
-    assert "smoothness witness: yes" in out
-
-    assert main(["demo", "lemma-xy"]) == 0
-    assert "ray lemma check: pass" in capsys.readouterr().out
+    for name, expected in _NUMERIC_DEMOS.items():
+        assert main(["demo", name]) == 0
+        assert capsys.readouterr() == (expected, ""), name
 
 
 def test_demo_unknown_name_is_usage_error():

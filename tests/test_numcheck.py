@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -18,6 +19,7 @@ from supersmooth import (
     build_fan,
     corner_witness_check,
     directional_derivative,
+    estimate_gradient,
     get_fixture,
     locate_sector,
     one_sided_directional_derivative,
@@ -27,7 +29,15 @@ from supersmooth import (
     verify_field_rays,
     verify_ray_lemma,
 )
-from helpers import fresh_ray_lemma, random_bipoly, random_direction, stencil_derivative
+from helpers import (
+    fresh_gradient,
+    fresh_one_sided,
+    fresh_ray_lemma,
+    random_bipoly,
+    random_collinear_free_fan,
+    random_direction,
+    stencil_derivative,
+)
 
 CFG = NumericConfig()
 
@@ -43,10 +53,13 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("base_step", math.nan), ("base_step", math.inf), ("base_step", -math.inf), ("base_step", True),
-    ("base_step", "0.1"), ("base_step", 10**400),
+    ("base_step", "0.1"), ("base_step", 10**400), ("base_step", 5e-324),
+    # 2*base_step, the stencil's first offset, would overflow and the field would be blamed
+    ("base_step", 1e308), ("base_step", math.nextafter(sys.float_info.max / 2, math.inf)),
     ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", False), ("tolerance", None),
     ("samples_per_ray", 2.5), ("samples_per_ray", 3.0), ("samples_per_ray", True),
     ("richardson_levels", True), ("richardson_levels", 2.0), ("richardson_levels", Fraction(3)),
+    ("richardson_levels", 1100),
 ], ids=lambda value: str(value)[:20])
 def test_config_rejects_values_that_would_fail_later_or_mislead(field, value):
     with pytest.raises(DomainError, match=field):
@@ -54,11 +67,27 @@ def test_config_rejects_values_that_would_fail_later_or_mislead(field, value):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("base_step", 1), ("base_step", 5e-324), ("tolerance", 1.7976931348623157e308),
+    ("base_step", 1), ("base_step", 1e-300), ("base_step", sys.float_info.max / 2),
+    ("tolerance", 1.7976931348623157e308),
     ("samples_per_ray", 1), ("richardson_levels", 7),
 ])
 def test_config_accepts_finite_positive_steps_and_integer_counts(field, value):
     assert getattr(NumericConfig(**{field: value}), field) == value
+
+
+@pytest.mark.parametrize("base_step, largest", [
+    (1e-3, 512),  # the central stencil's last factor is 2.0**(2*511); 2.0**1024 overflows
+    (2.0**-1000, 23),  # 2**-1000 / 2**22 is the smallest normal float
+    (1.0, 512),
+])
+def test_config_accepts_the_largest_level_count_and_no_more(base_step, largest):
+    cfg = NumericConfig(base_step=base_step, richardson_levels=largest)
+    for levels in (largest + 1, 10**5000):  # the second has too many digits for str()
+        with pytest.raises(DomainError, match="richardson_levels"):
+            NumericConfig(base_step=base_step, richardson_levels=levels)
+    # the whole stencil runs at the accepted maximum: no OverflowError, no blamed field
+    one_sided_directional_derivative(lambda x, y: x, (0.0, 0.0), (1, 0), cfg)
+    assert estimate_gradient(lambda x, y: x + y, (0.0, 0.0), cfg) == (1.0, 1.0)
 
 
 def test_one_sided_quadratic_at_origin():
@@ -182,6 +211,97 @@ def test_ray_lemma_equals_the_per_call_stencil(ray, levels, samples, base_step, 
     g = lambda x, y: math.sin(a * x + b * y) + c * y * y
     cfg = NumericConfig(base_step=base_step, richardson_levels=levels, samples_per_ray=samples)
     assert verify_ray_lemma(f, g, ray, cfg) == fresh_ray_lemma(f, g, ray, cfg)
+
+
+def _recorded(field, points):
+    def wrapped(x, y):
+        points.append((x, y))
+        return field(x, y)
+    return wrapped
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda d: d != (0, 0)),
+    st.integers(1, 6),
+    st.floats(min_value=2.0**-20, max_value=0.1),
+    st.tuples(_unit_interval, _unit_interval),
+    st.tuples(_unit_interval, _unit_interval, _unit_interval),
+)
+def test_one_sided_and_gradient_equal_the_per_call_stencil(direction, levels, base_step, point, coeffs):
+    a, b, c = coeffs
+    f = lambda x, y: math.sin(a * x + b * y) + c * x * y * y
+    cfg = NumericConfig(base_step=base_step, richardson_levels=levels)
+    for new, old in (
+        (lambda f: one_sided_directional_derivative(f, point, direction, cfg),
+         lambda f: fresh_one_sided(f, point, direction, cfg)[1:]),
+        (lambda f: estimate_gradient(f, point, cfg), lambda f: fresh_gradient(f, point, cfg)),
+    ):
+        new_points, old_points = [], []
+        got, expected = new(_recorded(f, new_points)), old(_recorded(f, old_points))
+        assert struct.pack("<2d", *got) == struct.pack("<2d", *expected)
+        assert new_points == old_points
+
+
+def _failing_at(call: int, bad: float, fields):
+    """The fields with one shared call log; the call-th call returns `bad`."""
+    log = []
+
+    def wrap(index, field):
+        def wrapped(x, y):
+            log.append((index, x, y))
+            return bad if len(log) == call else field(x, y)
+        return wrapped
+
+    return log, [wrap(index, field) for index, field in enumerate(fields)]
+
+
+def _outcome(check, log):
+    """The check's result or error text, and which field it called where, in order."""
+    try:
+        result = check()
+    except EvaluationError as exc:
+        result = f"EvaluationError: {exc}"
+    return result, log
+
+
+_bad_values = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 80), _bad_values, st.integers(1, 5), st.integers(1, 6),
+       st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda d: d != (0, 0)))
+def test_ray_lemma_raises_the_fresh_route_error_after_the_same_calls(call, bad, levels, samples, ray):
+    fields = (lambda x, y: math.sin(x) + x * y, lambda x, y: math.sin(x) + y * y)
+    cfg = NumericConfig(richardson_levels=levels, samples_per_ray=samples)
+    outcomes = []
+    for check in (verify_ray_lemma, fresh_ray_lemma):
+        log, (f, g) = _failing_at(call, bad, fields)
+        outcomes.append(_outcome(lambda: check(f, g, ray, cfg), log))
+    assert outcomes[0] == outcomes[1]
+    if call <= 2 * samples * (levels + 2):  # the bad value is among the calls made
+        text, log = outcomes[0]
+        assert len(log) == call and text.startswith("EvaluationError: function returned non-finite value")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), _bad_values, st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**16))
+def test_field_rays_raise_the_fresh_route_error_after_the_same_calls(call, bad, levels, samples, seed):
+    rng = Random(seed)
+    fan = random_collinear_free_fan(rng, rng.randint(2, 4))
+    pieces = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in fan.rays]
+    fields = [lambda x, y, a=a, b=b: a * x * x + b * y for a, b in pieces]
+    cfg = NumericConfig(richardson_levels=levels, samples_per_ray=samples)
+    k = len(fan.rays)
+
+    def fresh(wrapped):
+        return [fresh_ray_lemma(wrapped[(j - 1) % k], wrapped[j], fan.rays[j], cfg) for j in range(k)]
+
+    outcomes = []
+    for check in (lambda wrapped: verify_field_rays(PiecewiseField(fan, tuple(wrapped)), cfg), fresh):
+        log, wrapped = _failing_at(call, bad, fields)
+        outcomes.append(_outcome(lambda: check(wrapped), log))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_matches_exact_directional_derivative():
