@@ -40,14 +40,16 @@ class Ray:
     dy: int
 
     def __init__(self, dx, dy):
-        fx, fy = Fraction(dx), Fraction(dy)
-        if fx == 0 and fy == 0:
+        # Two plain ints (not bools) need only their gcd divided out.
+        if type(dx) is not int or type(dy) is not int:
+            fx, fy = Fraction(dx), Fraction(dy)
+            scale = lcm(fx.denominator, fy.denominator)
+            dx, dy = fx.numerator * (scale // fx.denominator), fy.numerator * (scale // fy.denominator)
+        if dx == 0 and dy == 0:
             raise InvalidDirectionError("a ray needs a nonzero direction")
-        scale = lcm(fx.denominator, fy.denominator)
-        ix, iy = int(fx * scale), int(fy * scale)
-        content = gcd(ix, iy)
-        object.__setattr__(self, "dx", ix // content)
-        object.__setattr__(self, "dy", iy // content)
+        content = gcd(dx, dy)
+        object.__setattr__(self, "dx", dx // content)
+        object.__setattr__(self, "dy", dy // content)
 
     def __iter__(self) -> Iterator[int]:
         yield self.dx

@@ -103,6 +103,13 @@ def _non_finite(value, x, y) -> EvaluationError:
     return EvaluationError(f"function returned non-finite value {value!r} at ({x}, {y})")
 
 
+def _finite_estimate(value: float, x, y) -> float:
+    """`value`, an extrapolated derivative, unless the stage factors 2^p of many levels overflowed it."""
+    if not math.isfinite(value):
+        raise EvaluationError(f"extrapolated derivative is non-finite ({value!r}) at ({x}, {y}); use fewer levels")
+    return value
+
+
 def _eval(f: Field, x: float, y: float) -> float:
     value = f(x, y)
     if not math.isfinite(value):
@@ -177,7 +184,7 @@ def _one_sided(f: Field, px: float, py: float, plan) -> tuple[float, float, floa
         estimates.append((minus_3f0 + 4.0 * near - far) / span)
         far = near
     delta = _extrapolate(estimates, stages)
-    return f0, estimates[-1], delta
+    return f0, _finite_estimate(estimates[-1], px, py), delta
 
 
 def one_sided_directional_derivative(f: Field, point, direction,
@@ -207,7 +214,7 @@ def _central_partial(f: Field, px: float, py: float, axis: int, steps, stages) -
             raise _non_finite(minus, xm, ym)
         estimates.append((plus - minus) / span)
     _extrapolate(estimates, stages)
-    return estimates[-1]
+    return _finite_estimate(estimates[-1], px, py)
 
 
 def estimate_gradient(f: Field, point, cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:

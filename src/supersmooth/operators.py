@@ -23,7 +23,7 @@ from .errors import ArityError, MissingDirectionError, SingularDecompositionErro
 from .fan import FanPartition, Ray, are_collinear as _collinear, decompose_direction
 # directional_derivative is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.operators.directional_derivative by name.
-from .poly import BiPoly, _as_fraction, _cleared, _direction_components, directional_derivative  # noqa: F401
+from .poly import BiPoly, _as_fraction, _direction_components, directional_derivative  # noqa: F401
 
 
 class OperatorPoly:
@@ -120,12 +120,12 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
         top = len(product) - 1
         for a, v in enumerate(product):
             sigma[a, top - a] = sigma.get((a, top - a), 0) + factor * v
-    terms, p_common = _cleared(p.terms)
+    terms, p_common = p.integer_frame()
     out: dict[tuple[int, int], int] = {}
     for (i, j), s in sigma.items():
         if not s:
             continue
-        for a, b, c in terms:
+        for (a, b), c in terms.items():
             if a >= i and b >= j:
                 key = (a - i, b - j)
                 out[key] = out.get(key, 0) + c * s * perm(a, i) * perm(b, j)

@@ -28,16 +28,10 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _cleared(terms: Mapping[Monomial, Fraction]) -> tuple[list[tuple[int, int, int]], int]:
-    """Terms as (i, j, integer coefficient) over their common denominator, and that denominator."""
-    common = lcm(*(c.denominator for c in terms.values()))
-    return [(i, j, c.numerator * (common // c.denominator)) for (i, j), c in terms.items()], common
-
-
 class BiPoly:
     """Bivariate polynomial with exact rational coefficients, stored sparsely."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_frame")
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         clean: dict[Monomial, Fraction] = {}
@@ -49,12 +43,14 @@ class BiPoly:
                 if c != 0:
                     clean[(i, j)] = c
         self._terms = clean
+        self._frame = None
 
     @classmethod
     def _new(cls, clean: dict[Monomial, Fraction]) -> "BiPoly":
         """Wrap a dict that already maps valid monomials to nonzero Fractions, unchecked."""
         poly = object.__new__(cls)
         poly._terms = clean
+        poly._frame = None
         return poly
 
     @classmethod
@@ -84,6 +80,17 @@ class BiPoly:
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(i + j == degree for i, j in self._terms)
+
+    def integer_frame(self) -> tuple[dict[Monomial, int], int]:
+        """The terms as integers over D, the lcm of their denominators, and D;
+        built once per polynomial and shared by every integer consumer."""
+        if self._frame is None:
+            common = lcm(*(c.denominator for c in self._terms.values()))
+            self._frame = (
+                {mono: c.numerator * (common // c.denominator) for mono, c in self._terms.items()},
+                common,
+            )
+        return self._frame
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in a fixed order (by total degree, then x-exponent)."""
@@ -187,24 +194,21 @@ class BiPoly:
     def evaluate(self, x, y) -> Fraction:
         """Exact value at a rational point.
 
-        With x = ax/bx, y = ay/by, top exponents I and J and common coefficient
-        denominator D, the value times D*bx^I*by^J is an integer, so the sum
-        runs over ints and a single Fraction is built at the end.
+        With x = ax/bx, y = ay/by, top exponents I and J and the integer
+        frame's denominator D, the value times D*bx^I*by^J is an integer, so
+        the sum runs over ints and a single Fraction is built at the end.
         """
         vx, vy = _as_fraction(x), _as_fraction(y)
-        if not self._terms:
+        terms, common = self.integer_frame()
+        if not terms:
             return _ZERO
         ax, bx = vx.numerator, vx.denominator
         ay, by = vy.numerator, vy.denominator
-        top_i = max(i for i, _ in self._terms)
-        top_j = max(j for _, j in self._terms)
-        common = lcm(*(c.denominator for c in self._terms.values()))
+        top_i = max(i for i, _ in terms)
+        top_j = max(j for _, j in terms)
         total = 0
-        for (i, j), c in self._terms.items():
-            total += (
-                c.numerator * (common // c.denominator)
-                * ax**i * bx ** (top_i - i) * ay**j * by ** (top_j - j)
-            )
+        for (i, j), c in terms.items():
+            total += c * ax**i * bx ** (top_i - i) * ay**j * by ** (top_j - j)
         return Fraction(total, common * bx**top_i * by**top_j)
 
     def __str__(self) -> str:

@@ -195,14 +195,13 @@ def _integer_terms(piece: BiPoly, frame: int) -> tuple[list[list[tuple[int, int]
     Returns those integer coefficients as [(j, c)] per x-exponent i, from
     the top down, and the denominator D frame^T.
     """
-    terms = piece.terms
+    terms, common = piece.integer_frame()
     if not terms:
         return [[]], 1
-    common = math.lcm(*(c.denominator for c in terms.values()))
     top = max(i + j for i, j in terms)
     columns: list[list[tuple[int, int]]] = [[] for _ in range(max(i for i, _ in terms) + 1)]
     for (i, j), c in terms.items():
-        columns[i].append((j, c.numerator * (common // c.denominator) * frame ** (top - i - j)))
+        columns[i].append((j, c * frame ** (top - i - j)))
     return columns[::-1], common * frame**top
 
 

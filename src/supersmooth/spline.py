@@ -12,25 +12,31 @@ for polynomials is divisibility of the difference by the (r+1)st power of
 the ray's line form l = dy*x - dx*y.  The library computes that
 multiplicity one way, by exact integer division of each homogeneous
 component of the difference by l; the tests hold the all-partials
-definition, differentiation across the line and a change of variables as
-independent references.
+definition, differentiation across the line, a change of variables and
+the Fraction difference as independent references.
 
 "C^m at the origin" means all per-piece partial derivatives up to total
 order m agree at the origin, that is, every jump p_j - p_0 starts at total
 degree m+1 or later.  Identical pieces agree to every order: INFINITE.
+
+Both orders are read off each piece's integer frame (`BiPoly.integer_frame`,
+its terms over the lcm D of their denominators), built once per piece even
+though a piece borders two rays.  The jump across a ray is a*(L/Da) -
+b*(L/Db) over L = lcm(Da, Db), so no Fraction is subtracted: a verdict on
+k pieces of t terms costs k frames, k jumps of O(t) integer operations and
+the line divisions, whose cost grows with the multiplicity found.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DomainError
-from .fan import FanPartition, Ray, locate_sector
-# restrict_to_ray is unused here but stays bound: perfbench/spans.py patches
-# supersmooth.spline.restrict_to_ray by name.
-from .poly import BiPoly, restrict_to_ray  # noqa: F401
-from .rational import primitive
+# locate_sector and restrict_to_ray are unused here but stay bound:
+# perfbench/spans.py patches supersmooth.spline.<name> for both.
+from .fan import FanPartition, Ray, locate_sector  # noqa: F401
+from .poly import BiPoly, Monomial, restrict_to_ray  # noqa: F401
 
 # Enriched smoothness scale: plain ints plus these two sentinels.  Both
 # compare correctly under min() and <=, which is all the code relies on.
@@ -67,10 +73,6 @@ class PiecewisePoly:
     def max_total_degree(self) -> int:
         return max(p.total_degree() for p in self.pieces)
 
-    def value_at(self, x, y) -> Fraction:
-        """Exact value at a nonzero point, via its sector's piece."""
-        return self.pieces[locate_sector(self.fan, x, y)].evaluate(x, y)
-
 
 def smoothness_order_of_difference(diff: BiPoly, ray) -> Order:
     """Largest r such that all partials of `diff` up to order r vanish on the ray.
@@ -78,23 +80,30 @@ def smoothness_order_of_difference(diff: BiPoly, ray) -> Order:
     NOT_CONTINUOUS if the difference itself does not vanish, INFINITE if it
     is the zero polynomial.  The answer is one less than the multiplicity of
     the line form l = dy*x - dx*y in `diff`, with (dx, dy) the primitive
-    integer direction of `ray`.  Since l is homogeneous, that multiplicity
-    is the least one among the homogeneous components of `diff`, each found
-    by exact integer division (see `_line_multiplicity`).
+    integer direction of `ray`, read off `diff`'s integer frame.
     """
-    if diff.is_zero:
-        return INFINITE
-    dx, dy = Ray(*ray)
-    # components[s][i] is the integer coefficient of x^i y^(s-i) in primitive(diff)
+    terms, _ = diff.integer_frame()
+    return _integer_order(terms, Ray(*ray)) if terms else INFINITE
+
+
+def _integer_order(terms: dict[Monomial, int], ray: Ray) -> Order:
+    """`smoothness_order_of_difference` of a nonzero integer polynomial.
+
+    Since l is homogeneous, its multiplicity is the least one among the
+    homogeneous components, each found by exact integer division (see
+    `_line_multiplicity`) after the content is divided out.
+    """
+    content = gcd(*terms.values())
+    # components[s][i] is the coefficient of x^i y^(s-i), over the content
     components: dict[int, list[int]] = {}
-    for (i, j), c in zip(diff.terms, primitive(diff.terms.values())):
+    for (i, j), c in terms.items():
         row = components.get(i + j)
         if row is None:
             row = components[i + j] = [0] * (i + j + 1)
-        row[i] = c
+        row[i] = c // content
     least = INFINITE
     for coeffs in components.values():
-        least = _line_multiplicity(coeffs, dx, dy, least)
+        least = _line_multiplicity(coeffs, ray.dx, ray.dy, least)
         if least == 0:
             break
     return least - 1
@@ -135,9 +144,19 @@ def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
     k = len(spline.fan.rays)
     if not 0 <= ray_index < k:
         raise DomainError(f"ray index {ray_index} out of range for {k} rays")
-    before = spline.pieces[(ray_index - 1) % k]
-    after = spline.pieces[ray_index]
-    return smoothness_order_of_difference(before - after, spline.fan.rays[ray_index])
+    before, before_den = spline.pieces[(ray_index - 1) % k].integer_frame()
+    after, after_den = spline.pieces[ray_index].integer_frame()
+    common = lcm(before_den, after_den)
+    scale_before, scale_after = common // before_den, common // after_den
+    # (before - after) * common, in integers
+    jump = {mono: c * scale_before for mono, c in before.items()}
+    for mono, c in after.items():
+        value = jump.get(mono, 0) - c * scale_after
+        if value:
+            jump[mono] = value
+        else:
+            del jump[mono]  # only an existing term can cancel: c is nonzero
+    return _integer_order(jump, spline.fan.rays[ray_index]) if jump else INFINITE
 
 
 def global_smoothness_order(spline: PiecewisePoly):
@@ -151,10 +170,17 @@ def origin_smoothness_order(spline: PiecewisePoly):
     That is one less than the lowest total degree of any jump p_j - p_0, or
     INFINITE when all pieces are identical.
     """
-    base = spline.pieces[0]
-    jumps = (piece - base for piece in spline.pieces[1:])
-    low_degrees = [min(i + j for i, j in jump.terms) for jump in jumps if not jump.is_zero]
-    return min(low_degrees) - 1 if low_degrees else INFINITE
+    base, base_den = spline.pieces[0].integer_frame()
+    low = INFINITE
+    for piece in spline.pieces[1:]:
+        terms, den = piece.integer_frame()
+        common = lcm(base_den, den)
+        scale_base, scale = common // base_den, common // den
+        for mono in terms.keys() | base.keys():
+            degree = mono[0] + mono[1]
+            if degree < low and terms.get(mono, 0) * scale != base.get(mono, 0) * scale_base:
+                low = degree
+    return low - 1
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,6 +32,7 @@ from supersmooth.fan import _half_turn_bucket
 from supersmooth.linalg import _eliminate
 from supersmooth.numcheck import RAY_EXTENT, RayLemmaReport, _unit
 from supersmooth.rational import primitive
+from supersmooth.spline import _line_multiplicity
 
 
 def random_bipoly(rng: Random, max_degree: int = 6, terms: int = 8, bound: int = 9) -> BiPoly:
@@ -159,6 +160,34 @@ def transverse_order(diff: BiPoly, ray: Ray):
         diff = directional_derivative(diff, (-dy, dx))
         order += 1
     return order
+
+
+def fraction_order_of_difference(diff: BiPoly, ray):
+    """`smoothness_order_of_difference` over Fractions: the difference is
+    cleared by `primitive` and each homogeneous component divided by the
+    line form (the library's route before piece frames)."""
+    if diff.is_zero:
+        return INFINITE
+    dx, dy = Ray(*ray)
+    components: dict[int, list[int]] = {}
+    for (i, j), c in zip(diff.terms, primitive(diff.terms.values())):
+        components.setdefault(i + j, [0] * (i + j + 1))[i] = c
+    return min(_line_multiplicity(coeffs, dx, dy, INFINITE) for coeffs in components.values()) - 1
+
+
+def fraction_ray_orders(spline: PiecewisePoly) -> list:
+    """Per-ray orders from Fraction differences of adjacent pieces."""
+    k = len(spline.fan.rays)
+    return [
+        fraction_order_of_difference(spline.pieces[(j - 1) % k] - spline.pieces[j], spline.fan.rays[j])
+        for j in range(k)
+    ]
+
+
+def fraction_origin_order(spline: PiecewisePoly):
+    """Origin order from the lowest degree of the Fraction jumps p_j - p_0."""
+    jumps = [piece - spline.pieces[0] for piece in spline.pieces[1:]]
+    return min((min(i + j for i, j in jump.terms) for jump in jumps if not jump.is_zero), default=INFINITE) - 1
 
 
 def line_divisibility_order(diff: BiPoly, slope):

@@ -1,9 +1,12 @@
-"""The benchmark's `grid` tasks pass their own oracles on the package as it stands.
+"""The benchmark's `grid` and `verdict` tasks pass their own oracles on the package as it stands.
 
 `perfbench/workloads.py` checks every task output against an independent
 answer (exact per-row grid sectors and values, the README fixture verdicts,
-the ray lemma on continuous splines).  Running the tiny task list here puts
-those numeric oracles in the test suite, without a benchmark run.
+the ray lemma on continuous splines, the rays and slopes of each written
+counterexample and its n-1 report, the half-plane and y^d reports, expanded
+power operators, one error line per malformed document).  Running the tiny
+task lists here puts those oracles in the test suite, without a benchmark
+run.
 """
 
 import importlib.util
@@ -39,3 +42,13 @@ def test_tiny_grid_tasks_pass_their_checks(workloads, tmp_path, seed):
     verdicts = [(task.kind, task.check(task.run())) for task in tasks]
     assert [entry for entry in verdicts if entry[1] != "ok"] == []
     assert field_calls[0] > 0
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_tiny_verdict_tasks_pass_their_checks(workloads, tmp_path, seed):
+    # tasks run in list order: each `check` reads the document its `construct` wrote
+    tasks = workloads.build("verdict", seed, 0, supersmooth, str(tmp_path), tiny=True)
+    kinds = [task.kind for task in tasks]
+    assert {"construct", "check", "expand", "apply", "malformed"} <= set(kinds)
+    verdicts = [(task.kind, task.check(task.run())) for task in tasks]
+    assert [entry for entry in verdicts if entry[1] != "ok"] == []

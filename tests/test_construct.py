@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersmooth import construct
+from supersmooth import spline as spline_module
 from supersmooth import (
     InvalidSlopesError,
     Ray,
@@ -25,6 +26,8 @@ from supersmooth import (
 )
 from helpers import (
     cumulative_pieces,
+    fraction_origin_order,
+    fraction_ray_orders,
     random_slope_set,
     refuse_polynomial_products,
     vandermonde_coeffs,
@@ -139,6 +142,52 @@ def test_build_checks_the_slopes_once(monkeypatch):
     assert len(checks) == 1
     assert spec.coeffs == tuple(counterexample_coeffs(spec.slopes, 2))
     assert spec.spline.fan == fan_from_slopes(spec.slopes)
+
+
+verdict_slope_sets = st.lists(
+    st.integers(-40, 40).filter(bool).map(Fraction)
+    | st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6)),
+    min_size=2,
+    max_size=11,
+    unique=True,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(verdict_slope_sets)
+def test_construction_is_exactly_c_n_minus_1_everywhere(slopes):
+    # the cross-check the build no longer runs: its closed-form certificate
+    # against a full verdict and the Fraction-difference route
+    n = len(slopes) - 1
+    spline = build_counterexample(slopes, n).spline
+    report = supersmoothness_verdict(spline)
+    assert report.per_ray_order == (n - 1,) * (n + 2)
+    assert report.global_order == report.origin_order == n - 1
+    assert fraction_ray_orders(spline) == [n - 1] * (n + 2)
+    assert fraction_origin_order(spline) == n - 1
+
+
+def test_build_certifies_without_a_verdict(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("build_counterexample ran a verdict")
+
+    for owner, name in [(spline_module, "smoothness_across_ray"), (spline_module, "origin_smoothness_order"),
+                        (construct, "global_smoothness_order"), (construct, "origin_smoothness_order")]:
+        monkeypatch.setattr(owner, name, refuse)
+    spec = build_counterexample([3, Fraction(-1, 2), 1, Fraction(7, 5)], 3)
+    assert spec.coeffs == tuple(counterexample_coeffs(spec.slopes, 3))
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda coeffs: [0] + coeffs[1:],  # a zero coefficient: that ray is infinitely smooth
+    lambda coeffs: [coeffs[0] + 1] + coeffs[1:],  # off the kernel: the last piece is not c*y^n
+    lambda coeffs: [0] * len(coeffs),  # every piece, the last one too, is zero
+], ids=["zero-coefficient", "off-kernel", "all-zero"])
+def test_certificate_rejects_coefficients_off_the_closed_form(monkeypatch, wrong):
+    closed_form = construct._coeffs
+    monkeypatch.setattr(construct, "_coeffs", lambda values: wrong(closed_form(values)))
+    with pytest.raises(AssertionError, match=r"construction must be exactly C\^\(n-1\) globally"):
+        build_counterexample([1, 2, Fraction(-1, 3)], 2)
 
 
 def test_per_ray_orders_are_sharp():

@@ -34,8 +34,26 @@ def test_ray_canonical_form():
 
 
 def test_ray_rejects_origin():
-    with pytest.raises(InvalidDirectionError):
-        Ray(0, 0)
+    for zero in [(0, 0), (False, 0), (0, Fraction(0))]:
+        with pytest.raises(InvalidDirectionError, match="a ray needs a nonzero direction"):
+            Ray(*zero)
+
+
+_nonzero_pairs = st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)).filter(any)
+
+
+@given(_nonzero_pairs)
+def test_ray_from_ints_equals_ray_from_fractions(pair):
+    p, q = pair
+    ray = Ray(p, q)
+    assert ray == Ray(Fraction(p), Fraction(q))
+    assert type(ray.dx) is int and type(ray.dy) is int
+
+
+def test_ray_from_bools():
+    # bools are not plain ints, so they take the Fraction route to the same ray
+    assert Ray(True, False) == Ray(1, 0)
+    assert type(Ray(True, False).dx) is int
 
 
 def test_collinearity():

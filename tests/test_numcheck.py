@@ -90,6 +90,34 @@ def test_config_accepts_the_largest_level_count_and_no_more(base_step, largest):
     assert estimate_gradient(lambda x, y: x + y, (0.0, 0.0), cfg) == (1.0, 1.0)
 
 
+def test_an_overflowing_extrapolation_raises_once_per_estimate():
+    # At 512 levels the central stencil's last factor is 2.0**1022, so a
+    # derivative of 5 extrapolates to inf; 511 levels still give 5.0.
+    assert estimate_gradient(lambda x, y: 5 * x, (0.0, 0.0), NumericConfig(richardson_levels=511)) == (5.0, 0.0)
+    cfg = NumericConfig(richardson_levels=512)
+    calls = [0]
+
+    def field(x, y):
+        calls[0] += 1
+        return 5 * x
+
+    with pytest.raises(EvaluationError, match=r"extrapolated derivative is non-finite \(inf\) at \(0.0, 0.0\); use fewer levels"):
+        estimate_gradient(field, (0.0, 0.0), cfg)
+    assert calls[0] == 2 * 512  # the x partial's full stencil, then one check
+    gluing = CurveGluing(g=abs, corner_x=0.0, f_upper=lambda x, y: 5 * x, f_lower=lambda x, y: 5 * x)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        verify_corner_gradient(gluing, cfg)
+    with pytest.raises(EvaluationError, match="non-finite"):
+        corner_witness_check(lambda x, y: 5 * x, gluing, cfg)
+    # the one-sided stencil's largest factor is 2.0**512, so it needs a steeper field
+    steep = lambda x, y: 1e200 * x
+    for check in (lambda: one_sided_directional_derivative(steep, (0.0, 0.0), (1, 0), cfg),
+                  lambda: verify_ray_lemma(steep, steep, (1, 0), cfg)):
+        with pytest.raises(EvaluationError, match=r"extrapolated derivative is non-finite \(nan\) at \(0.0, 0.0\)"):
+            check()
+    assert one_sided_directional_derivative(steep, (0.0, 0.0), (1, 0), NumericConfig(richardson_levels=300))[0] == 1e200
+
+
 def test_one_sided_quadratic_at_origin():
     estimate, _ = one_sided_directional_derivative(lambda x, y: y * y, (0.0, 0.0), (0, 1), CFG)
     assert abs(estimate) <= CFG.tolerance

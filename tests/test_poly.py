@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -135,6 +136,18 @@ def test_evaluate_matches_termwise_fractions():
         value = p.evaluate(x, y)
         assert type(value) is Fraction
         assert value == termwise_evaluate(p, x, y)
+
+
+@given(bipolys, bipolys)
+def test_integer_frame_is_the_terms_over_their_least_common_denominator(p, q):
+    for poly in (p, p - q, p.partial(1, 0), -q):
+        terms, common = poly.integer_frame()
+        assert poly.integer_frame() is poly.integer_frame()  # built once
+        assert all(type(c) is int and c for c in terms.values())
+        assert {mono: Fraction(c, common) for mono, c in terms.items()} == dict(poly.terms)
+        # least: no common factor is left between the numerators and D
+        assert math.gcd(common, *terms.values()) == 1
+    assert BiPoly.zero().integer_frame() == ({}, 1)
 
 
 def test_evaluate_rejects_floats():

@@ -26,6 +26,9 @@ from supersmooth import (
 )
 from helpers import (
     all_partials_order,
+    fraction_order_of_difference,
+    fraction_origin_order,
+    fraction_ray_orders,
     line_divisibility_order,
     origin_partials,
     random_bipoly,
@@ -250,6 +253,48 @@ def test_integer_kernel_normalises_the_direction():
     for direction in [(2, -4), (Fraction(1, 2), -1), (-3, 6), (Fraction(-1, 3), Fraction(2, 3))]:
         assert smoothness_order_of_difference(diff, direction) == 1
         assert smoothness_order_of_difference(BiPoly.zero(), direction) == INFINITE
+
+
+_coefficients = st.integers(-9, 9) | _rationals
+_pieces = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)), _coefficients, max_size=5).map(BiPoly)
+
+
+@st.composite
+def _drawn_splines(draw):
+    """Splines whose neighbours are fresh, zero, identical (INFINITE), off by a
+    constant (not continuous) or off by a planted power of their ray's line form."""
+    fan = build_fan(draw(st.lists(st.sampled_from(AXIS_RAYS) | _primitive_rays, min_size=2, max_size=5, unique=True)))
+    pieces = [draw(_pieces)]
+    for ray in fan.rays[1:]:
+        previous = pieces[-1]
+        kind = draw(st.sampled_from(["fresh", "zero", "same", "jump", "planted"]))
+        if kind == "fresh":
+            pieces.append(draw(_pieces))
+        elif kind == "zero":
+            pieces.append(BiPoly.zero())
+        elif kind == "same":
+            pieces.append(previous)
+        elif kind == "jump":
+            pieces.append(previous + draw(_rationals))
+        else:
+            line = BiPoly({(1, 0): ray.dy, (0, 1): -ray.dx})
+            pieces.append(previous + line ** draw(st.integers(0, 4)) * draw(_pieces))
+    return PiecewisePoly(fan=fan, pieces=tuple(pieces))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_splines())
+def test_orders_from_piece_frames_equal_the_fraction_difference_route(spline):
+    report = supersmoothness_verdict(spline)
+    assert list(report.per_ray_order) == fraction_ray_orders(spline)
+    assert report.origin_order == fraction_origin_order(spline)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(AXIS_RAYS) | _primitive_rays, _small_jumps, st.integers(-4, 4).filter(bool) | _rationals)
+def test_order_of_difference_equals_the_fraction_route(ray, diff, scale):
+    direction = (ray.dx * scale, ray.dy * scale)
+    assert smoothness_order_of_difference(diff, direction) == fraction_order_of_difference(diff, direction)
 
 
 def _origin_order_from_partials(spline):
