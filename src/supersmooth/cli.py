@@ -148,8 +148,9 @@ def _demo_spline(args) -> PiecewisePoly:
         print(f"three-sector fan, random C^1 cubic spline (seed {args.seed})")
         return sample
     if args.name == "halfplane":
+        spline = build_halfplane_example(args.n)
         print(f"half-plane example, n={args.n}")
-        return build_halfplane_example(args.n)
+        return spline
     if args.name == "counterexample":
         slopes = args.slopes if args.slopes is not None else list(range(1, args.n + 2))
         spec = build_counterexample(slopes, args.n)

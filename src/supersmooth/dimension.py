@@ -25,7 +25,7 @@ from math import comb
 from . import linalg
 from .errors import DomainError
 from .fan import FanPartition
-from .poly import BiPoly
+from .poly import BiPoly, line_power
 from .spline import PiecewisePoly
 
 SAMPLE_WEIGHT_BOUND = 9
@@ -33,11 +33,6 @@ SAMPLE_WEIGHT_BOUND = 9
 
 def _monomials(degree: int) -> list[tuple[int, int]]:
     return [(i, s - i) for s in range(degree + 1) for i in range(s + 1)]
-
-
-def _line_power(ray, power: int) -> list[int]:
-    """Coefficients of (dy*x - dx*y)^power, indexed by the exponent of x."""
-    return [comb(power, a) * ray.dy**a * (-ray.dx) ** (power - a) for a in range(power + 1)]
 
 
 def _blocks(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, list[list[int]], int]]:
@@ -48,7 +43,7 @@ def _blocks(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, 
     """
     if smoothness >= degree:
         return []  # S^r_d = P_d; the (r+1)-th line-form powers would go unused
-    lines = [_line_power(ray, smoothness + 1) for ray in fan.rays]
+    lines = [line_power(ray.dy, -ray.dx, smoothness + 1) for ray in fan.rays]
     blocks = []
     for s in range(smoothness + 1, degree + 1):
         width = s - smoothness
@@ -89,7 +84,7 @@ def _combine(fan: FanPartition, degree: int, smoothness: int, kernels, weights) 
     The weighted kernel vectors are summed into one cofactor vector per
     degree, so each piece is assembled once.
     """
-    lines = [_line_power(ray, smoothness + 1) for ray in fan.rays] if kernels else []
+    lines = [line_power(ray.dy, -ray.dx, smoothness + 1) for ray in fan.rays] if kernels else []
     globals_count = comb(degree + 2, 2)
     common = {mono: w for mono, w in zip(_monomials(degree), weights[:globals_count]) if w}
     rest = iter(weights[globals_count:])

@@ -7,23 +7,28 @@ v1 = alpha_j*v2 + beta_j*vj for each later ray vj, the n-fold product
 
     (alpha_3 D2 + beta_3 D3) ... (alpha_{n+2} D2 + beta_{n+2} D_{n+2})
 
-expands and splits as D2 * (cofactor) + (cross coefficient) * D3...D_{n+2},
-where the cross coefficient is the product of the betas.  `apply_operator`
-turns an operator into derivatives of a BiPoly in one integer pass.
+is, in closed form, the sum over the 2^n ways to pick alpha or beta in each
+factor (Lai & Schumaker, Spline Functions on Triangulations, 2007, ch. 9):
+each Dj with j >= 3 occurs in one factor only, so no two picks give the
+same term.  It splits as D2 * (cofactor) + (cross coefficient) * D3...D_{n+2}
+with no check, because the one pick that avoids D2 takes every beta: the
+cross coefficient is the product of the betas.  `apply_operator` turns an
+operator into derivatives of a BiPoly in one integer pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, perm
+from itertools import product
+from math import lcm, perm, prod
 from typing import Mapping, Sequence
 
 from .errors import ArityError, MissingDirectionError, SingularDecompositionError
 from .fan import FanPartition, Ray, are_collinear as _collinear, decompose_direction
 # directional_derivative is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.operators.directional_derivative by name.
-from .poly import BiPoly, _as_fraction, _direction_components, directional_derivative  # noqa: F401
+from .poly import BiPoly, _as_fraction, _direction_components, directional_derivative, line_power  # noqa: F401
 
 
 class OperatorPoly:
@@ -45,26 +50,12 @@ class OperatorPoly:
                     clean[tuple(exponents)] = c
         self._terms = clean
 
-    @classmethod
-    def identity(cls, arity: int) -> "OperatorPoly":
-        return cls(arity, {(0,) * arity: 1})
-
     @property
     def terms(self) -> Mapping[tuple, Fraction]:
         return self._terms
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self._terms)
-
-    def __mul__(self, other: "OperatorPoly") -> "OperatorPoly":
-        if not isinstance(other, OperatorPoly) or other.arity != self.arity:
-            return NotImplemented
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                out[exps] = out.get(exps, Fraction(0)) + c1 * c2
-        return OperatorPoly(self.arity, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OperatorPoly):
@@ -94,9 +85,9 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
     """
     cleared: dict[int, tuple[int, int, int]] = {}
     powers: dict[tuple[int, int], list[int]] = {}
-    products = []
+    forms = []
     for exponents, coeff in op.terms.items():
-        product, denominator = [1], coeff.denominator
+        form, denominator = [1], coeff.denominator
         for index, power in enumerate(exponents):
             if power == 0:
                 continue
@@ -108,17 +99,16 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
                 cleared[index] = (dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator), m)
             ux, uy, m = cleared[index]
             if (index, power) not in powers:
-                # (ux*X + uy*Y)^power by x-exponent
-                powers[index, power] = [comb(power, a) * ux**a * uy ** (power - a) for a in range(power + 1)]
-            product = _times(product, powers[index, power])
+                powers[index, power] = line_power(ux, uy, power)
+            form = _times(form, powers[index, power])
             denominator *= m**power
-        products.append((product, coeff.numerator, denominator))
-    common = lcm(*(den for _, _, den in products))
+        forms.append((form, coeff.numerator, denominator))
+    common = lcm(*(den for _, _, den in forms))
     sigma: dict[tuple[int, int], int] = {}
-    for product, numerator, den in products:
+    for form, numerator, den in forms:
         factor = numerator * (common // den)
-        top = len(product) - 1
-        for a, v in enumerate(product):
+        top = len(form) - 1
+        for a, v in enumerate(form):
             sigma[a, top - a] = sigma.get((a, top - a), 0) + factor * v
     terms, p_common = p.integer_frame()
     out: dict[tuple[int, int], int] = {}
@@ -163,6 +153,12 @@ def expand_power_operator(fan: "FanPartition | Sequence[Ray]", n: int) -> PowerO
     used in the given order (the identity is linear algebra on the rays and
     does not need them sorted).  Symbol k of the returned operators denotes
     the derivative along ray k+1.
+
+    For each later ray j >= 2, symbol j-1 occurs only in the factor
+    (alpha_j S0 + beta_j S_{j-1}), so each of the 2^n ways to pick alpha (0)
+    or beta (1) per factor gives its own term, S0^(n - sum(picks)) times the
+    S_{j-1}^pick_j, whose coefficient is the product of the picks.  The
+    split needs no check: the one term without S0 picks every beta.
     """
     rays = fan.rays if isinstance(fan, FanPartition) else tuple(fan)
     k = len(rays)
@@ -170,40 +166,14 @@ def expand_power_operator(fan: "FanPartition | Sequence[Ray]", n: int) -> PowerO
         raise ArityError(f"order {n} needs a fan of {n + 2} rays, got {k}")
     if any(_collinear(rays[i], rays[j]) for i in range(k) for j in range(i + 1, k)):
         raise SingularDecompositionError("rays contain a collinear pair")
-    arity = n + 1
-    v1, v2 = rays[0], rays[1]
-    product = OperatorPoly.identity(arity)
-    cross_coefficient = Fraction(1)
-    for j in range(2, k):
-        alpha, beta = decompose_direction(v1, v2, rays[j])
-        factor = OperatorPoly(
-            arity,
-            {
-                _unit(arity, 0): alpha,
-                _unit(arity, j - 1): beta,
-            },
-        )
-        product = product * factor
-        cross_coefficient *= beta
-    lead_terms: dict[tuple, Fraction] = {}
-    tail = {}
-    for exponents, coeff in product.terms.items():
-        if exponents[0] >= 1:
-            reduced = (exponents[0] - 1,) + exponents[1:]
-            lead_terms[reduced] = lead_terms.get(reduced, Fraction(0)) + coeff
-        else:
-            tail[exponents] = coeff
-    # The only way to avoid the lead symbol is to pick every beta factor.
-    assert tail == {(0,) + (1,) * n: cross_coefficient}
-    lead_cofactor = OperatorPoly(arity, lead_terms)
+    pairs = [decompose_direction(rays[0], rays[1], ray) for ray in rays[2:]]
+    terms = {
+        (n - sum(picks),) + picks: prod((pair[pick] for pair, pick in zip(pairs, picks)), start=Fraction(1))
+        for picks in product((0, 1), repeat=n)
+    }
+    lead = {(exponents[0] - 1,) + exponents[1:]: coeff for exponents, coeff in terms.items() if exponents[0]}
     return PowerOperatorExpansion(
-        product=product,
-        lead_cofactor=lead_cofactor,
-        cross_coefficient=cross_coefficient,
+        product=OperatorPoly(n + 1, terms),
+        lead_cofactor=OperatorPoly(n + 1, lead),
+        cross_coefficient=terms[(0,) + (1,) * n],
     )
-
-
-def _unit(arity: int, index: int) -> tuple:
-    exps = [0] * arity
-    exps[index] = 1
-    return tuple(exps)

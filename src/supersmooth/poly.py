@@ -9,7 +9,7 @@ a BiPoly in x alone, with x standing for the ray parameter t.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, perm
+from math import comb, lcm, perm
 from operator import add, sub
 from typing import Mapping, Tuple
 
@@ -272,17 +272,15 @@ def restrict_to_ray(p: BiPoly, direction) -> BiPoly:
     return BiPoly(by_power)
 
 
+def line_power(u, v, n: int) -> list[int]:
+    """Coefficients of (u*x + v*y)^n, indexed by the exponent of x."""
+    return [comb(n, a) * u**a * v ** (n - a) for a in range(n + 1)]
+
+
 def linear_form_power(slope, n: int) -> BiPoly:
-    """(y + slope*x)^n expanded via the binomial theorem."""
+    """(y + slope*x)^n = (p*x + q*y)^n / q^n for slope = p/q."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     a = _as_fraction(slope)
-    terms: dict[Monomial, Fraction] = {}
-    binom = 1
-    power = Fraction(1)
-    for k in range(n + 1):
-        # term: C(n,k) * a^k * x^k * y^(n-k)
-        terms[(k, n - k)] = Fraction(binom) * power
-        binom = binom * (n - k) // (k + 1)
-        power *= a
-    return BiPoly(terms)
+    scale = a.denominator**n
+    return BiPoly({(k, n - k): Fraction(c, scale) for k, c in enumerate(line_power(a.numerator, a.denominator, n))})

@@ -418,6 +418,33 @@ def apply_by_directions(op: OperatorPoly, directions, p: BiPoly) -> BiPoly:
     return result
 
 
+def operator_product(left: OperatorPoly, right: OperatorPoly) -> OperatorPoly:
+    """The product of two operators of one arity, term by term, collecting equal exponents."""
+    assert left.arity == right.arity
+    out: dict[tuple, Fraction] = {}
+    for e1, c1 in left.terms.items():
+        for e2, c2 in right.terms.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            out[exps] = out.get(exps, Fraction(0)) + c1 * c2
+    return OperatorPoly(left.arity, out)
+
+
+def power_operator_factors(rays) -> list[OperatorPoly]:
+    """The factors (alpha_j S0 + beta_j S_{j-1}) of the n-th power along rays[0], where
+    rays[0] = alpha_j*rays[1] + beta_j*rays[j] is solved by Cramer's rule."""
+    arity = len(rays) - 1
+    v1, v2 = rays[0], rays[1]
+    factors = []
+    for j, vj in enumerate(rays[2:], 2):
+        det = v2.dx * vj.dy - v2.dy * vj.dx
+        alpha = Fraction(v1.dx * vj.dy - v1.dy * vj.dx, det)
+        beta = Fraction(v2.dx * v1.dy - v2.dy * v1.dx, det)
+        s0 = tuple(int(k == 0) for k in range(arity))
+        sj = tuple(int(k == j - 1) for k in range(arity))
+        factors.append(OperatorPoly(arity, {s0: alpha, sj: beta}))
+    return factors
+
+
 def checked_eval(f, x: float, y: float) -> float:
     """f(x, y), or the `EvaluationError` the numeric checks raise for a non-finite value."""
     value = f(x, y)

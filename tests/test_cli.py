@@ -405,6 +405,26 @@ def test_number_too_long_to_print_exits_1(tmp_path, capsys, argv):
         assert not output.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "halfplane", "--n", "-1"],
+        ["demo", "twopiece", "--n", str(cli.MAX_N + 1)],
+        ["demo", "corner-quadratic", "--n", str(cli.MAX_N + 1)],
+        ["demo", "counterexample", "--n", "0"],
+        ["demo", "counterexample", "--n", "-1"],
+        ["demo", "counterexample", "--n", "2", "--slopes", "1,2"],
+        ["demo", "counterexample", "--n", "2", "--slopes", "1,1,2"],
+        ["demo", "counterexample", "--n", "2", "--slopes", "0,1,2"],
+    ],
+)
+def test_failing_demo_prints_nothing_on_stdout(argv, capsys):
+    # Orders above the cap and numbers too long to print are checked the same
+    # way by the tests above.
+    assert main(argv) == 1
+    _one_error_line(capsys)
+
+
 # Keys of the spline schema, so that generated objects get past the first checks.
 _SCHEMA_KEYS = ("rays", "pieces", "construction", "dx", "dy", "monomials", "n", "slopes", "coeffs", "0,0", "1,2")
 _json_values = st.recursive(

@@ -119,8 +119,8 @@ def test_vertex_gain_above_minimal_smoothness():
 def test_no_line_powers_when_smoothness_reaches_the_degree(monkeypatch):
     # S^r_d = P_d for r >= d: no cofactor block, so no (r+1)-th line-form power
     powers = []
-    line_power = dimension._line_power
-    monkeypatch.setattr(dimension, "_line_power", lambda ray, power: powers.append(power) or line_power(ray, power))
+    line_power = dimension.line_power
+    monkeypatch.setattr(dimension, "line_power", lambda u, v, power: powers.append(power) or line_power(u, v, power))
     assert spline_space_dimension(GENERIC_4, 1, 5000) == 3
     basis = spline_space_basis(GENERIC_4, 2, 2)
     samples = sample_spline_space(GENERIC_4, 2, 9, count=3, seed=4)

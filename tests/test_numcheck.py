@@ -482,3 +482,80 @@ def test_corner_gradient_agrees_with_the_exact_origin_order(a, b, c, d, opposite
         assert passed and exact_gain
     else:
         assert passed == exact_gain
+
+
+# Curved, non-polynomial gluings with exact answers.  The branches
+# g_i(x) = a_i(x-c) + b_i(x-c)^2 meet at P = (c, 0); the curve is g_1 left of
+# c and g_2 from c on.  q(x, y) = q0 + s*sin(x-c) + t*expm1(y) + u*(x-c)*cos(y)
+# is smooth, not polynomial, and q(P) = q0 exactly.
+_LOWER_FIELDS = (
+    lambda x, y: math.cos(x) * math.exp(y),
+    lambda x, y: math.sin(x * y) + x,
+    lambda x, y: math.atan(x - 2.0 * y),
+)
+_moderate = st.floats(min_value=-2.0, max_value=2.0)
+
+
+@st.composite
+def _curved_gluing(draw):
+    """(corner?, gluing, bump, exact gradient gap at P); f_upper = f_lower + bump."""
+    corner = draw(st.booleans())
+    c = draw(st.floats(min_value=-1.0, max_value=1.0))
+    a1, b1 = draw(_moderate), draw(_moderate)
+    if corner:
+        # |a2 - a1| >= 0.25: a genuine corner at P
+        a2 = a1 + draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(min_value=0.25, max_value=2.0))
+        b2 = draw(_moderate)
+    else:
+        a2, b2 = a1, b1
+    # q(P) is 0 exactly, or large enough that the exact gap |q(P)|*sqrt(1 + a1^2)
+    # is at least 10^3 times the tolerance and far above the witness threshold.
+    q0 = draw(st.just(0.0) | st.floats(min_value=0.05, max_value=3.0) | st.floats(min_value=-3.0, max_value=-0.05))
+    s, t, u = draw(_moderate), draw(_moderate), draw(_moderate)
+    lower = draw(st.sampled_from(_LOWER_FIELDS))
+
+    def g1(x):
+        return a1 * (x - c) + b1 * (x - c) ** 2
+
+    def g2(x):
+        return a2 * (x - c) + b2 * (x - c) ** 2
+
+    def q(x, y):
+        return q0 + s * math.sin(x - c) + t * math.expm1(y) + u * (x - c) * math.cos(y)
+
+    if corner:
+        def bump(x, y):
+            return (y - g1(x)) * (y - g2(x)) * q(x, y)
+        exact_gap = 0.0
+    else:
+        def bump(x, y):
+            return (y - g1(x)) * q(x, y)
+        exact_gap = abs(q0) * math.hypot(1.0, a1)
+
+    def upper(x, y):
+        return lower(x, y) + bump(x, y)
+
+    gluing = CurveGluing(g=lambda x: g1(x) if x < c else g2(x), corner_x=c, f_upper=upper, f_lower=lower)
+    return corner, gluing, bump, exact_gap
+
+
+@settings(max_examples=60, deadline=None)
+@given(_curved_gluing())
+def test_corner_gradient_matches_the_exact_gap_on_curved_gluings(case):
+    _, gluing, _, exact_gap = case
+    cfg = NumericConfig()
+    report = verify_corner_gradient(gluing, cfg)
+    assert exact_gap == 0.0 or exact_gap >= 1e3 * cfg.tolerance
+    assert report.continuity_gap == 0.0
+    assert abs(report.grad_gap - exact_gap) <= 1e-9
+    assert report.passed == (exact_gap == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_curved_gluing())
+def test_witness_certifies_smooth_curves_only(case):
+    corner, gluing, bump, exact_gap = case
+    witness = corner_witness_check(bump, gluing, NumericConfig())
+    assert witness.vanishes_on_curve
+    # (y-g_1)(y-g_2)q has a zero gradient at the corner; (y-g_1)q has gradient norm |q(P)|*sqrt(1+a_1^2)
+    assert witness.is_witness == (not corner and exact_gap > 0)

@@ -20,7 +20,14 @@ from supersmooth import (
     directional_derivative,
     expand_power_operator,
 )
-from helpers import apply_by_directions, random_bipoly, random_collinear_free_fan, refuse_polynomial_products
+from helpers import (
+    apply_by_directions,
+    operator_product,
+    power_operator_factors,
+    random_bipoly,
+    random_collinear_free_fan,
+    refuse_polynomial_products,
+)
 
 
 def test_expand_order_one():
@@ -64,6 +71,36 @@ def test_cross_coefficient_is_product_of_betas():
         assert expansion.product.is_homogeneous(n)
 
 
+def _line(ray: Ray) -> tuple[int, int]:
+    return (ray.dx, ray.dy) if (ray.dx, ray.dy) > (0, 0) else (-ray.dx, -ray.dy)
+
+
+@st.composite
+def _collinear_free_rays(draw):
+    n = draw(st.integers(0, 6))
+    directions = st.tuples(st.integers(-7, 7), st.integers(-7, 7)).filter(lambda d: d != (0, 0))
+    rays = draw(st.lists(directions.map(lambda d: Ray(*d)), min_size=n + 2, max_size=n + 2, unique_by=_line))
+    return n, rays
+
+
+@given(_collinear_free_rays(), st.booleans())
+def test_closed_form_equals_the_product_of_the_factors(case, as_fan):
+    n, rays = case
+    fan = build_fan(rays) if as_fan else rays
+    rays = list(fan.rays) if as_fan else rays
+    expansion = expand_power_operator(fan, n)
+    expected = OperatorPoly(n + 1, {(0,) * (n + 1): 1})
+    cross = Fraction(1)
+    for symbol, factor in enumerate(power_operator_factors(rays), 1):
+        expected = operator_product(expected, factor)
+        cross *= factor.terms[tuple(int(k == symbol) for k in range(n + 1))]
+    assert expansion.product == expected
+    lead = {(e[0] - 1,) + e[1:]: c for e, c in expected.terms.items() if e[0]}
+    assert expansion.lead_cofactor == OperatorPoly(n + 1, lead)
+    assert expansion.cross_coefficient == cross
+    assert type(expansion.cross_coefficient) is Fraction
+
+
 def test_apply_two_symbol_product():
     op = OperatorPoly(2, {(1, 1): 1})
     assert apply_operator(op, [Ray(1, 1), Ray(1, -1)], X * Y).is_zero
@@ -71,7 +108,7 @@ def test_apply_two_symbol_product():
 
 def test_apply_identity_operator():
     q = 3 * X**2 * Y - Y + 7
-    assert apply_operator(OperatorPoly.identity(3), [Ray(1, 0)] * 3, q) == q
+    assert apply_operator(OperatorPoly(3, {(0, 0, 0): 1}), [Ray(1, 0)] * 3, q) == q
 
 
 def test_apply_matches_direct_differentiation_order_one():
@@ -170,7 +207,7 @@ def _operators_with_directions(draw):
     arity = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["random", "homogeneous", "zero", "identity"]))
     if kind == "identity":
-        op = OperatorPoly.identity(arity)
+        op = OperatorPoly(arity, {(0,) * arity: 1})
     else:
         exponents = st.tuples(*[st.integers(0, 3)] * arity)
         terms = {} if kind == "zero" else draw(st.dictionaries(exponents, _fractions, max_size=6))

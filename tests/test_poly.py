@@ -15,6 +15,7 @@ from supersmooth import (
     linear_form_power,
     restrict_to_ray,
 )
+from supersmooth.poly import line_power
 from helpers import (
     fraction_add,
     fraction_partial,
@@ -110,6 +111,17 @@ def test_linear_form_power_examples():
     assert linear_form_power(2, 2) == Y**2 + 4 * X * Y + 4 * X**2
     assert linear_form_power(Fraction(7, 3), 0) == BiPoly.constant(1)
     assert linear_form_power(1, 3) == Y**3 + 3 * X * Y**2 + 3 * X**2 * Y + X**3
+
+
+@given(st.integers(-30, 30) | st.integers(-(10**20), 10**20), st.integers(-30, 30), st.integers(0, 9))
+def test_line_power_equals_the_bipoly_power(u, v, n):
+    power = (u * X + v * Y) ** n
+    assert line_power(u, v, n) == [power.coefficient(a, n - a) for a in range(n + 1)]
+
+
+@given(st.fractions(min_value=-9, max_value=9, max_denominator=10**6), st.integers(0, 9))
+def test_linear_form_power_equals_the_bipoly_power(slope, n):
+    assert linear_form_power(slope, n) == (Y + slope * X) ** n
 
 
 def test_evaluate_examples():
