@@ -145,26 +145,19 @@ def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
 
 def default_extra_slopes(n: int) -> list[int]:
     """0, 1, -1, 2, -2, ... as convenient distinct extra-ray slopes."""
-    out: list[int] = []
-    k = 0
-    while len(out) < n:
-        if k == 0:
-            out.append(0)
-        else:
-            out.append(k)
-            if len(out) < n:
-                out.append(-k)
-        k += 1
-    return out
+    return [(i + 1) // 2 * (-1) ** (i + 1) for i in range(n)]
 
 
 def build_halfplane_example(n: int, extra_ray_slopes: Sequence | None = None) -> PiecewisePoly:
     """y^(n+1) above the x-axis, zero below, with n extra rays mixed in.
 
     Each extra slope s contributes the upper-half-plane ray (s, 1), so no
-    extra ray can land on the x-axis and no sector straddles it.  The result
-    is C^n everywhere and exactly C^n at the origin: the collinear pair of
-    x-axis rays suppresses the supersmoothness gain.
+    extra ray can land on the x-axis and no sector straddles it.  The fan's
+    rays are therefore always (1, 0), then (-1, 0), then the extra rays
+    clockwise: sector 0 is the lower half-plane and every later sector lies
+    above the axis.  The result is C^n everywhere and exactly C^n at the
+    origin: the collinear pair of x-axis rays suppresses the supersmoothness
+    gain.
     """
     if n < 0:
         raise InvalidSlopesError("n must be nonnegative")
@@ -174,14 +167,5 @@ def build_halfplane_example(n: int, extra_ray_slopes: Sequence | None = None) ->
     if len(set(slopes)) != len(slopes):
         raise InvalidSlopesError("extra slopes must be pairwise distinct")
     rays = [Ray(1, 0), Ray(-1, 0)] + [Ray(s, 1) for s in slopes]
-    fan = build_fan(rays)
-    upper = BiPoly({(0, n + 1): 1})
-    pieces = tuple(upper if _opens_into_upper_halfplane(r) else BiPoly.zero() for r in fan.rays)
-    return PiecewisePoly(fan=fan, pieces=pieces)
-
-
-def _opens_into_upper_halfplane(ray: Ray) -> bool:
-    """Whether the sector opening clockwise at `ray` starts in the upper half-plane."""
-    if ray.dy != 0:
-        return ray.dy > 0
-    return ray.dx < 0
+    pieces = (BiPoly.zero(),) + (BiPoly({(0, n + 1): 1}),) * (n + 1)
+    return PiecewisePoly(fan=build_fan(rays), pieces=pieces)

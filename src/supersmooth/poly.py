@@ -83,7 +83,8 @@ class BiPoly:
 
     def integer_frame(self) -> tuple[dict[Monomial, int], int]:
         """The terms as integers over D, the lcm of their denominators, and D;
-        built once per polynomial and shared by every integer consumer."""
+        built once per polynomial and shared by the smoothness orders,
+        operator application and grid sampling."""
         if self._frame is None:
             common = lcm(*(c.denominator for c in self._terms.values()))
             self._frame = (
@@ -130,12 +131,8 @@ class BiPoly:
         """op(self, rhs) term by term, for op = operator.add or operator.sub; cancelled terms go."""
         out = dict(self._terms)
         for mono, coeff in rhs._terms.items():
-            c = op(out.get(mono, _ZERO), coeff)
-            if c:
-                out[mono] = c
-            else:
-                del out[mono]  # only an existing term can cancel: coeff is nonzero
-        return BiPoly._new(out)
+            out[mono] = op(out.get(mono, _ZERO), coeff)
+        return BiPoly(out)
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -192,24 +189,9 @@ class BiPoly:
         })
 
     def evaluate(self, x, y) -> Fraction:
-        """Exact value at a rational point.
-
-        With x = ax/bx, y = ay/by, top exponents I and J and the integer
-        frame's denominator D, the value times D*bx^I*by^J is an integer, so
-        the sum runs over ints and a single Fraction is built at the end.
-        """
+        """Exact value at a rational point: the sum of c*x^i*y^j."""
         vx, vy = _as_fraction(x), _as_fraction(y)
-        terms, common = self.integer_frame()
-        if not terms:
-            return _ZERO
-        ax, bx = vx.numerator, vx.denominator
-        ay, by = vy.numerator, vy.denominator
-        top_i = max(i for i, _ in terms)
-        top_j = max(j for _, j in terms)
-        total = 0
-        for (i, j), c in terms.items():
-            total += c * ax**i * bx ** (top_i - i) * ay**j * by ** (top_j - j)
-        return Fraction(total, common * bx**top_i * by**top_j)
+        return sum((c * vx**i * vy**j for (i, j), c in self._terms.items()), _ZERO)
 
     def __str__(self) -> str:
         if not self._terms:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Any, Sequence
@@ -111,9 +112,11 @@ def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
         doc = json.loads(text)
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply") from None
-    except ValueError as exc:
-        # JSONDecodeError, or an integer literal above Python's digit limit
+    except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except ValueError:
+        # json.loads refuses integer literals above Python's digit limit.
+        raise SchemaError(f"invalid JSON: integer literal above {sys.get_int_max_str_digits()} digits") from None
     _require_keys(doc, {"rays", "pieces"}, {"construction"}, "document")
 
     rays_field = doc["rays"]
@@ -282,7 +285,9 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     top_j = max((j for piece in spline.pieces for _, j in piece.terms), default=0)
     rows = []
     for y, row in zip(reversed(coords), reversed(xs)):
-        powers = [row**j for j in range(top_j + 1)]
+        powers = [1]
+        for _ in range(top_j):
+            powers.append(powers[-1] * row)
         if row:
             before, crossings = upper if row > 0 else lower
         else:

@@ -246,6 +246,21 @@ def fraction_locate_sector(fan: FanPartition, x, y) -> int:
     return sector
 
 
+def loop_extra_slopes(n: int) -> list[int]:
+    """`default_extra_slopes` as a loop: 0, then k and -k for k = 1, 2, ... until n are taken."""
+    out: list[int] = []
+    k = 0
+    while len(out) < n:
+        if k == 0:
+            out.append(0)
+        else:
+            out.append(k)
+            if len(out) < n:
+                out.append(-k)
+        k += 1
+    return out
+
+
 def termwise_evaluate(p: BiPoly, x, y) -> Fraction:
     """Exact value of p at a rational point, summed term by term in Fractions."""
     vx, vy = Fraction(x), Fraction(y)

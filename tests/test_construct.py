@@ -28,6 +28,7 @@ from helpers import (
     cumulative_pieces,
     fraction_origin_order,
     fraction_ray_orders,
+    loop_extra_slopes,
     random_slope_set,
     refuse_polynomial_products,
     vandermonde_coeffs,
@@ -246,10 +247,27 @@ def test_halfplane_rejects_duplicate_slopes():
         build_halfplane_example(2, [1, 1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(0, 8))
+def test_halfplane_rays_pieces_and_orders(data, n):
+    slopes = data.draw(st.lists(
+        st.fractions(min_value=-6, max_value=6, max_denominator=5), min_size=n, max_size=n, unique=True,
+    ))
+    spline = build_halfplane_example(n, slopes)
+    assert spline.fan.rays[:2] == (Ray(1, 0), Ray(-1, 0))
+    assert spline.pieces == (BiPoly.zero(),) + (Y ** (n + 1),) * (n + 1)
+    report = supersmoothness_verdict(spline)
+    # The extra rays join equal pieces, so only the x-axis pair has a finite order.
+    assert report.per_ray_order == (n, n) + (spline_module.INFINITE,) * n
+    assert report.global_order == report.origin_order == n
+
+
 def test_default_extra_slopes():
     assert default_extra_slopes(0) == []
     assert default_extra_slopes(1) == [0]
     assert default_extra_slopes(4) == [0, 1, -1, 2]
+    for n in range(201):
+        assert default_extra_slopes(n) == loop_extra_slopes(n)
 
 
 def test_fan_from_slopes():

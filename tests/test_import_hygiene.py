@@ -1,5 +1,6 @@
-"""Each package module imports only the standard library, and every name it
-imports is used in it.
+"""Each package module imports only the standard library, every name it
+imports is used in it, and every function or class it defines is used
+somewhere.
 
 The one exception to the second rule: a name that `perfbench/spans.py`
 patches in that module (its `FUNCTION_PATCHES`) stays bound there for the
@@ -14,7 +15,8 @@ import pytest
 
 from test_trace_names import SPANS
 
-_PACKAGE = Path(__file__).parent.parent / "src" / "supersmooth"
+_ROOT = Path(__file__).parent.parent
+_PACKAGE = _ROOT / "src" / "supersmooth"
 _MODULES = sorted(path for path in _PACKAGE.glob("*.py") if path.name != "__init__.py")
 _PATCHED = {(module, name) for module, name, *_ in SPANS.FUNCTION_PATCHES}
 
@@ -57,3 +59,42 @@ def test_imported_names_are_used_or_patched(path):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used or (path.stem, name) in _PATCHED, f"{path.name}:{node.lineno} binds unused {name}"
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module refers to: read names, attributes, imported names and
+    identifier strings (a patch table names its targets as strings)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            refs.add(node.value)
+    return refs
+
+
+def _definitions(tree: ast.Module):
+    """(name, line) of each module-level function and class and of each
+    function and class in a module-level class body, dunders excluded."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, kinds):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((inner.name, inner.lineno) for inner in node.body if isinstance(inner, kinds))
+
+
+def test_every_definition_is_referenced():
+    sources = [*_PACKAGE.rglob("*.py"), *(_ROOT / "tests").rglob("*.py"), *(_ROOT / "perfbench").rglob("*.py")]
+    refs = set().union(*(_references(_tree(path)) for path in sources))
+    dead = [
+        f"{path.name}:{line} {name}"
+        for path in _MODULES
+        for name, line in _definitions(_tree(path))
+        if not (name.startswith("__") and name.endswith("__")) and name not in refs
+    ]
+    assert not dead, f"defined but never referenced: {dead}"

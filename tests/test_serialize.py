@@ -128,9 +128,22 @@ def test_decode_maps_deep_nesting_to_schema_error():
 
 
 def test_decode_maps_overlong_integer_to_schema_error():
-    # json.loads refuses integer literals above Python's digit limit with ValueError
-    with pytest.raises(SchemaError, match="invalid JSON"):
+    # json.loads refuses integer literals above Python's digit limit
+    # with ValueError; the message names the limit, not a Python function.
+    with pytest.raises(SchemaError, match=r"^invalid JSON: integer literal above 4300 digits$"):
         decode_spline('{"n": ' + "1" * 5000 + "}")
+
+
+def test_high_degree_piece_samples_like_the_pointwise_route():
+    # y^1000 above the x-axis: each row's powers of Y reach Y^1000.
+    text = json.dumps({
+        "rays": [{"dx": "1", "dy": "0"}, {"dx": "-1", "dy": "0"}],
+        "pieces": [{"monomials": {}}, {"monomials": {"0,1000": "1"}}],
+    })
+    spline = decode_spline(text)
+    for grid_n in (2, 5, 8):
+        rows = sample_grid(spline, grid_n, 1.0)
+        assert render_grid_csv(rows) == render_grid_csv(pointwise_sample_grid(spline, grid_n, 1.0))
 
 
 def _construction(**overrides):
