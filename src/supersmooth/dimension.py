@@ -70,7 +70,8 @@ def kernel_sizes(fan: FanPartition, degree: int, smoothness: int) -> list[int]:
 
 def spline_space_dimension(fan: FanPartition, degree: int, smoothness: int) -> int:
     """Dimension of the C^smoothness splines of degree <= degree over the fan."""
-    return comb(degree + 2, 2) + sum(kernel_sizes(fan, degree, smoothness))
+    # kernel_sizes first: it rejects a negative degree before comb sees it.
+    return sum(kernel_sizes(fan, degree, smoothness)) + comb(degree + 2, 2)
 
 
 def _kernels(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, list[list[int]]]]:

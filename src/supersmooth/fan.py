@@ -6,16 +6,17 @@ k >= 2 pairwise-distinct rays in strictly clockwise order starting from the
 first input ray; sector j is the region swept clockwise from rays[j]
 (inclusive) to rays[j+1] (exclusive).
 
-Clockwise order is decided exactly, without angles: rays are bucketed by
-their half-turn relative to the base ray b and, inside an open half-turn,
-ordered by the rational (b.v)/(b x v), which is -cot of the clockwise angle
-and so grows with it.
+Clockwise order is decided exactly, without angles, by one integer
+comparator: half-turn buckets relative to the base b first, then, inside one
+open half-turn, the sign of a cross product.  `build_fan`, `locate_sector`
+and the grid's row crossings all read this one rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
@@ -78,6 +79,16 @@ def _half_turn_bucket(bx, by, vx, vy) -> int:
     return 1 if c < 0 else 3
 
 
+def _clockwise_cmp(bx, by, ux, uy, vx, vy) -> int:
+    """-1, 0 or 1 as u comes before, level with or after v, clockwise from b;
+    inside one bucket, u x v < 0 exactly when v is clockwise past u."""
+    bu, bv = _half_turn_bucket(bx, by, ux, uy), _half_turn_bucket(bx, by, vx, vy)
+    if bu != bv:
+        return -1 if bu < bv else 1
+    c = ux * vy - uy * vx
+    return (c > 0) - (c < 0)
+
+
 @dataclass(frozen=True, slots=True)
 class FanPartition:
     """Clockwise-ordered rays; sector j opens clockwise at rays[j]."""
@@ -104,14 +115,8 @@ def build_fan(rays: Iterable[Ray]) -> FanPartition:
         directions.add((r.dx, r.dy))
     base = ray_list[0]
     bx, by = base.dx, base.dy
-
-    def clockwise_key(v: Ray) -> tuple[int, Fraction | int]:
-        bucket = _half_turn_bucket(bx, by, v.dx, v.dy)
-        if bucket == 2:  # only the opposite ray; its cross product is 0
-            return bucket, 0
-        return bucket, Fraction(bx * v.dx + by * v.dy, bx * v.dy - by * v.dx)
-
-    ordered = [base] + sorted(ray_list[1:], key=clockwise_key)
+    key = cmp_to_key(lambda u, v: _clockwise_cmp(bx, by, u.dx, u.dy, v.dx, v.dy))
+    ordered = [base] + sorted(ray_list[1:], key=key)
     # Primitive distinct rays share a line only when they are opposite.
     collinear_free = all((-dx, -dy) not in directions for dx, dy in directions)
     return FanPartition(rays=tuple(ordered), collinear_free=collinear_free)
@@ -131,14 +136,9 @@ def locate_sector(fan: FanPartition, x, y) -> int:
     px, py = fx.numerator * fy.denominator, fy.numerator * fx.denominator
     rays = fan.rays
     bx, by = rays[0].dx, rays[0].dy
-    point_bucket = _half_turn_bucket(bx, by, px, py)
     sector = 0
     for j in range(1, len(rays)):
-        dx, dy = rays[j].dx, rays[j].dy
-        bucket = _half_turn_bucket(bx, by, dx, dy)
-        # Past the point: a later bucket, or the same bucket and clockwise
-        # beyond it (in bucket 2 both lie on the opposite ray, cross product 0).
-        if bucket > point_bucket or (bucket == point_bucket and dx * py - dy * px > 0):
+        if _clockwise_cmp(bx, by, rays[j].dx, rays[j].dy, px, py) > 0:
             break
         sector = j
     return sector

@@ -71,9 +71,7 @@ class BiPoly:
 
     def total_degree(self) -> int:
         """Max i+j over stored terms; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(i + j for i, j in self._terms)
+        return max((i + j for i, j in self._terms), default=-1)
 
     def coefficient(self, i: int, j: int) -> Fraction:
         return self._terms.get((i, j), _ZERO)

@@ -25,10 +25,11 @@ import math
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Any, Sequence
 
 from .errors import DomainError, SchemaError
-from .fan import FanPartition, Ray, build_fan, locate_sector
+from .fan import FanPartition, Ray, _clockwise_cmp, build_fan, locate_sector
 from .poly import BiPoly
 from .rational import format_rational, parse_rational
 from .spline import PiecewisePoly
@@ -199,10 +200,8 @@ def _integer_terms(piece: BiPoly, frame: int) -> tuple[list[list[tuple[int, int]
     the top down, and the denominator D frame^T.
     """
     terms, common = piece.integer_frame()
-    if not terms:
-        return [[]], 1
-    top = max(i + j for i, j in terms)
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(max(i for i, _ in terms) + 1)]
+    top = max((i + j for i, j in terms), default=0)
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(max((i for i, _ in terms), default=0) + 1)]
     for (i, j), c in terms.items():
         columns[i].append((j, c * frame ** (top - i - j)))
     return columns[::-1], common * frame**top
@@ -214,13 +213,13 @@ def _half_crossings(fan: FanPartition, sign: int) -> tuple[int, list[tuple[int, 
     Returns the sector before the first crossing and, per ray with dy of that
     sign in the order met, (dx, dy, sector on the ray, sector past it).  The
     fan is clockwise, so a row above the origin meets its rays clockwise
-    (ascending dx/dy) and a row below meets them counterclockwise
-    (descending dx/dy); past rays[j] lies sector j above and j-1 below.
+    from (-1, 0) and a row below meets them counterclockwise; past rays[j]
+    lies sector j above and j-1 below.
     A half that no ray enters lies in one sector.
     """
     rays, k = fan.rays, len(fan.rays)
-    met = sorted((j for j, r in enumerate(rays) if r.dy * sign > 0),
-                 key=lambda j: Fraction(rays[j].dx, rays[j].dy), reverse=sign < 0)
+    key = cmp_to_key(lambda i, j: _clockwise_cmp(-1, 0, rays[i].dx, rays[i].dy, rays[j].dx, rays[j].dy))
+    met = sorted((j for j, r in enumerate(rays) if r.dy * sign > 0), key=key, reverse=sign < 0)
     if not met:
         return locate_sector(fan, 0, sign), []
     crossings = [(rays[j].dx, rays[j].dy, j, j if sign > 0 else (j - 1) % k) for j in met]

@@ -28,7 +28,6 @@ from supersmooth import (
     poly,
     restrict_to_ray,
 )
-from supersmooth.fan import _half_turn_bucket
 from supersmooth.linalg import _eliminate
 from supersmooth.numcheck import RAY_EXTENT, RayLemmaReport, _unit
 from supersmooth.rational import primitive
@@ -212,21 +211,32 @@ def line_divisibility_order(diff: BiPoly, slope):
     return multiplicity - 1
 
 
+def diamond_angle(v) -> Fraction:
+    """Exact counterclockwise pseudo-angle of a nonzero direction, in [0, 4).
+
+    Quadrant q (counterclockwise from +x, each half-open) plus a Fraction in
+    [0, 1) that grows with the angle inside it: y/(x+y), then -x/(y-x), and
+    so on.  It is a monotone image of the true angle, so it orders
+    directions as the angle does, with no cross products.
+    """
+    x, y = v
+    if x > 0 and y >= 0:
+        return Fraction(y) / (x + y)
+    if x <= 0 and y > 0:
+        return 1 + Fraction(-x) / (y - x)
+    if x < 0 and y <= 0:
+        return 2 + Fraction(-y) / (-x - y)
+    return 3 + Fraction(x) / (x - y)
+
+
 def clockwise_cmp(base, u, v) -> int:
     """Order by clockwise angle from base in [0, full turn); 0 means equal angle.
 
-    Compares by half-turn bucket, then by the sign of the cross product.
+    Reads the clockwise turn from base off `diamond_angle` differences mod 4.
     """
-    bu, bv = _half_turn_bucket(*base, *u), _half_turn_bucket(*base, *v)
-    if bu != bv:
-        return -1 if bu < bv else 1
-    if bu in (0, 2):
-        return 0
-    (ux, uy), (vx, vy) = u, v
-    c = ux * vy - uy * vx
-    if c == 0:
-        return 0
-    return -1 if c < 0 else 1
+    turn_u = (diamond_angle(base) - diamond_angle(u)) % 4
+    turn_v = (diamond_angle(base) - diamond_angle(v)) % 4
+    return (turn_u > turn_v) - (turn_u < turn_v)
 
 
 def fraction_locate_sector(fan: FanPartition, x, y) -> int:

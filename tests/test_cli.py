@@ -425,6 +425,39 @@ def test_failing_demo_prints_nothing_on_stdout(argv, capsys):
     _one_error_line(capsys)
 
 
+def test_dim_negative_degree_exits_1(capsys):
+    assert main(["dim", "--degree=-3", "--smoothness", "0", "--slopes", "1,2"]) == 1
+    assert capsys.readouterr().err == "error: degree must be nonnegative\n"
+
+
+_options = st.integers(-100, 40)
+_integer_argvs = st.one_of(
+    st.tuples(_options, _options).map(
+        lambda dr: ["dim", f"--degree={dr[0]}", f"--smoothness={dr[1]}", "--slopes", "1,-1/2"]
+    ),
+    st.integers(-100, 0).map(lambda n: ["construct", f"--n={n}", "--slopes", "1,2"]),
+    st.tuples(st.sampled_from(cli.SPLINE_DEMOS + cli.FIXTURE_DEMOS), st.integers(-100, 0)).map(
+        lambda name_n: ["demo", name_n[0], f"--n={name_n[1]}"]
+    ),
+    st.integers(-100, 1).map(lambda grid_n: ["sample", "DOC", f"--grid-n={grid_n}"]),
+)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_integer_argvs)
+def test_integer_options_are_total(tmp_path, capsys, argv):
+    document = tmp_path / "c.json"
+    document.write_text(_axis_document("0,3"))
+    code, out, err = _outcome([str(document) if arg == "DOC" else arg for arg in argv], capsys)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("error:") == 1
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 # Keys of the spline schema, so that generated objects get past the first checks.
 _SCHEMA_KEYS = ("rays", "pieces", "construction", "dx", "dy", "monomials", "n", "slopes", "coeffs", "0,0", "1,2")
 _json_values = st.recursive(

@@ -191,7 +191,8 @@ def test_samples_span_the_space():
         _assert_spans_the_space(samples, fan, d, r)
 
 
-@pytest.mark.parametrize("degree, smoothness", [(-1, 0), (2, -1)])
+# At degree -3 and below comb(degree + 2, 2) raises ValueError, so validation must run first.
+@pytest.mark.parametrize("degree, smoothness", [(-1, 0), (2, -1), (-2, 0), (-3, 0), (-100, 5), (-3, -1)])
 def test_negative_degree_or_smoothness_is_domain_error(degree, smoothness):
     for call in (spline_space_dimension, spline_space_basis):
         with pytest.raises(DomainError):

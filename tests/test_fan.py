@@ -119,7 +119,8 @@ def _cross(a, b):
 
 def test_locate_sector_membership_property():
     # The reported sector must contain the point in its closed clockwise
-    # sweep, verified independently by cross/dot sign tests.
+    # sweep, verified independently: cross/dot signs for the opening ray,
+    # the pseudo-angle oracle `clockwise_cmp` for the sweep.
     rng = Random(23)
     for _ in range(200):
         fan = random_collinear_free_fan(rng, rng.randint(2, 6))
@@ -131,7 +132,7 @@ def test_locate_sector_membership_property():
             continue  # on the opening ray itself: included by convention
         # strictly inside: sweeping clockwise from u must reach p before w
         # (a point opposite u is a half-turn in, legal for wide sectors)
-        assert _clockwise_strictly_between(tuple(u), p, tuple(w))
+        assert clockwise_cmp(u, p, w) < 0
 
 
 # Small integer directions hit the axes, so vertical rays are common.
@@ -179,22 +180,6 @@ def test_locate_sector_matches_fraction_route(fan, data):
     assert locate_sector(fan, x, y) == fraction_locate_sector(fan, x, y)
 
 
-def _clockwise_bucket(base, v):
-    c = _cross(base, v)
-    d = base[0] * v[0] + base[1] * v[1]
-    if c == 0:
-        return 0 if d > 0 else 2
-    return 1 if c < 0 else 3
-
-
-def _clockwise_strictly_between(u, p, w):
-    bucket_p = _clockwise_bucket(u, p)
-    bucket_w = _clockwise_bucket(u, w)
-    if bucket_p != bucket_w:
-        return bucket_p < bucket_w
-    return _cross(p, w) < 0
-
-
 def test_decompose_direction_examples():
     assert decompose_direction(Ray(1, 0), Ray(0, 1), Ray(1, 1)) == (-1, 1)
     assert decompose_direction(Ray(1, 0), Ray(0, 1), Ray(1, -1)) == (1, 1)
@@ -233,11 +218,20 @@ def test_collinear_free_matches_pairwise_checks():
         assert fan.collinear_free == expected
 
 
+# 30-digit directions within a few units of a multiple of one of four small
+# ones: two near one line have a cross product far below their components'
+# products, so a rounded cross product would get its sign wrong.
+_near_small_directions = st.tuples(
+    st.sampled_from([(1, 0), (0, -1), (1, 1), (-2, 3)]), st.integers(10**29, 10**30), _directions
+).map(lambda t: (t[0][0] * t[1] + t[2][0], t[0][1] * t[1] + t[2][1]))
+
+
 @st.composite
 def _ray_inputs(draw):
-    """Distinct rays in any order, with axis rays and opposite pairs, as Rays or Fraction tuples."""
+    """Distinct rays in any order, with axis rays, opposite pairs and 30-digit
+    components, as Rays or Fraction tuples."""
     rays = []
-    for d in draw(st.lists(_directions, min_size=2, max_size=8)):
+    for d in draw(st.lists(st.one_of(_directions, _nonzero_pairs, _near_small_directions), min_size=2, max_size=8)):
         candidates = [Ray(*d)] + ([Ray(-d[0], -d[1])] if draw(st.booleans()) else [])
         rays.extend(r for r in candidates if r not in rays)
     if len(rays) < 2:

@@ -32,6 +32,23 @@ bipolys = st.dictionaries(monomials, coefficients, max_size=6).map(BiPoly)
 directions = st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda d: d != (0, 0))
 
 
+@pytest.mark.parametrize(
+    "poly, text",
+    [
+        (BiPoly.zero(), "0"),
+        (BiPoly.constant(-1), "-1"),
+        (BiPoly.constant(Fraction(3, 4)), "3/4"),
+        (-X, "-x"),
+        (3 * X**2 * Y - Y + 7, "3*x^2*y - y + 7"),
+        (X * Y - Fraction(1, 2) * Y**2 - 1, "x*y - 1/2*y^2 - 1"),
+        (-(Y**3) + X, "-y^3 + x"),
+        (Fraction(-2, 3) * X, "-2/3*x"),
+    ],
+)
+def test_str_form(poly, text):
+    assert str(poly) == text
+
+
 def test_product_difference_of_squares():
     assert (X + Y) * (X - Y) == X**2 - Y**2
 
