@@ -57,6 +57,9 @@ MAX_GRID_N = 150
 
 SPLINE_DEMOS = ("farin", "halfplane", "counterexample", "twopiece")
 FIXTURE_DEMOS = tuple(FIXTURES)
+# The demos that read each optional `demo` argument; the others reject it.
+_DEMO_OPTION_READERS = {"n": ("halfplane", "counterexample"), "slopes": ("counterexample",), "seed": ("farin",)}
+_NEGATIVE_SLOPES = "; a list that starts with a negative slope needs the = form, --slopes=-1,2"
 
 
 def _slopes_arg(text: str) -> list[Fraction]:
@@ -83,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct = sub.add_parser("construct", help="build the sharp counterexample spline")
     p_construct.add_argument("--n", type=int, required=True, help=f"smoothness order n (1 to {MAX_N})")
     p_construct.add_argument("--slopes", type=_slopes_arg, required=True,
-                             help="n+1 comma-separated nonzero rational slopes")
+                             help="n+1 comma-separated nonzero rational slopes" + _NEGATIVE_SLOPES)
     p_construct.add_argument("-o", "--output", help="write JSON here instead of stdout")
 
     p_check = sub.add_parser("check", help="smoothness report for a spline JSON file")
@@ -93,14 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--degree", type=int, required=True, help=f"at most {MAX_DIM_DEGREE}")
     p_dim.add_argument("--smoothness", type=int, required=True, help=f"at most {MAX_DIM_DEGREE}")
     p_dim.add_argument("--slopes", type=_slopes_arg, required=True,
-                       help="slopes of the gluing lines besides the x-axis")
+                       help="slopes of the gluing lines besides the x-axis" + _NEGATIVE_SLOPES)
 
     p_demo = sub.add_parser("demo", help="run a named demo or numeric fixture")
     p_demo.add_argument("name", choices=SPLINE_DEMOS + FIXTURE_DEMOS)
-    p_demo.add_argument("--n", type=int, default=1, help=f"order for halfplane/counterexample (at most {MAX_N})")
-    p_demo.add_argument("--slopes", type=_slopes_arg, default=None,
-                        help="override slopes for the counterexample demo")
-    p_demo.add_argument("--seed", type=int, default=0, help="seed for sampled demos")
+    p_demo.add_argument("--n", type=int, help=f"order for halfplane/counterexample (default 1, at most {MAX_N})")
+    p_demo.add_argument("--slopes", type=_slopes_arg,
+                        help="override slopes for the counterexample demo" + _NEGATIVE_SLOPES)
+    p_demo.add_argument("--seed", type=int, help="seed for the farin demo (default 0)")
 
     p_sample = sub.add_parser("sample", help="CSV grid sample of a spline JSON file")
     p_sample.add_argument("file", help="spline JSON file")
@@ -141,19 +144,18 @@ def _cmd_dim(args) -> int:
     return 0
 
 
-def _demo_spline(args) -> PiecewisePoly:
-    if args.name == "farin":
+def _demo_spline(name: str, n: int, slopes, seed: int) -> PiecewisePoly:
+    if name == "farin":
         fan = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 1)])
-        sample = sample_spline_space(fan, degree=3, smoothness=1, count=1, seed=args.seed)[0]
-        print(f"three-sector fan, random C^1 cubic spline (seed {args.seed})")
+        sample = sample_spline_space(fan, degree=3, smoothness=1, count=1, seed=seed)[0]
+        print(f"three-sector fan, random C^1 cubic spline (seed {seed})")
         return sample
-    if args.name == "halfplane":
-        spline = build_halfplane_example(args.n)
-        print(f"half-plane example, n={args.n}")
+    if name == "halfplane":
+        spline = build_halfplane_example(n)
+        print(f"half-plane example, n={n}")
         return spline
-    if args.name == "counterexample":
-        slopes = args.slopes if args.slopes is not None else list(range(1, args.n + 2))
-        spec = build_counterexample(slopes, args.n)
+    if name == "counterexample":
+        spec = build_counterexample(slopes if slopes is not None else list(range(1, n + 2)), n)
         slope_text = ",".join(format_rational(a) for a in spec.slopes)
         coeff_text = ",".join(format_rational(c) for c in spec.coeffs)
         print(f"counterexample n={spec.n}: slopes {slope_text}; coeffs {coeff_text}")
@@ -187,11 +189,15 @@ def _demo_fixture(name: str) -> None:
 
 
 def _cmd_demo(args) -> int:
-    _check_cap("--n", args.n, MAX_N)
+    for option, readers in _DEMO_OPTION_READERS.items():
+        if getattr(args, option) is not None and args.name not in readers:
+            raise DomainError(f"demo {args.name} does not read --{option}")
+    n = 1 if args.n is None else args.n
+    _check_cap("--n", n, MAX_N)
     if args.name in FIXTURE_DEMOS:
         _demo_fixture(args.name)
         return 0
-    spline = _demo_spline(args)
+    spline = _demo_spline(args.name, n, args.slopes, 0 if args.seed is None else args.seed)
     report = supersmoothness_verdict(spline)
     sys.stdout.write(render_report(report))
     return 0

@@ -33,19 +33,20 @@ from .errors import (
 class Ray:
     """Oriented direction from the origin, canonicalized to primitive integers.
 
-    (1/2, -3/4) and (2, -3) construct the same ray; (2, -3) and (-2, 3) do
-    not: rays are oriented, so the sign is never flipped.
+    Components are ints (bools included) or Fractions; any other type raises
+    TypeError.  (1/2, -3/4) and (2, -3) construct the same ray; (2, -3) and
+    (-2, 3) do not: rays are oriented, so the sign is never flipped.
     """
 
     dx: int
     dy: int
 
     def __init__(self, dx, dy):
-        # Two plain ints (not bools) need only their gcd divided out.
-        if type(dx) is not int or type(dy) is not int:
-            fx, fy = Fraction(dx), Fraction(dy)
-            scale = lcm(fx.denominator, fy.denominator)
-            dx, dy = fx.numerator * (scale // fx.denominator), fy.numerator * (scale // fy.denominator)
+        for value in (dx, dy):
+            if not isinstance(value, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+        scale = lcm(dx.denominator, dy.denominator)
+        dx, dy = dx.numerator * (scale // dx.denominator), dy.numerator * (scale // dy.denominator)
         if dx == 0 and dy == 0:
             raise InvalidDirectionError("a ray needs a nonzero direction")
         content = gcd(dx, dy)

@@ -239,10 +239,7 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
     invisible to this check by design.
     """
     ux, uy = _unit(ray)
-    # The stencil steps along the unit vector normalised once more, as
-    # `one_sided_directional_derivative(f, point, unit)` does; the second
-    # normalisation moves some directions by an ulp, so it stays.
-    plan = _stencil_plan(_unit((ux, uy)), cfg)
+    plan = _stencil_plan((ux, uy), cfg)
     samples = cfg.samples_per_ray
     value_gap = 0.0
     deriv_gap = 0.0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm, perm
-from operator import add, sub
 from typing import Mapping, Tuple
 
 from .errors import InvalidDirectionError
@@ -109,28 +108,24 @@ class BiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._combine(rhs, add)
+        out = dict(self._terms)
+        for mono, coeff in rhs._terms.items():
+            out[mono] = out.get(mono, _ZERO) + coeff
+        return BiPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly._new({mono: -coeff for mono, coeff in self._terms.items()})
+        return BiPoly({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other) -> "BiPoly":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._combine(rhs, sub)
+        return self + (-rhs)
 
     def __rsub__(self, other) -> "BiPoly":
         return (-self) + other
-
-    def _combine(self, rhs: "BiPoly", op) -> "BiPoly":
-        """op(self, rhs) term by term, for op = operator.add or operator.sub; cancelled terms go."""
-        out = dict(self._terms)
-        for mono, coeff in rhs._terms.items():
-            out[mono] = op(out.get(mono, _ZERO), coeff)
-        return BiPoly(out)
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -148,9 +143,7 @@ class BiPoly:
 
     def scale(self, factor) -> "BiPoly":
         f = _as_fraction(factor)
-        if f == 0:
-            return BiPoly()
-        return BiPoly._new({mono: coeff * f for mono, coeff in self._terms.items()})
+        return BiPoly({mono: coeff * f for mono, coeff in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "BiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -179,8 +172,7 @@ class BiPoly:
         """Exact mixed partial derivative of the given orders."""
         if x_order < 0 or y_order < 0:
             raise ValueError("derivative orders must be nonnegative")
-        # Distinct monomials stay distinct, and their coefficients nonzero.
-        return BiPoly._new({
+        return BiPoly({
             (i - x_order, j - y_order): coeff * (perm(i, x_order) * perm(j, y_order))
             for (i, j), coeff in self._terms.items()
             if i >= x_order and j >= y_order

@@ -540,8 +540,8 @@ def fresh_ray_lemma(f, g, ray, cfg) -> RayLemmaReport:
     for k in range(cfg.samples_per_ray):
         t = RAY_EXTENT * k / cfg.samples_per_ray
         point = (t * unit[0], t * unit[1])
-        f0, df, _ = fresh_one_sided(f, point, unit, cfg)
-        g0, dg, _ = fresh_one_sided(g, point, unit, cfg)
+        f0, df, _ = fresh_one_sided(f, point, ray, cfg)
+        g0, dg, _ = fresh_one_sided(g, point, ray, cfg)
         value_gap = max(value_gap, abs(f0 - g0))
         deriv_gap = max(deriv_gap, abs(df - dg))
     passed = value_gap <= cfg.tolerance and deriv_gap <= cfg.tolerance

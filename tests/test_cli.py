@@ -129,6 +129,53 @@ def test_demo_unknown_name_is_usage_error():
     assert exc.value.code == 2
 
 
+# The demos that read each optional argument, with a value to give it.
+_DEMO_OPTION_USE = {
+    "n": (("halfplane", "counterexample"), "1"),
+    "slopes": (("counterexample",), "1,2"),
+    "seed": (("farin",), "0"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, option",
+    [
+        (name, option)
+        for option, (readers, _) in _DEMO_OPTION_USE.items()
+        for name in cli.SPLINE_DEMOS + cli.FIXTURE_DEMOS
+        if name not in readers
+    ],
+)
+def test_demo_rejects_an_option_it_does_not_read(name, option, capsys):
+    # even at the value the demo would otherwise use
+    value = _DEMO_OPTION_USE[option][1]
+    assert main(["demo", name, f"--{option}", value]) == 1
+    assert capsys.readouterr() == ("", f"error: demo {name} does not read --{option}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["dim", "--degree", "2", "--smoothness", "1", "--slopes=-1,2"], "6\n"),
+        (["construct", "--n", "1", "--slopes=-1/2,3"], None),
+    ],
+)
+def test_slope_list_starting_with_a_negative_slope_in_the_equals_form(argv, out, capsys):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if out is not None:
+        assert captured.out == out
+
+
+@pytest.mark.parametrize("command", ["construct", "dim", "demo"])
+def test_slopes_help_names_the_equals_form(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--slopes=-1,2" in capsys.readouterr().out
+
+
 def test_sample_writes_csv(tmp_path, capsys):
     spline_path = tmp_path / "c.json"
     csv_path = tmp_path / "grid.csv"
@@ -203,6 +250,28 @@ def test_sample_rejects_radius_too_small_for_distinct_coordinates(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: radius must be large enough for distinct grid coordinates\n"
+
+
+_PAIR = '{"dx": "1", "dy": "0"}, {"dx": "-1", "dy": "0"}'
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"rays": {}, "pieces": []}', "rays and pieces must be arrays"),
+        ('{"rays": [{"dx": "1", "dy": "0"}], "pieces": [{"monomials": {}}]}',
+         "a spline document needs at least 2 rays"),
+        ('{"rays": [' + _PAIR + '], "pieces": [{"monomials": {}}, {"monomials": []}]}',
+         "pieces[1].monomials: expected an object"),
+        ('{"rays": [' + _PAIR + '], "pieces": [{"monomials": {}}, {"monomials": {"0,2": "1", "00,2": "1"}}]}',
+         "pieces[1].monomials: duplicate monomial '00,2'"),
+    ],
+)
+def test_check_reports_each_document_shape_error(tmp_path, capsys, document, message):
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _axis_document(monomial: str) -> str:

@@ -247,6 +247,12 @@ def test_halfplane_rejects_duplicate_slopes():
         build_halfplane_example(2, [1, 1])
 
 
+@pytest.mark.parametrize("slopes", [[], [1, 2, 3]])
+def test_halfplane_rejects_the_wrong_number_of_slopes(slopes):
+    with pytest.raises(InvalidSlopesError, match=rf"^half-plane example of order 2 needs 2 extra slopes, got {len(slopes)}$"):
+        build_halfplane_example(2, slopes)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data(), st.integers(0, 8))
 def test_halfplane_rays_pieces_and_orders(data, n):

@@ -51,9 +51,15 @@ def test_ray_from_ints_equals_ray_from_fractions(pair):
 
 
 def test_ray_from_bools():
-    # bools are not plain ints, so they take the Fraction route to the same ray
+    # bools carry numerator and denominator like ints, and give int components
     assert Ray(True, False) == Ray(1, 0)
     assert type(Ray(True, False).dx) is int
+
+
+@pytest.mark.parametrize("dx, dy, name", [(0.5, 1, "float"), ("1", 2, "str"), (1, 2.0, "float")])
+def test_ray_rejects_inexact_components(dx, dy, name):
+    with pytest.raises(TypeError, match=f"^expected an exact rational, got {name}$"):
+        Ray(dx, dy)
 
 
 def test_collinearity():

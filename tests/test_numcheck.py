@@ -143,6 +143,20 @@ def test_one_sided_rejects_non_finite():
         one_sided_directional_derivative(lambda x, y: math.inf, (0.0, 0.0), (1, 0), CFG)
 
 
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_gradient_rejects_a_field_that_is_nan_beside_the_point(side):
+    # nan on one side of x = 0 only: the central stencil's plus or minus point
+    field = lambda x, y: math.nan if x * side > 0 else x + y
+    with pytest.raises(EvaluationError, match=r"^function returned non-finite value nan at "):
+        estimate_gradient(field, (0.0, 0.0), CFG)
+
+
+def test_corner_gradient_rejects_a_field_that_is_nan_on_the_curve():
+    gluing = CurveGluing(g=abs, corner_x=0.0, f_upper=lambda x, y: math.nan, f_lower=lambda x, y: x + y)
+    with pytest.raises(EvaluationError, match=r"^function returned non-finite value nan at "):
+        verify_corner_gradient(gluing, CFG)
+
+
 @pytest.mark.parametrize("direction", [(0, 0), (0.0, -0.0), (Fraction(0), 0)])
 def test_one_sided_rejects_zero_direction(direction):
     with pytest.raises(DomainError):
@@ -450,6 +464,13 @@ def test_piecewise_field_ray_checks():
     reports = verify_field_rays(field, CFG)
     assert len(reports) == 3
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_piecewise_field_needs_one_field_per_sector(count):
+    fan = build_fan([Ray(1, 0), Ray(-1, 0), Ray(0, 1)])
+    with pytest.raises(DomainError, match="^one field per sector required$"):
+        PiecewiseField(fan=fan, fields=(lambda x, y: 0.0,) * count)
 
 
 def _float_field(piece):

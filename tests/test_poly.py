@@ -63,6 +63,19 @@ def test_subtraction_collapses_to_zero():
     assert (p - p).terms == {}
 
 
+def test_subtraction_from_a_constant_and_scaling_by_zero():
+    assert 3 - X == BiPoly({(0, 0): 3, (1, 0): -1})
+    assert (X - X).terms == {}
+    assert X.scale(0).terms == {}
+
+
+def test_subtracting_a_non_polynomial_raises():
+    with pytest.raises(TypeError):
+        X - "a"
+    with pytest.raises(TypeError):
+        "a" - X
+
+
 def test_partial_power_rule():
     assert (X**2 * Y).partial(1, 0) == 2 * X * Y
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from supersmooth import (
     INFINITE,
     BiPoly,
+    DomainError,
     PiecewisePoly,
     Ray,
     X,
@@ -59,6 +60,13 @@ def test_identical_pieces_are_infinitely_smooth():
     spline = _two_piece(X_AXIS, X + Y, X + Y)
     assert smoothness_across_ray(spline, 0) == INFINITE
     assert smoothness_across_ray(spline, 1) == INFINITE
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_smoothness_across_ray_rejects_an_index_out_of_range(index):
+    spline = _two_piece(X_AXIS, BiPoly.zero(), Y**2)
+    with pytest.raises(DomainError, match=rf"^ray index {index} out of range for 2 rays$"):
+        smoothness_across_ray(spline, index)
 
 
 def test_divisibility_order_cube():
