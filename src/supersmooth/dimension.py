@@ -107,7 +107,7 @@ def _combine(fan: FanPartition, degree: int, smoothness: int, kernels, weights) 
     for jump in jumps:
         for mono, c in jump.items():
             common[mono] = common.get(mono, 0) + c
-        pieces.append(BiPoly(common))
+        pieces.append(BiPoly._from_frame(common, 1))
     return PiecewisePoly(fan=fan, pieces=tuple(pieces))
 
 

@@ -78,8 +78,8 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
     Both sums run in integers: each direction is cleared of denominators
     (m_k*(dx_k, dy_k) is integral), sigma is held over one common
     denominator and p over its own, so a term c*x^a*y^b of p meets sigma_ij
-    as c*sigma_ij*perm(a, i)*perm(b, j) at x^(a-i)*y^(b-j), and one Fraction
-    is built per output monomial.  `directions[k]` is the ray for
+    as c*sigma_ij*perm(a, i)*perm(b, j) at x^(a-i)*y^(b-j), and the result
+    is built from that integer frame.  `directions[k]` is the ray for
     symbol k, used with its raw components; a missing or None entry for a
     symbol the operator actually uses is an error, even when p is zero.
     """
@@ -120,7 +120,7 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
                 key = (a - i, b - j)
                 out[key] = out.get(key, 0) + c * s * perm(a, i) * perm(b, j)
     common *= p_common
-    return BiPoly._new({mono: Fraction(v, common) for mono, v in out.items() if v})
+    return BiPoly._from_frame(out, common)
 
 
 def _times(left: list[int], right: list[int]) -> list[int]:

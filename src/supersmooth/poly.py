@@ -1,15 +1,17 @@
 """Exact sparse polynomial algebra in two variables.
 
 A BiPoly maps exponent pairs (i, j) for x^i y^j to nonzero Fraction
-coefficients; the zero polynomial is the empty map.  All operations are
-pure and exact.  Restricting a BiPoly to a ray through the origin yields
-a BiPoly in x alone, with x standing for the ray parameter t.
+coefficients; the zero polynomial is the empty map.  A BiPoly built from
+its integer frame (`BiPoly._from_frame`) holds the frame alone until its
+Fraction terms are first read.  All operations are pure and exact.
+Restricting a BiPoly to a ray through the origin yields a BiPoly in x
+alone, with x standing for the ray parameter t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, perm
+from math import comb, gcd, lcm, perm
 from typing import Mapping, Tuple
 
 from .errors import InvalidDirectionError
@@ -53,6 +55,26 @@ class BiPoly:
         return poly
 
     @classmethod
+    def _from_frame(cls, numerators: Mapping[Monomial, int], denominator: int) -> "BiPoly":
+        """The polynomial sum of c*x^i*y^j/denominator over numerators, unchecked.
+
+        The numerators must be ints on monomials with nonnegative exponents,
+        and denominator > 0.  Zero numerators are dropped (into a new dict)
+        and the rest divided by one gcd with the denominator, which leaves
+        the same minimal frame that `integer_frame` builds from Fractions.
+        The Fraction terms are built on first read.
+        """
+        clean = {mono: c for mono, c in numerators.items() if c}
+        content = gcd(denominator, *clean.values())
+        if content != 1:
+            clean = {mono: c // content for mono, c in clean.items()}
+            denominator //= content
+        poly = object.__new__(cls)
+        poly._terms = None
+        poly._frame = (clean, denominator)
+        return poly
+
+    @classmethod
     def zero(cls) -> "BiPoly":
         return cls()
 
@@ -62,26 +84,33 @@ class BiPoly:
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
+        if self._terms is None:
+            numerators, common = self._frame
+            self._terms = {mono: Fraction(c, common) for mono, c in numerators.items()}
         return self._terms
+
+    def _monomials(self) -> Mapping[Monomial, object]:
+        """Whichever of the terms and the frame exists; both have the same keys."""
+        return self._frame[0] if self._terms is None else self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._monomials()
 
     def total_degree(self) -> int:
         """Max i+j over stored terms; -1 for the zero polynomial."""
-        return max((i + j for i, j in self._terms), default=-1)
+        return max((i + j for i, j in self._monomials()), default=-1)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self._terms.get((i, j), _ZERO)
+        return self.terms.get((i, j), _ZERO)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(i + j == degree for i, j in self._terms)
+        return all(i + j == degree for i, j in self._monomials())
 
     def integer_frame(self) -> tuple[dict[Monomial, int], int]:
         """The terms as integers over D, the lcm of their denominators, and D;
-        built once per polynomial and shared by the smoothness orders,
-        operator application and grid sampling."""
+        built once per polynomial (or given, by `_from_frame`) and shared by
+        the smoothness orders, operator application and grid sampling."""
         if self._frame is None:
             common = lcm(*(c.denominator for c in self._terms.values()))
             self._frame = (
@@ -92,7 +121,7 @@ class BiPoly:
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in a fixed order (by total degree, then x-exponent)."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+        return sorted(self.terms.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -108,15 +137,15 @@ class BiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, coeff in rhs._terms.items():
+        out = dict(self.terms)
+        for mono, coeff in rhs.terms.items():
             out[mono] = out.get(mono, _ZERO) + coeff
         return BiPoly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({mono: -coeff for mono, coeff in self._terms.items()})
+        return BiPoly({mono: -coeff for mono, coeff in self.terms.items()})
 
     def __sub__(self, other) -> "BiPoly":
         rhs = self._coerce(other)
@@ -125,7 +154,10 @@ class BiPoly:
         return self + (-rhs)
 
     def __rsub__(self, other) -> "BiPoly":
-        return (-self) + other
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs - self
 
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction)):
@@ -133,8 +165,8 @@ class BiPoly:
         if not isinstance(other, BiPoly):
             return NotImplemented
         out: dict[Monomial, Fraction] = {}
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
+        for (i1, j1), c1 in self.terms.items():
+            for (i2, j2), c2 in other.terms.items():
                 mono = (i1 + i2, j1 + j2)
                 out[mono] = out.get(mono, _ZERO) + c1 * c2
         return BiPoly(out)
@@ -143,7 +175,7 @@ class BiPoly:
 
     def scale(self, factor) -> "BiPoly":
         f = _as_fraction(factor)
-        return BiPoly({mono: coeff * f for mono, coeff in self._terms.items()})
+        return BiPoly({mono: coeff * f for mono, coeff in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "BiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -161,10 +193,10 @@ class BiPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     # -- calculus ------------------------------------------------------
 
@@ -174,17 +206,17 @@ class BiPoly:
             raise ValueError("derivative orders must be nonnegative")
         return BiPoly({
             (i - x_order, j - y_order): coeff * (perm(i, x_order) * perm(j, y_order))
-            for (i, j), coeff in self._terms.items()
+            for (i, j), coeff in self.terms.items()
             if i >= x_order and j >= y_order
         })
 
     def evaluate(self, x, y) -> Fraction:
         """Exact value at a rational point: the sum of c*x^i*y^j."""
         vx, vy = _as_fraction(x), _as_fraction(y)
-        return sum((c * vx**i * vy**j for (i, j), c in self._terms.items()), _ZERO)
+        return sum((c * vx**i * vy**j for (i, j), c in self.terms.items()), _ZERO)
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self.terms:
             return "0"
 
         def fmt(mono: Monomial, coeff: Fraction) -> str:
@@ -198,7 +230,7 @@ class BiPoly:
                 parts.append("y" if j == 1 else f"y^{j}")
             return "*".join(parts)
 
-        ordered = sorted(self._terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
+        ordered = sorted(self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
         chunks = []
         for k, (mono, coeff) in enumerate(ordered):
             sign = "-" if coeff < 0 else ("+" if k else "")
@@ -207,7 +239,7 @@ class BiPoly:
         return "".join(chunks)
 
     def __repr__(self) -> str:
-        return f"BiPoly({self._terms!r})"
+        return f"BiPoly({self.terms!r})"
 
 
 # Ready-made building blocks: 3*X**2 + Y reads like the formula it encodes.

@@ -25,6 +25,11 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 def parse_rational(text: str) -> Fraction:
     """Parse the canonical "p" or "p/q" form, rejecting anything looser."""
+    return Fraction(*_parse_ratio(text))
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """The integers p and q > 0 of a "p" or "p/q" literal, as written (not reduced)."""
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise RationalParseError(f"not a rational literal: {text!r}")
     num, _, den = text.partition("/")
@@ -35,18 +40,21 @@ def parse_rational(text: str) -> Fraction:
         raise RationalParseError(f"rational literal too long ({len(text)} characters)") from None
     if den == 0:
         raise RationalParseError(f"zero denominator: {text!r}")
-    return Fraction(num, den)
+    return num, den
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Render a rational in the canonical "p" or "p/q" form.
+    """Render an int or Fraction in the canonical "p" or "p/q" form.
 
-    A part too long for str() (over sys.get_int_max_str_digits() digits) is
-    a DomainError: `parse_rational` could not read it back either.
+    Any other type is a TypeError.  A part too long for str() (over
+    sys.get_int_max_str_digits() digits) is a DomainError: `parse_rational`
+    could not read it back either.
     """
-    q = Fraction(value)
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+    num, den = value.numerator, value.denominator
     try:
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise DomainError(f"rational too long to print (over {sys.get_int_max_str_digits()} digits)") from None
 

@@ -16,47 +16,64 @@ Rationals use the canonical "p" / "p/q" text form; monomial keys are
 most MAX_DEGREE, which bounds the cost of checking a document (exact
 smoothness orders take time polynomial in the degree, however few the
 terms).  decode(encode(F)) reproduces F exactly.
+
+Decoding reads each coefficient as the integers (p, q) of its literal,
+unreduced, and builds each piece from one integer frame over the lcm of
+its q (`BiPoly._from_frame`), so "2/4" and "1/2" decode alike and no
+Fraction is made until a caller reads the piece's terms.  Encoding writes
+the text of json.dumps(document, indent=2) directly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Any, Sequence
+from typing import Sequence
 
 from .errors import DomainError, SchemaError
 from .fan import FanPartition, Ray, _clockwise_cmp, build_fan, locate_sector
 from .poly import BiPoly
-from .rational import format_rational, parse_rational
+from .rational import _parse_ratio, format_rational, parse_rational
 from .spline import PiecewisePoly
 
 MAX_DEGREE = 1000
 
+# ASCII digits only: int() alone also reads signs, spaces, "_" and non-ASCII digits.
+_MONOMIAL_KEY = re.compile(r"([0-9]+),([0-9]+)")
+
 
 def encode_spline(spline: PiecewisePoly, construction: dict | None = None) -> str:
-    """Serialize a spline (plus optional construction metadata) to JSON text."""
-    doc: dict[str, Any] = {
-        "rays": [
-            {"dx": format_rational(r.dx), "dy": format_rational(r.dy)}
-            for r in spline.fan.rays
-        ],
-        "pieces": [
-            {
-                "monomials": {
-                    f"{i},{j}": format_rational(coeff)
-                    for (i, j), coeff in piece.sorted_terms()
-                }
-            }
-            for piece in spline.pieces
-        ],
-    }
+    """Serialize a spline (plus optional construction metadata) to JSON text.
+
+    The text is that of json.dumps(document, indent=2) plus a newline,
+    written directly: every string in rays and pieces is ASCII digits, "-",
+    "/" and ",", which JSON never escapes.  The construction block, an
+    arbitrary JSON object, goes through json.dumps and is indented one level.
+    """
+    rays = [
+        f'    {{\n      "dx": "{format_rational(r.dx)}",\n      "dy": "{format_rational(r.dy)}"\n    }}'
+        for r in spline.fan.rays
+    ]
+    pieces = []
+    for piece in spline.pieces:
+        monomials = [f'        "{i},{j}": "{format_rational(coeff)}"' for (i, j), coeff in piece.sorted_terms()]
+        pieces.append(f'    {{\n      "monomials": {_json_block(monomials, "{}", "      ")}\n    }}')
+    text = f'{{\n  "rays": {_json_block(rays, "[]", "  ")},\n  "pieces": {_json_block(pieces, "[]", "  ")}'
     if construction is not None:
-        doc["construction"] = construction
-    return json.dumps(doc, indent=2) + "\n"
+        text += ',\n  "construction": ' + json.dumps(construction, indent=2).replace("\n", "\n  ")
+    return text + "\n}\n"
+
+
+def _json_block(lines: list[str], brackets: str, indent: str) -> str:
+    """A JSON array or object of already indented lines, closed at `indent`."""
+    if not lines:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(lines) + "\n" + indent + brackets[1]
 
 
 def encode_counterexample(spec) -> str:
@@ -83,28 +100,43 @@ def _require_keys(obj: dict, required: set[str], optional: set[str], where: str)
         raise SchemaError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def _parse_rational_at(value, where: str) -> Fraction:
+def _rational_error(value, exc: DomainError, where: str) -> SchemaError:
+    """The SchemaError for a value at `where` that did not parse as a rational."""
     if not isinstance(value, str):
-        raise SchemaError(f"{where}: rationals must be strings like \"-3/4\"")
+        return SchemaError(f"{where}: rationals must be strings like \"-3/4\"")
+    return SchemaError(f"{where}: {exc}")
+
+
+def _parse_rational_at(value, where: str) -> Fraction:
     try:
         return parse_rational(value)
     except DomainError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        raise _rational_error(value, exc, where) from None
 
 
-def _parse_monomial_key(key: str, where: str) -> tuple[int, int]:
-    parts = key.split(",")
-    # ASCII digits only: int() alone also reads signs, spaces, "_" and non-ASCII digits.
-    if len(parts) != 2 or not all(part.isascii() and part.isdigit() for part in parts):
-        raise SchemaError(f"{where}: monomial key {key!r} is not \"i,j\"")
-    try:
-        i, j = int(parts[0]), int(parts[1])
-    except ValueError:
-        # Python refuses integer literals above sys.get_int_max_str_digits() digits.
-        raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}") from None
-    if i + j > MAX_DEGREE:
-        raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}")
-    return i, j
+def _parse_piece(monomials: dict, where: str) -> BiPoly:
+    """A piece's monomials as one integer frame: each "p/q" is read as the
+    integers (p, q), and the frame's denominator is the lcm of the q."""
+    ratios: dict[tuple[int, int], tuple[int, int]] = {}
+    for key, value in monomials.items():
+        match = _MONOMIAL_KEY.fullmatch(key)
+        if match is None:
+            raise SchemaError(f"{where}: monomial key {key!r} is not \"i,j\"")
+        try:
+            mono = int(match[1]), int(match[2])
+        except ValueError:
+            # Python refuses integer literals above sys.get_int_max_str_digits() digits.
+            raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}") from None
+        if mono[0] + mono[1] > MAX_DEGREE:
+            raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}")
+        if mono in ratios:
+            raise SchemaError(f"{where}: duplicate monomial {key!r}")
+        try:
+            ratios[mono] = _parse_ratio(value)
+        except DomainError as exc:
+            raise _rational_error(value, exc, f"{where}[{key!r}]") from None
+    common = math.lcm(*(q for _, q in ratios.values()))
+    return BiPoly._from_frame({mono: p * (common // q) for mono, (p, q) in ratios.items()}, common)
 
 
 def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
@@ -148,13 +180,7 @@ def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
         monomials = entry["monomials"]
         if not isinstance(monomials, dict):
             raise SchemaError(f"{where}.monomials: expected an object")
-        terms = {}
-        for key, value in monomials.items():
-            mono = _parse_monomial_key(key, f"{where}.monomials")
-            if mono in terms:
-                raise SchemaError(f"{where}.monomials: duplicate monomial {key!r}")
-            terms[mono] = _parse_rational_at(value, f"{where}.monomials[{key!r}]")
-        pieces.append(BiPoly(terms))
+        pieces.append(_parse_piece(monomials, f"{where}.monomials"))
 
     fan = build_fan(rays)
     if fan.rays != tuple(rays):
@@ -177,7 +203,10 @@ def _check_construction(block) -> None:
         if not isinstance(values, list) or len(values) != n + 1:
             raise SchemaError(f"construction.{field}: expected a list of n+1 rationals")
         for idx, value in enumerate(values):
-            _parse_rational_at(value, f"construction.{field}[{idx}]")
+            try:
+                _parse_ratio(value)
+            except DomainError as exc:
+                raise _rational_error(value, exc, f"construction.{field}[{idx}]") from None
 
 
 def decode_spline(text: str) -> PiecewisePoly:
@@ -281,7 +310,7 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     fan = spline.fan
     upper, lower = _half_crossings(fan, 1), _half_crossings(fan, -1)
     pieces = [_integer_terms(piece, frame) for piece in spline.pieces]
-    top_j = max((j for piece in spline.pieces for _, j in piece.terms), default=0)
+    top_j = max((j for piece in spline.pieces for _, j in piece.integer_frame()[0]), default=0)
     rows = []
     for y, row in zip(reversed(coords), reversed(xs)):
         powers = [1]

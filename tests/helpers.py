@@ -1,5 +1,6 @@
 """Shared randomized generators and reference routes for the test suite (all seeded by callers)."""
 
+import json
 import math
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
@@ -30,7 +31,7 @@ from supersmooth import (
 )
 from supersmooth.linalg import _eliminate
 from supersmooth.numcheck import RAY_EXTENT, RayLemmaReport, _unit
-from supersmooth.rational import primitive
+from supersmooth.rational import format_rational, primitive
 from supersmooth.spline import _line_multiplicity
 
 
@@ -307,6 +308,21 @@ def pointwise_sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> 
                 ) from None
             rows.append((x, y, value, sector))
     return rows
+
+
+def reference_encode_spline(spline: PiecewisePoly, construction: dict | None = None) -> str:
+    """The document built as a dict and printed by json.dumps(indent=2): the
+    reference route for `serialize.encode_spline`."""
+    doc = {
+        "rays": [{"dx": format_rational(r.dx), "dy": format_rational(r.dy)} for r in spline.fan.rays],
+        "pieces": [
+            {"monomials": {f"{i},{j}": format_rational(coeff) for (i, j), coeff in piece.sorted_terms()}}
+            for piece in spline.pieces
+        ],
+    }
+    if construction is not None:
+        doc["construction"] = construction
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def per_line_grid_csv(rows) -> str:

@@ -176,6 +176,34 @@ def test_slopes_help_names_the_equals_form(command, capsys):
     assert "--slopes=-1,2" in capsys.readouterr().out
 
 
+def _three_ray_document(first: dict, second: dict, third: dict) -> str:
+    rays = [{"dx": "1", "dy": "0"}, {"dx": "0", "dy": "-1"}, {"dx": "-1", "dy": "1"}]
+    return json.dumps({"rays": rays, "pieces": [{"monomials": m} for m in (first, second, third)]})
+
+
+def test_unreduced_coefficients_check_and_sample_like_the_reduced_document(tmp_path, capsys):
+    unreduced = tmp_path / "unreduced.json"
+    unreduced.write_text(_three_ray_document(
+        {"0,2": "2/4", "1,1": "-6/3", "2,0": "0/7", "0,0": "-0"},
+        {"0,2": "2/4", "1,1": "-6/3", "00,3": "-0/5", "3,0": "4/6"},
+        {"0,2": "10/20", "1,1": "-12/6", "0,0": "-0"},
+    ))
+    reduced = tmp_path / "reduced.json"
+    reduced.write_text(_three_ray_document(
+        {"0,2": "1/2", "1,1": "-2"},
+        {"0,2": "1/2", "1,1": "-2", "3,0": "2/3"},
+        {"0,2": "1/2", "1,1": "-2"},
+    ))
+    outputs = []
+    for path in (unreduced, reduced):
+        assert main(["check", str(path)]) == 0
+        report = capsys.readouterr().out
+        assert main(["sample", "--grid-n", "9", "--radius", "1.5", str(path)]) == 0
+        outputs.append((report, capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert "ray 1: order 2" in outputs[0][0]
+
+
 def test_sample_writes_csv(tmp_path, capsys):
     spline_path = tmp_path / "c.json"
     csv_path = tmp_path / "grid.csv"

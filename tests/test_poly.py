@@ -70,9 +70,9 @@ def test_subtraction_from_a_constant_and_scaling_by_zero():
 
 
 def test_subtracting_a_non_polynomial_raises():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'BiPoly' and 'str'"):
         X - "a"
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'str' and 'BiPoly'"):
         "a" - X
 
 
@@ -190,6 +190,31 @@ def test_integer_frame_is_the_terms_over_their_least_common_denominator(p, q):
         # least: no common factor is left between the numerators and D
         assert math.gcd(common, *terms.values()) == 1
     assert BiPoly.zero().integer_frame() == ({}, 1)
+
+
+@given(
+    st.dictionaries(monomials, st.integers(-40, 40) | st.just(0), max_size=6),
+    st.integers(1, 30) | st.just(1),
+    st.integers(1, 12),
+)
+def test_from_frame_equals_the_fraction_route(numerators, denominator, shared):
+    # `shared` multiplies the numerators and the denominator alike, so the
+    # given frame need not be minimal.
+    numerators = {mono: c * shared for mono, c in numerators.items()}
+    denominator *= shared
+    framed = BiPoly._from_frame(numerators, denominator)
+    numerators[(9, 9)] = 1  # the frame is copied, not aliased
+    reference = BiPoly({mono: Fraction(c, denominator) for mono, c in numerators.items() if mono != (9, 9)})
+    # frame-only reads first, before the Fraction terms exist
+    assert framed.integer_frame() == reference.integer_frame()
+    assert framed.is_zero == reference.is_zero
+    assert framed.total_degree() == reference.total_degree()
+    for degree in range(-1, 10):
+        assert framed.is_homogeneous(degree) == reference.is_homogeneous(degree)
+    assert framed.terms == reference.terms
+    assert all(type(c) is Fraction for c in framed.terms.values())
+    assert framed == reference
+    assert hash(framed) == hash(reference)
 
 
 def test_evaluate_rejects_floats():

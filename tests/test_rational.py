@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supersmooth import RationalParseError, format_rational, parse_rational
-from supersmooth.rational import primitive
+from supersmooth.rational import _parse_ratio, primitive
 
 
 def test_parse_integer_and_fraction():
@@ -39,6 +40,19 @@ def test_format_canonical():
     assert format_rational(Fraction(-3, 4)) == "-3/4"
     assert format_rational(Fraction(8, 4)) == "2"
     assert format_rational(0) == "0"
+
+
+@pytest.mark.parametrize("value", [0.5, Decimal("0.5"), "1/2", None, 1j])
+def test_format_rejects_inexact_and_non_numeric_values(value):
+    # A float used to pass through Fraction(value) and print as "1/2".
+    with pytest.raises(TypeError, match=f"got {type(value).__name__}$"):
+        format_rational(value)
+
+
+@pytest.mark.parametrize("text, ratio", [("2/4", (2, 4)), ("-6/3", (-6, 3)), ("0/7", (0, 7)), ("-0", (0, 1)), ("5", (5, 1))])
+def test_parse_ratio_keeps_the_literal_unreduced(text, ratio):
+    assert _parse_ratio(text) == ratio
+    assert parse_rational(text) == Fraction(*ratio)
 
 
 @given(st.fractions(max_denominator=10**6))

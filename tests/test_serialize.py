@@ -23,12 +23,13 @@ from supersmooth import (
     decode_spline,
     encode_counterexample,
     encode_spline,
+    format_rational,
     locate_sector,
     render_grid_csv,
     sample_grid,
     serialize,
 )
-from helpers import per_line_grid_csv, pointwise_sample_grid
+from helpers import per_line_grid_csv, pointwise_sample_grid, reference_encode_spline
 
 
 def test_round_trip_counterexample():
@@ -53,6 +54,52 @@ def test_round_trip_rational_coefficients():
     decoded = decode_spline(encode_spline(spline))
     assert decoded.pieces == spline.pieces
     assert decoded.fan == spline.fan
+
+
+_RAY_COMPONENTS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_CONSTRUCTION_BLOCKS = st.integers(1, 4).flatmap(
+    lambda n: st.fixed_dictionaries({
+        "n": st.just(n),
+        "slopes": st.lists(st.fractions(max_denominator=9).map(format_rational), min_size=n + 1, max_size=n + 1),
+        "coeffs": st.lists(st.integers(-99, 99).map(format_rational), min_size=n + 1, max_size=n + 1),
+    })
+)
+
+
+@st.composite
+def _encodable_splines(draw) -> PiecewisePoly:
+    """Fans of 2..5 rays with rational components (Ray clears them) and the
+    grid tests' pieces, the zero piece among them."""
+    directions = draw(st.lists(
+        st.tuples(_RAY_COMPONENTS, _RAY_COMPONENTS).filter(lambda d: d != (0, 0)), min_size=2, max_size=5
+    ))
+    rays = list(dict.fromkeys(Ray(*d) for d in directions))
+    if len(rays) < 2:
+        rays.append(Ray(-rays[0].dx, -rays[0].dy))
+    fan = build_fan(rays)
+    return PiecewisePoly(fan=fan, pieces=tuple(draw(_PIECES) for _ in fan.rays))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_encodable_splines(), st.none() | _CONSTRUCTION_BLOCKS)
+def test_encode_spline_equals_the_json_dumps_route(spline, construction):
+    text = encode_spline(spline, construction)
+    assert text == reference_encode_spline(spline, construction)
+    # decoded pieces carry only their integer frame until read; they encode alike
+    decoded, block = decode_document(text)
+    assert block == construction
+    assert encode_spline(decoded, block) == text
+
+
+@pytest.mark.parametrize("slopes, n", [([1, 2], 1), ([Fraction(-1, 2), Fraction(1, 3), 2, Fraction(5, 7)], 3)])
+def test_encode_counterexample_equals_the_json_dumps_route(slopes, n):
+    spec = build_counterexample(slopes, n)
+    construction = {
+        "n": n,
+        "slopes": [format_rational(a) for a in spec.slopes],
+        "coeffs": [format_rational(c) for c in spec.coeffs],
+    }
+    assert encode_counterexample(spec) == reference_encode_spline(spec.spline, construction)
 
 
 def _document(**overrides):
