@@ -4,7 +4,9 @@ The cumulative counterexample glues pieces 0, c2*l2^n, c2*l2^n + c3*l3^n, ...
 clockwise around the origin, where l_i is the line y + a_i*x = 0 and the
 coefficients c_i ~ 1 / (a_i * prod_(j != i) (a_i - a_j)) make the final piece
 rejoin the zero piece C^(n-1)-smoothly across the x-axis.  The result is
-C^(n-1) everywhere but loses exactly one order at the origin.
+C^(n-1) everywhere but loses exactly one order at the origin.  Each piece
+is the one before plus c_i*l_i^n, that jump written as one integer frame
+over q_i^n for a_i = p_i/q_i, so the build multiplies no polynomials.
 
 The half-plane example shows why collinear rays void the supersmoothness
 gain: y^(n+1) above the x-axis against zero below, with n extra rays thrown
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import InvalidSlopesError
@@ -23,7 +25,7 @@ from .fan import FanPartition, Ray, build_fan
 from .linalg import nullspace  # noqa: F401 -- unused; perfbench/spans.py patches it here
 # linear_form_power is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.construct.linear_form_power by name.
-from .poly import BiPoly, linear_form_power  # noqa: F401
+from .poly import BiPoly, line_power, linear_form_power  # noqa: F401
 from .rational import primitive
 # The two orders are unused here (the build certifies them in closed form)
 # but stay bound: perfbench/spans.py patches supersmooth.construct.<name>.
@@ -107,13 +109,6 @@ def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
     lower-half-plane rays; the cumulative pieces only glue correctly when
     consecutive pieces sit in consecutive sectors.
 
-    Piece k's coefficient of x^t*y^(n-t) is the sum over i <= k of
-    c_i*comb(n, t)*(p_i/q_i)^t for slopes p_i/q_i, so each is one running
-    Fraction per monomial, advanced by an integer over q_i^t.  Fraction
-    addition reduces by the gcd of the two denominators, which is cheaper
-    than reducing one common denominator lcm(q_i)^t per term when n is
-    large and the q_i are many and distinct.
-
     The orders are certified in O(n), not recomputed.  Piece k is
     sum_(i <= k) c_i*(y + a_i*x)^n, so the jump across ray i is
     c_i*(y + a_i*x)^n; by the kernel conditions sum_i c_i*a_i^t = 0
@@ -129,13 +124,11 @@ def build_counterexample(slopes: Sequence, n: int) -> CounterexampleSpec:
     coeffs = _coeffs(values)
 
     pieces = [BiPoly.zero()]
-    running = [Fraction(0)] * (n + 1)
     for coeff, slope in zip(coeffs, values):
         p, q = slope.numerator, slope.denominator
-        for t in range(n + 1):
-            running[t] += Fraction(coeff * comb(n, t) * p**t, q**t)
-        pieces.append(BiPoly._new({(t, n - t): v for t, v in enumerate(running) if v}))
-    if not all(coeffs) or not running[0] or any(running[1:]):
+        jump = BiPoly._from_frame({(t, n - t): coeff * v for t, v in enumerate(line_power(p, q, n))}, q**n)
+        pieces.append(pieces[-1] + jump)
+    if not all(coeffs) or list(pieces[-1].integer_frame()[0]) != [(0, n)]:
         raise AssertionError("construction must be exactly C^(n-1) globally")
     spline = PiecewisePoly(fan=fan, pieces=tuple(pieces))
     return CounterexampleSpec(

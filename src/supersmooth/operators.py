@@ -94,9 +94,7 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
             if index not in cleared:
                 if index >= len(directions) or directions[index] is None:
                     raise MissingDirectionError(f"no direction bound to symbol {index}")
-                dx, dy = _direction_components(directions[index])
-                m = lcm(dx.denominator, dy.denominator)
-                cleared[index] = (dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator), m)
+                cleared[index] = _direction_components(directions[index])
             ux, uy, m = cleared[index]
             if (index, power) not in powers:
                 powers[index, power] = line_power(ux, uy, power)

@@ -1,9 +1,10 @@
 """Exact sparse polynomial algebra in two variables.
 
-A BiPoly maps exponent pairs (i, j) for x^i y^j to nonzero Fraction
-coefficients; the zero polynomial is the empty map.  A BiPoly built from
-its integer frame (`BiPoly._from_frame`) holds the frame alone until its
-Fraction terms are first read.  All operations are pure and exact.
+A BiPoly is stored in one form, its canonical integer frame (numerators, D):
+the sum of c*x^i*y^j/D over numerators {(i, j): c}, where D > 0, no
+numerator is zero and gcd(D, *numerators) = 1.  Each polynomial has one such
+frame, so == and hash compare frames.  `terms`, the Fraction coefficients,
+is a fresh read-only view.  All operations are exact and run in integers.
 Restricting a BiPoly to a ray through the origin yields a BiPoly in x
 alone, with x standing for the ray parameter t.
 """
@@ -18,8 +19,6 @@ from .errors import InvalidDirectionError
 
 Monomial = Tuple[int, int]
 
-_ZERO = Fraction(0)
-
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -32,27 +31,19 @@ def _as_fraction(value) -> Fraction:
 class BiPoly:
     """Bivariate polynomial with exact rational coefficients, stored sparsely."""
 
-    __slots__ = ("_terms", "_frame")
+    __slots__ = ("_frame",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
         clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for (i, j), coeff in terms.items():
-                if i < 0 or j < 0:
-                    raise ValueError(f"negative exponent in monomial ({i}, {j})")
-                c = _as_fraction(coeff)
-                if c != 0:
-                    clean[(i, j)] = c
-        self._terms = clean
-        self._frame = None
-
-    @classmethod
-    def _new(cls, clean: dict[Monomial, Fraction]) -> "BiPoly":
-        """Wrap a dict that already maps valid monomials to nonzero Fractions, unchecked."""
-        poly = object.__new__(cls)
-        poly._terms = clean
-        poly._frame = None
-        return poly
+        for (i, j), coeff in (terms or {}).items():
+            if i < 0 or j < 0:
+                raise ValueError(f"negative exponent in monomial ({i}, {j})")
+            c = _as_fraction(coeff)
+            if c != 0:
+                clean[(i, j)] = c
+        # Lowest-terms Fractions over the lcm of their denominators leave no common factor.
+        common = lcm(*(c.denominator for c in clean.values()))
+        self._frame = ({mono: c.numerator * (common // c.denominator) for mono, c in clean.items()}, common)
 
     @classmethod
     def _from_frame(cls, numerators: Mapping[Monomial, int], denominator: int) -> "BiPoly":
@@ -61,8 +52,7 @@ class BiPoly:
         The numerators must be ints on monomials with nonnegative exponents,
         and denominator > 0.  Zero numerators are dropped (into a new dict)
         and the rest divided by one gcd with the denominator, which leaves
-        the same minimal frame that `integer_frame` builds from Fractions.
-        The Fraction terms are built on first read.
+        the canonical frame.
         """
         clean = {mono: c for mono, c in numerators.items() if c}
         content = gcd(denominator, *clean.values())
@@ -70,7 +60,6 @@ class BiPoly:
             clean = {mono: c // content for mono, c in clean.items()}
             denominator //= content
         poly = object.__new__(cls)
-        poly._terms = None
         poly._frame = (clean, denominator)
         return poly
 
@@ -80,43 +69,32 @@ class BiPoly:
 
     @classmethod
     def constant(cls, value) -> "BiPoly":
-        return cls({(0, 0): _as_fraction(value)})
+        return cls({(0, 0): value})
 
     @property
     def terms(self) -> Mapping[Monomial, Fraction]:
-        if self._terms is None:
-            numerators, common = self._frame
-            self._terms = {mono: Fraction(c, common) for mono, c in numerators.items()}
-        return self._terms
-
-    def _monomials(self) -> Mapping[Monomial, object]:
-        """Whichever of the terms and the frame exists; both have the same keys."""
-        return self._frame[0] if self._terms is None else self._terms
+        """The nonzero Fraction coefficients by monomial: a fresh dict on every
+        read, with no cache, so mutating it leaves the polynomial unchanged."""
+        numerators, common = self._frame
+        return {mono: Fraction(c, common) for mono, c in numerators.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self._monomials()
+        return not self._frame[0]
 
     def total_degree(self) -> int:
         """Max i+j over stored terms; -1 for the zero polynomial."""
-        return max((i + j for i, j in self._monomials()), default=-1)
+        return max((i + j for i, j in self._frame[0]), default=-1)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), _ZERO)
+        return Fraction(self._frame[0].get((i, j), 0), self._frame[1])
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(i + j == degree for i, j in self._monomials())
+        return all(i + j == degree for i, j in self._frame[0])
 
     def integer_frame(self) -> tuple[dict[Monomial, int], int]:
-        """The terms as integers over D, the lcm of their denominators, and D;
-        built once per polynomial (or given, by `_from_frame`) and shared by
-        the smoothness orders, operator application and grid sampling."""
-        if self._frame is None:
-            common = lcm(*(c.denominator for c in self._terms.values()))
-            self._frame = (
-                {mono: c.numerator * (common // c.denominator) for mono, c in self._terms.items()},
-                common,
-            )
+        """The stored canonical frame (numerators, D) itself, read-only: the
+        terms as integers over the lcm D of their denominators."""
         return self._frame
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
@@ -137,15 +115,18 @@ class BiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        out = dict(self.terms)
-        for mono, coeff in rhs.terms.items():
-            out[mono] = out.get(mono, _ZERO) + coeff
-        return BiPoly(out)
+        (left, left_den), (right, right_den) = self._frame, rhs._frame
+        common = lcm(left_den, right_den)
+        left_up, right_up = common // left_den, common // right_den
+        out = {mono: c * left_up for mono, c in left.items()}
+        for mono, c in right.items():
+            out[mono] = out.get(mono, 0) + c * right_up
+        return BiPoly._from_frame(out, common)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BiPoly":
-        return BiPoly({mono: -coeff for mono, coeff in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other) -> "BiPoly":
         rhs = self._coerce(other)
@@ -164,18 +145,20 @@ class BiPoly:
             return self.scale(other)
         if not isinstance(other, BiPoly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        (left, left_den), (right, right_den) = self._frame, other._frame
+        out: dict[Monomial, int] = {}
+        for (i1, j1), c1 in left.items():
+            for (i2, j2), c2 in right.items():
                 mono = (i1 + i2, j1 + j2)
-                out[mono] = out.get(mono, _ZERO) + c1 * c2
-        return BiPoly(out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return BiPoly._from_frame(out, left_den * right_den)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "BiPoly":
         f = _as_fraction(factor)
-        return BiPoly({mono: coeff * f for mono, coeff in self.terms.items()})
+        numerators, common = self._frame
+        return BiPoly._from_frame({mono: c * f.numerator for mono, c in numerators.items()}, common * f.denominator)
 
     def __pow__(self, exponent: int) -> "BiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -190,13 +173,14 @@ class BiPoly:
             k >>= 1
         return result
 
+    # Sound only because every frame is canonical: one polynomial, one frame.
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._frame == other._frame
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self._frame[0].items()), self._frame[1]))
 
     # -- calculus ------------------------------------------------------
 
@@ -204,19 +188,25 @@ class BiPoly:
         """Exact mixed partial derivative of the given orders."""
         if x_order < 0 or y_order < 0:
             raise ValueError("derivative orders must be nonnegative")
-        return BiPoly({
-            (i - x_order, j - y_order): coeff * (perm(i, x_order) * perm(j, y_order))
-            for (i, j), coeff in self.terms.items()
+        numerators, common = self._frame
+        return BiPoly._from_frame({
+            (i - x_order, j - y_order): c * perm(i, x_order) * perm(j, y_order)
+            for (i, j), c in numerators.items()
             if i >= x_order and j >= y_order
-        })
+        }, common)
 
     def evaluate(self, x, y) -> Fraction:
-        """Exact value at a rational point: the sum of c*x^i*y^j."""
-        vx, vy = _as_fraction(x), _as_fraction(y)
-        return sum((c * vx**i * vy**j for (i, j), c in self.terms.items()), _ZERO)
+        """Exact value at a rational point x = a/b, y = e/f: the sum of
+        c*a^i*b^(I-i)*e^j*f^(J-j) over D*b^I*f^J, I and J the top exponents."""
+        (a, b), (e, f) = _as_fraction(x).as_integer_ratio(), _as_fraction(y).as_integer_ratio()
+        numerators, common = self._frame
+        top_i = max((i for i, _ in numerators), default=0)
+        top_j = max((j for _, j in numerators), default=0)
+        total = sum(c * a**i * b ** (top_i - i) * e**j * f ** (top_j - j) for (i, j), c in numerators.items())
+        return Fraction(total, common * b**top_i * f**top_j)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self.is_zero:
             return "0"
 
         def fmt(mono: Monomial, coeff: Fraction) -> str:
@@ -230,7 +220,7 @@ class BiPoly:
                 parts.append("y" if j == 1 else f"y^{j}")
             return "*".join(parts)
 
-        ordered = sorted(self.terms.items(), key=lambda kv: (-(kv[0][0] + kv[0][1]), -kv[0][0]))
+        ordered = self.sorted_terms()[::-1]
         chunks = []
         for k, (mono, coeff) in enumerate(ordered):
             sign = "-" if coeff < 0 else ("+" if k else "")
@@ -247,12 +237,14 @@ X = BiPoly({(1, 0): 1})
 Y = BiPoly({(0, 1): 1})
 
 
-def _direction_components(direction) -> tuple[Fraction, Fraction]:
+def _direction_components(direction) -> tuple[int, int, int]:
+    """The direction (dx, dy) as integers (u, v) over one common denominator m > 0."""
     dx, dy = direction
     dx, dy = _as_fraction(dx), _as_fraction(dy)
     if dx == 0 and dy == 0:
         raise InvalidDirectionError("direction vector must be nonzero")
-    return dx, dy
+    m = lcm(dx.denominator, dy.denominator)
+    return dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator), m
 
 
 def directional_derivative(p: BiPoly, direction) -> BiPoly:
@@ -262,18 +254,21 @@ def directional_derivative(p: BiPoly, direction) -> BiPoly:
     either of "equals zero" form or compares both sides under the same
     scaling, so unit length would only introduce irrational norms.
     """
-    dx, dy = _direction_components(direction)
-    return p.partial(1, 0).scale(dx) + p.partial(0, 1).scale(dy)
+    u, v, m = _direction_components(direction)
+    return p.partial(1, 0).scale(Fraction(u, m)) + p.partial(0, 1).scale(Fraction(v, m))
 
 
 def restrict_to_ray(p: BiPoly, direction) -> BiPoly:
-    """The restriction t -> p(t*dx, t*dy), exact, as a BiPoly in x alone (x is t)."""
-    dx, dy = _direction_components(direction)
-    by_power: dict[Monomial, Fraction] = {}
-    for (i, j), coeff in p.terms.items():
+    """The restriction t -> p(t*dx, t*dy), exact, as a BiPoly in x alone (x is t):
+    with (dx, dy) = (u, v)/m, t^k has the sum of c*u^i*v^j*m^(T-k) over D*m^T."""
+    u, v, m = _direction_components(direction)
+    numerators, common = p.integer_frame()
+    top = max(p.total_degree(), 0)
+    by_power: dict[Monomial, int] = {}
+    for (i, j), c in numerators.items():
         key = (i + j, 0)
-        by_power[key] = by_power.get(key, _ZERO) + coeff * dx**i * dy**j
-    return BiPoly(by_power)
+        by_power[key] = by_power.get(key, 0) + c * u**i * v**j * m ** (top - i - j)
+    return BiPoly._from_frame(by_power, common * m**top)
 
 
 def line_power(u, v, n: int) -> list[int]:
@@ -286,5 +281,5 @@ def linear_form_power(slope, n: int) -> BiPoly:
     if n < 0:
         raise ValueError("exponent must be nonnegative")
     a = _as_fraction(slope)
-    scale = a.denominator**n
-    return BiPoly({(k, n - k): Fraction(c, scale) for k, c in enumerate(line_power(a.numerator, a.denominator, n))})
+    coefficients = line_power(a.numerator, a.denominator, n)
+    return BiPoly._from_frame({(k, n - k): c for k, c in enumerate(coefficients)}, a.denominator**n)

@@ -17,11 +17,11 @@ most MAX_DEGREE, which bounds the cost of checking a document (exact
 smoothness orders take time polynomial in the degree, however few the
 terms).  decode(encode(F)) reproduces F exactly.
 
-Decoding reads each coefficient as the integers (p, q) of its literal,
-unreduced, and builds each piece from one integer frame over the lcm of
-its q (`BiPoly._from_frame`), so "2/4" and "1/2" decode alike and no
-Fraction is made until a caller reads the piece's terms.  Encoding writes
-the text of json.dumps(document, indent=2) directly.
+A key repeated in any JSON object is an error.  Decoding reads each
+coefficient as the integers (p, q) of its literal, unreduced, and builds
+each piece from one integer frame over the lcm of its q
+(`BiPoly._from_frame`), so "2/4" and "1/2" decode alike and no Fraction is
+made.  Encoding writes the text of json.dumps(document, indent=2) directly.
 """
 
 from __future__ import annotations
@@ -139,10 +139,24 @@ def _parse_piece(monomials: dict, where: str) -> BiPoly:
     return BiPoly._from_frame({mono: p * (common // q) for mono, (p, q) in ratios.items()}, common)
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields; a repeated key is an error (json.loads alone keeps the last)."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return fields
+
+
 def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
     """Parse spline JSON, returning the spline and any construction block."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_fields)
+    except SchemaError:  # a repeated key; SchemaError is a ValueError, which the last clause maps
+        raise
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply") from None
     except json.JSONDecodeError as exc:

@@ -20,12 +20,11 @@ order m agree at the origin, that is, every jump p_j - p_0 starts at total
 degree m+1 or later.  Identical pieces agree to every order: INFINITE.
 
 Both orders are read off each piece's integer frame (`BiPoly.integer_frame`,
-its terms over the lcm D of their denominators), built at most once per
-piece even though a piece borders two rays; a decoded piece arrives with
-its frame and never builds a Fraction.  The jump across a ray is a*(L/Da) -
-b*(L/Db) over L = lcm(Da, Db), so no Fraction is subtracted: a verdict on
-k pieces of t terms costs k frames, k jumps of O(t) integer operations and
-the line divisions, whose cost grows with the multiplicity found.
+its terms over the lcm D of their denominators), which is the form a
+BiPoly is stored in, so reading it builds nothing.  The jump across a ray
+is a*(L/Da) - b*(L/Db) over L = lcm(Da, Db), so no Fraction is subtracted:
+a verdict on k pieces of t terms costs k jumps of O(t) integer operations
+and the line divisions, whose cost grows with the multiplicity found.
 """
 
 from __future__ import annotations

@@ -387,27 +387,47 @@ def vandermonde_coeffs(slopes, n: int) -> list[int]:
     return coeffs
 
 
-def fraction_add(p: BiPoly, q: BiPoly) -> BiPoly:
-    """p + q term by term in Fractions."""
+Terms = dict[tuple[int, int], Fraction]
+
+
+def _nonzero(out: Terms) -> Terms:
+    return {mono: coeff for mono, coeff in out.items() if coeff}
+
+
+def fraction_add(p: BiPoly, q: BiPoly) -> Terms:
+    """p + q term by term in Fractions, as a plain dict of the nonzero terms."""
     out = dict(p.terms)
     for mono, coeff in q.terms.items():
         out[mono] = out.get(mono, Fraction(0)) + coeff
-    return BiPoly(out)
+    return _nonzero(out)
 
 
-def fraction_sub(p: BiPoly, q: BiPoly) -> BiPoly:
-    """p - q as p plus the negated q, term by term in Fractions."""
-    return fraction_add(p, BiPoly({mono: -coeff for mono, coeff in q.terms.items()}))
+def fraction_sub(p: BiPoly, q: BiPoly) -> Terms:
+    """p - q term by term in Fractions, as a plain dict of the nonzero terms."""
+    out = dict(p.terms)
+    for mono, coeff in q.terms.items():
+        out[mono] = out.get(mono, Fraction(0)) - coeff
+    return _nonzero(out)
 
 
-def fraction_scale(p: BiPoly, factor) -> BiPoly:
-    """factor * p, one Fraction product per term."""
-    return BiPoly({mono: coeff * factor for mono, coeff in p.terms.items()})
+def fraction_scale(p: BiPoly, factor) -> Terms:
+    """factor * p, one Fraction product per term, as a plain dict of the nonzero terms."""
+    return _nonzero({mono: coeff * factor for mono, coeff in p.terms.items()})
 
 
-def fraction_partial(p: BiPoly, x_order: int, y_order: int) -> BiPoly:
-    """d^(x_order + y_order) p / dx^x_order dy^y_order, one factor of the falling factorials at a time."""
-    out: dict[tuple[int, int], Fraction] = {}
+def fraction_mul(p: BiPoly, q: BiPoly) -> Terms:
+    """p * q, one Fraction product per pair of terms, as a plain dict of the nonzero terms."""
+    out: Terms = {}
+    for (i1, j1), c1 in p.terms.items():
+        for (i2, j2), c2 in q.terms.items():
+            out[i1 + i2, j1 + j2] = out.get((i1 + i2, j1 + j2), Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def fraction_partial(p: BiPoly, x_order: int, y_order: int) -> Terms:
+    """d^(x_order + y_order) p / dx^x_order dy^y_order, one factor of the falling
+    factorials at a time, as a plain dict of the nonzero terms."""
+    out: Terms = {}
     for (i, j), coeff in p.terms.items():
         if i < x_order or j < y_order:
             continue
@@ -417,7 +437,15 @@ def fraction_partial(p: BiPoly, x_order: int, y_order: int) -> BiPoly:
         for step in range(y_order):
             c *= j - step
         out[(i - x_order, j - y_order)] = out.get((i - x_order, j - y_order), Fraction(0)) + c
-    return BiPoly(out)
+    return _nonzero(out)
+
+
+def assert_canonical_frame(p: BiPoly) -> None:
+    """p's stored frame (numerators, D) has D > 0, no zero numerator and gcd(D, *numerators) = 1."""
+    numerators, common = p.integer_frame()
+    assert type(common) is int and common > 0
+    assert all(type(c) is int and c for c in numerators.values())
+    assert gcd(common, *numerators.values()) == 1
 
 
 def cumulative_pieces(coeffs, slopes, n: int) -> list[BiPoly]:

@@ -293,6 +293,12 @@ _PAIR = '{"dx": "1", "dy": "0"}, {"dx": "-1", "dy": "0"}'
          "pieces[1].monomials: expected an object"),
         ('{"rays": [' + _PAIR + '], "pieces": [{"monomials": {}}, {"monomials": {"0,2": "1", "00,2": "1"}}]}',
          "pieces[1].monomials: duplicate monomial '00,2'"),
+        # json.loads alone keeps the last value of a repeated key: 5*y^2, or a zero ray
+        ('{"rays": [' + _PAIR + '], "pieces": [{"monomials": {}}, {"monomials": {"0,2": "1", "0,2": "5"}}]}',
+         "duplicate key '0,2' in a JSON object"),
+        ('{"rays": [{"dx": "1", "dy": "0", "dx": "0"}, {"dx": "-1", "dy": "0"}], '
+         '"pieces": [{"monomials": {}}, {"monomials": {"0,2": "1"}}]}',
+         "duplicate key 'dx' in a JSON object"),
     ],
 )
 def test_check_reports_each_document_shape_error(tmp_path, capsys, document, message):

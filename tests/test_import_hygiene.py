@@ -2,6 +2,10 @@
 imports is used in it, and every function or class it defines is used
 somewhere.
 
+A BiPoly's storage stays behind its module: no other package module reads
+one of its slots or calls object.__new__; they build through `BiPoly(...)`
+and `BiPoly._from_frame` and read through `integer_frame()`.
+
 The one exception to the second rule: a name that `perfbench/spans.py`
 patches in that module (its `FUNCTION_PATCHES`) stays bound there for the
 patch, whether or not the module calls it.
@@ -13,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from supersmooth.poly import BiPoly
 from test_trace_names import SPANS
 
 _ROOT = Path(__file__).parent.parent
@@ -59,6 +64,18 @@ def test_imported_names_are_used_or_patched(path):
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
                 assert name in used or (path.stem, name) in _PATCHED, f"{path.name}:{node.lineno} binds unused {name}"
+
+
+@pytest.mark.parametrize("path", [path for path in _MODULES if path.name != "poly.py"], ids=lambda path: path.stem)
+def test_bipoly_storage_is_read_only_in_its_module(path):
+    slots = set(BiPoly.__slots__)
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in slots, f"{path.name}:{node.lineno} reads BiPoly.{node.attr}"
+            is_object_new = node.attr == "__new__" and isinstance(node.value, ast.Name) and node.value.id == "object"
+            assert not is_object_new, f"{path.name}:{node.lineno} calls object.__new__"
+        elif isinstance(node, ast.Constant):
+            assert node.value not in slots, f"{path.name}:{node.lineno} names BiPoly.{node.value}"
 
 
 def _references(tree: ast.Module) -> set[str]:

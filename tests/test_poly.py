@@ -1,23 +1,32 @@
+import json
 import math
 from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supersmooth import (
     BiPoly,
     InvalidDirectionError,
+    OperatorPoly,
     X,
     Y,
+    apply_operator,
+    build_counterexample,
+    decode_spline,
     directional_derivative,
+    encode_spline,
     linear_form_power,
     restrict_to_ray,
+    sample_spline_space,
 )
 from supersmooth.poly import line_power
 from helpers import (
+    assert_canonical_frame,
     fraction_add,
+    fraction_mul,
     fraction_partial,
     fraction_scale,
     fraction_sub,
@@ -125,7 +134,10 @@ def test_restrict_along_level_line():
     assert restrict_to_ray((Y + 2 * X) ** 3, (1, -2)).is_zero
 
 
-@given(bipolys, directions, st.fractions(min_value=-5, max_value=5, max_denominator=7))
+rational_directions = st.tuples(coefficients, coefficients).filter(lambda d: d != (0, 0))
+
+
+@given(bipolys, directions | rational_directions, st.fractions(min_value=-5, max_value=5, max_denominator=7))
 def test_restriction_is_a_polynomial_in_x_alone(p, d, t):
     r = restrict_to_ray(p, d)
     assert all(j == 0 for _, j in r.terms)
@@ -184,7 +196,7 @@ def test_evaluate_matches_termwise_fractions():
 def test_integer_frame_is_the_terms_over_their_least_common_denominator(p, q):
     for poly in (p, p - q, p.partial(1, 0), -q):
         terms, common = poly.integer_frame()
-        assert poly.integer_frame() is poly.integer_frame()  # built once
+        assert poly.integer_frame() is poly.integer_frame()  # the stored frame itself
         assert all(type(c) is int and c for c in terms.values())
         assert {mono: Fraction(c, common) for mono, c in terms.items()} == dict(poly.terms)
         # least: no common factor is left between the numerators and D
@@ -205,7 +217,6 @@ def test_from_frame_equals_the_fraction_route(numerators, denominator, shared):
     framed = BiPoly._from_frame(numerators, denominator)
     numerators[(9, 9)] = 1  # the frame is copied, not aliased
     reference = BiPoly({mono: Fraction(c, denominator) for mono, c in numerators.items() if mono != (9, 9)})
-    # frame-only reads first, before the Fraction terms exist
     assert framed.integer_frame() == reference.integer_frame()
     assert framed.is_zero == reference.is_zero
     assert framed.total_degree() == reference.total_degree()
@@ -266,17 +277,102 @@ def _well_formed(p: BiPoly) -> bool:
     return all(type(c) is Fraction and c != 0 for c in p.terms.values())
 
 
-@given(_operand_pairs(), wide_coefficients | st.just(0) | st.integers(-5, 5), st.integers(0, 5), st.integers(0, 5))
-def test_arithmetic_equals_the_fraction_loops(pair, factor, x_order, y_order):
+@given(
+    _operand_pairs(),
+    wide_coefficients | st.just(0) | st.integers(-5, 5),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.tuples(wide_coefficients | st.integers(-5, 5), wide_coefficients | st.integers(-5, 5)),
+)
+def test_arithmetic_equals_the_fraction_loops(pair, factor, x_order, y_order, point):
+    # The loops return plain dicts: no BiPoly constructor or __eq__ on the oracle side.
     p, q = pair
     cases = [
         (p + q, fraction_add(p, q)),
         (p - q, fraction_sub(p, q)),
-        (p - p, BiPoly.zero()),
+        (p - p, {}),
         (-q, fraction_sub(BiPoly.zero(), q)),
         (p.scale(factor), fraction_scale(p, factor)),
         (p.partial(x_order, y_order), fraction_partial(p, x_order, y_order)),
+        (p * q, fraction_mul(p, q)),
     ]
     for got, expected in cases:
-        assert got == expected
+        assert got.terms == expected
         assert _well_formed(got)
+    assert p.evaluate(*point) == termwise_evaluate(p, *point)
+
+
+def test_terms_is_a_fresh_view():
+    p = 3 * X**2 - Fraction(1, 2) * Y
+    view = p.terms
+    view[(0, 0)] = Fraction(7)
+    assert p.terms == {(2, 0): 3, (0, 1): Fraction(-1, 2)}
+    assert p.terms is not p.terms
+
+
+@given(_operand_pairs(), st.integers(1, 12))
+def test_polynomials_equal_by_two_routes_hash_equal(pair, shared):
+    p, q = pair
+    numerators, common = p.integer_frame()
+    routes = [
+        ((p + q) - q, p),
+        (p * q, q * p),
+        (p + q, BiPoly(fraction_add(p, q))),
+        (BiPoly._from_frame({mono: c * shared for mono, c in numerators.items()}, common * shared), p),
+        (p.scale(shared).scale(Fraction(1, shared)), p),
+        (-(-p), p),
+        (p - p, BiPoly.zero()),
+    ]
+    for left, right in routes:
+        assert left == right
+        assert hash(left) == hash(right)
+
+
+@given(
+    _operand_pairs(),
+    wide_coefficients | st.just(0) | st.integers(-5, 5),
+    st.dictionaries(monomials, st.integers(-40, 40), max_size=6),
+    st.integers(1, 30),
+    directions,
+    st.integers(0, 3),
+)
+def test_arithmetic_gives_canonical_frames(pair, factor, numerators, shared, d, k):
+    # `==` and `hash` compare stored frames, so every route must leave the canonical one.
+    p, q = pair
+    built = [
+        p, q, BiPoly.zero(), BiPoly.constant(factor),
+        BiPoly._from_frame({mono: c * shared for mono, c in numerators.items()}, shared),
+        p + q, p - q, q - p, p - p, -p, 1 - p, p + factor,
+        p * q, p * factor, p.scale(factor), q**k,
+        p.partial(1, 0), p.partial(k, 1), restrict_to_ray(p, d), directional_derivative(q, d),
+        linear_form_power(factor, k),
+    ]
+    for poly in built:
+        assert_canonical_frame(poly)
+
+
+def _unreduced(literal: str, shared: int) -> str:
+    """A rational literal written with numerator and denominator multiplied by `shared`."""
+    p, _, q = literal.partition("/")
+    return f"{int(p) * shared}/{int(q or 1) * shared}"
+
+
+slope_lists = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=7).filter(lambda a: a != 0),
+    min_size=2, max_size=5, unique=True,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(slope_lists, st.integers(1, 12), wide_bipolys, st.dictionaries(monomials, coefficients, max_size=4))
+def test_library_builders_give_canonical_frames(slopes, shared, p, op_terms):
+    spec = build_counterexample(slopes, len(slopes) - 1)
+    document = json.loads(encode_spline(spec.spline))
+    for piece in document["pieces"]:
+        piece["monomials"] = {key: _unreduced(value, shared) for key, value in piece["monomials"].items()}
+    decoded = decode_spline(json.dumps(document))
+    assert decoded.pieces == spec.spline.pieces
+    sampled = sample_spline_space(spec.spline.fan, 3, 1, count=2, seed=shared)
+    applied = apply_operator(OperatorPoly(2, op_terms), spec.spline.fan.rays[1:3], p)
+    for poly in [*spec.spline.pieces, *decoded.pieces, *(piece for s in sampled for piece in s.pieces), applied]:
+        assert_canonical_frame(poly)

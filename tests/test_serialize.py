@@ -169,6 +169,20 @@ def test_decode_rejects_invalid_json():
         decode_spline("{not json")
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"rays": [], "rays": [], "pieces": []}', "rays"),
+        ('{"rays": [], "pieces": [], "construction": {"n": 1, "n": 2, "slopes": [], "coeffs": []}}', "n"),
+        ('{"rays": [], "pieces": [{"monomials": {"1,0": "1", "1,0": "1"}}]}', "1,0"),
+    ],
+)
+def test_decode_rejects_a_repeated_key_at_any_depth(text, key):
+    # even when both values agree; the error comes before any schema check
+    with pytest.raises(SchemaError, match=f"^duplicate key '{key}' in a JSON object$"):
+        decode_document(text)
+
+
 def test_decode_maps_deep_nesting_to_schema_error():
     with pytest.raises(SchemaError, match="invalid JSON"):
         decode_spline("[" * 100000 + "]" * 100000)
