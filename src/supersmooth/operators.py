@@ -31,39 +31,31 @@ from .fan import FanPartition, Ray, are_collinear as _collinear, decompose_direc
 from .poly import BiPoly, _as_fraction, _direction_components, directional_derivative, line_power  # noqa: F401
 
 
+@dataclass(frozen=True, slots=True)
 class OperatorPoly:
-    """Polynomial in commuting derivative symbols with rational coefficients."""
+    """Polynomial in commuting derivative symbols with rational coefficients.
 
-    __slots__ = ("arity", "_terms")
+    Frozen; `terms` keeps the nonzero coefficients as Fractions, keyed by
+    exponent tuples of length `arity`.
+    """
 
-    def __init__(self, arity: int, terms: Mapping[tuple, Fraction | int] | None = None):
-        self.arity = arity
+    arity: int
+    terms: Mapping[tuple, Fraction | int] | None = None
+
+    def __post_init__(self):
         clean: dict[tuple, Fraction] = {}
-        if terms:
-            for exponents, coeff in terms.items():
-                if len(exponents) != arity:
-                    raise ValueError(f"exponent tuple {exponents} does not match arity {arity}")
-                if not all(isinstance(e, int) and e >= 0 for e in exponents):
-                    raise ValueError(f"exponent tuple {exponents} needs nonnegative integers")
-                c = _as_fraction(coeff)
-                if c != 0:
-                    clean[tuple(exponents)] = c
-        self._terms = clean
-
-    @property
-    def terms(self) -> Mapping[tuple, Fraction]:
-        return self._terms
+        for exponents, coeff in (self.terms or {}).items():
+            if len(exponents) != self.arity:
+                raise ValueError(f"exponent tuple {exponents} does not match arity {self.arity}")
+            if not all(isinstance(e, int) and e >= 0 for e in exponents):
+                raise ValueError(f"exponent tuple {exponents} needs nonnegative integers")
+            c = _as_fraction(coeff)
+            if c != 0:
+                clean[tuple(exponents)] = c
+        object.__setattr__(self, "terms", clean)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(sum(e) == degree for e in self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorPoly):
-            return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
-
-    def __repr__(self) -> str:
-        return f"OperatorPoly(arity={self.arity}, terms={self._terms!r})"
+        return all(sum(e) == degree for e in self.terms)
 
 
 def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly) -> BiPoly:

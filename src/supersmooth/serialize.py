@@ -8,8 +8,8 @@ Document schema (any unknown field anywhere is an error):
       "construction": {"n": 2, "slopes": [...], "coeffs": [...]}   # optional
     }
 
-A construction block has exactly these three fields: an integer n >= 1 and
-n+1 rational strings in each list.
+A construction block, when present, is an object (not null) with exactly
+these three fields: an integer n >= 1 and n+1 rational strings in each list.
 
 Rationals use the canonical "p" / "p/q" text form; monomial keys are
 "i,j" with nonnegative exponents in ASCII digits and total degree i+j at
@@ -201,7 +201,7 @@ def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
         raise SchemaError("rays are not in clockwise order starting from the first")
 
     construction = doc.get("construction")
-    if construction is not None:
+    if "construction" in doc:
         _check_construction(construction)
     return PiecewisePoly(fan=fan, pieces=tuple(pieces)), construction
 

@@ -20,9 +20,10 @@ order m agree at the origin, that is, every jump p_j - p_0 starts at total
 degree m+1 or later.  Identical pieces agree to every order: INFINITE.
 
 Both orders are read off each piece's integer frame (`BiPoly.integer_frame`,
-its terms over the lcm D of their denominators), which is the form a
-BiPoly is stored in, so reading it builds nothing.  The jump across a ray
-is a*(L/Da) - b*(L/Db) over L = lcm(Da, Db), so no Fraction is subtracted:
+its terms over the lcm D > 0 of their denominators), which is the form a
+BiPoly is stored in, so reading it builds nothing.  A positive scale keeps
+a jump's zeros and line multiplicities, so the jump b/Db - a/Da across a
+ray is formed as b*Da - a*Db in integers, with no common denominator:
 a verdict on k pieces of t terms costs k jumps of O(t) integer operations
 and the line divisions, whose cost grows with the multiplicity found.
 """
@@ -30,7 +31,7 @@ and the line divisions, whose cost grows with the multiplicity found.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DomainError
 # locate_sector and restrict_to_ray are unused here but stay bound:
@@ -146,12 +147,10 @@ def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
         raise DomainError(f"ray index {ray_index} out of range for {k} rays")
     before, before_den = spline.pieces[(ray_index - 1) % k].integer_frame()
     after, after_den = spline.pieces[ray_index].integer_frame()
-    common = lcm(before_den, after_den)
-    scale_before, scale_after = common // before_den, common // after_den
-    # (before - after) * common, in integers
-    jump = {mono: c * scale_before for mono, c in before.items()}
+    # (before - after) * before_den * after_den, in integers
+    jump = {mono: c * after_den for mono, c in before.items()}
     for mono, c in after.items():
-        value = jump.get(mono, 0) - c * scale_after
+        value = jump.get(mono, 0) - c * before_den
         if value:
             jump[mono] = value
         else:
@@ -174,11 +173,9 @@ def origin_smoothness_order(spline: PiecewisePoly):
     low = INFINITE
     for piece in spline.pieces[1:]:
         terms, den = piece.integer_frame()
-        common = lcm(base_den, den)
-        scale_base, scale = common // base_den, common // den
         for mono in terms.keys() | base.keys():
             degree = mono[0] + mono[1]
-            if degree < low and terms.get(mono, 0) * scale != base.get(mono, 0) * scale_base:
+            if degree < low and terms.get(mono, 0) * base_den != base.get(mono, 0) * den:
                 low = degree
     return low - 1
 

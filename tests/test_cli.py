@@ -230,6 +230,17 @@ def test_missing_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["dim", "--slopes", "1", "--degree", "2", "--smoothness", "1"], 0), (["check", "."], 1)],
+)
+def test_entry_exits_with_the_code_of_main(monkeypatch, capsys, argv, code):
+    monkeypatch.setattr("sys.argv", ["supersmooth", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == code
+
+
 def _one_error_line(capsys) -> None:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -299,6 +310,11 @@ _PAIR = '{"dx": "1", "dy": "0"}, {"dx": "-1", "dy": "0"}'
         ('{"rays": [{"dx": "1", "dy": "0", "dx": "0"}, {"dx": "-1", "dy": "0"}], '
          '"pieces": [{"monomials": {}}, {"monomials": {"0,2": "1"}}]}',
          "duplicate key 'dx' in a JSON object"),
+        ('{"rays": [{"dx": "0", "dy": "0"}, {"dx": "-1", "dy": "0"}], '
+         '"pieces": [{"monomials": {}}, {"monomials": {}}]}',
+         "rays[0]: zero direction"),
+        ('{"rays": [' + _PAIR + '], "pieces": [{"monomials": {}}, {"monomials": {}}], "construction": null}',
+         "construction: expected an object"),
     ],
 )
 def test_check_reports_each_document_shape_error(tmp_path, capsys, document, message):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -36,6 +37,18 @@ def test_rational_entries():
 def test_empty_matrix_nullspace_is_standard_basis():
     assert nullspace([], cols=3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rank([], cols=3) == 0
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank([[1, 2], [3]]), "ragged matrix"),
+        (lambda: nullspace([]), "column count required for an empty matrix"),
+    ],
+)
+def test_malformed_matrices_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_zero_rows_do_not_affect_rank():

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from random import Random
 
@@ -145,6 +146,18 @@ def test_operator_rejects_inexact_coefficients_and_bad_exponents(terms, error):
 
 def test_operator_keeps_exact_coefficients():
     assert OperatorPoly(2, {(1, 0): Fraction(1, 3), (0, 2): 2, (1, 1): 0}).terms == {(1, 0): Fraction(1, 3), (0, 2): 2}
+
+
+def test_operator_is_a_frozen_value():
+    op = OperatorPoly(2, {(1, 0): Fraction(1, 3), (0, 2): 0})
+    assert repr(op) == "OperatorPoly(arity=2, terms={(1, 0): Fraction(1, 3)})"
+    assert op == OperatorPoly(arity=2, terms={(1, 0): Fraction(2, 6)})
+    assert op != OperatorPoly(3, {(1, 0, 0): Fraction(1, 3)})
+    assert op != "OperatorPoly"
+    with pytest.raises(FrozenInstanceError):
+        op.arity = 3
+    with pytest.raises(TypeError):
+        hash(op)
 
 
 def test_missing_direction_is_an_error_for_the_zero_polynomial():

@@ -85,6 +85,28 @@ def test_subtracting_a_non_polynomial_raises():
         "a" - X
 
 
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: BiPoly({(-1, 2): 1}), ValueError),
+        (lambda: X + "a", TypeError),
+        (lambda: X * "a", TypeError),
+        (lambda: X ** -1, ValueError),
+        (lambda: X ** 1.5, ValueError),
+        (lambda: X.partial(0, -1), ValueError),
+        (lambda: linear_form_power(2, -1), ValueError),
+    ],
+)
+def test_invalid_operands_and_arguments_raise(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_comparison_with_a_non_polynomial_and_repr():
+    assert (X == "a") is False
+    assert repr(Fraction(-1, 2) * X) == "BiPoly({(1, 0): Fraction(-1, 2)})"
+
+
 def test_partial_power_rule():
     assert (X**2 * Y).partial(1, 0) == 2 * X * Y
 

@@ -233,6 +233,7 @@ def _construction(**overrides):
         _construction(slopes=[1, 2]),
         _construction(coeffs=["2", "1.5"]),
         _construction(coeffs=["2", "1/0"]),
+        None,  # a present key holds an object; only an absent one means no block
     ],
 )
 def test_decode_rejects_invalid_construction(block):

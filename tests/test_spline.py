@@ -25,6 +25,7 @@ from supersmooth import (
     smoothness_order_of_difference,
     supersmoothness_verdict,
 )
+from supersmooth import spline as spline_module
 from helpers import (
     all_partials_order,
     fraction_order_of_difference,
@@ -347,6 +348,23 @@ def test_render_report_layout():
     assert lines[-2] == "theorem applicable: no"
     assert lines[-1] == "supersmoothness: not applicable"
     assert text.endswith("\n")
+
+
+def test_verdict_and_report_flag_a_missing_gain(monkeypatch):
+    # C^0 on two non-collinear rays, so the theorem applies; the real origin
+    # order is 1, and an origin order stuck at the global one must read "violated"
+    spline = _two_piece(TWO_GENERIC, BiPoly.zero(), Y * (X + Y))
+    assert supersmoothness_verdict(spline).supersmoothness_holds is True
+    monkeypatch.setattr(spline_module, "origin_smoothness_order", global_smoothness_order)
+    report = supersmoothness_verdict(spline)
+    assert (report.global_order, report.origin_order, report.theorem_applicable) == (0, 0, True)
+    assert report.supersmoothness_holds is False
+    assert render_report(report).endswith("theorem applicable: yes\nsupersmoothness: violated\n")
+
+
+def test_list_pieces_are_stored_as_a_tuple():
+    spline = PiecewisePoly(fan=X_AXIS, pieces=[BiPoly.zero(), Y**2])
+    assert spline.pieces == (BiPoly.zero(), Y**2)
 
 
 def test_pieces_must_match_ray_count():
