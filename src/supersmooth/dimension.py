@@ -24,7 +24,7 @@ from math import comb
 
 from . import linalg
 from .errors import DomainError
-from .fan import FanPartition
+from .fan import FanPartition, line_count
 from .poly import BiPoly, line_power
 from .spline import PiecewisePoly
 
@@ -64,7 +64,7 @@ def kernel_sizes(fan: FanPartition, degree: int, smoothness: int) -> list[int]:
     if smoothness < 0:
         raise DomainError("smoothness must be nonnegative")
     k = len(fan.rays)
-    m = len({(ray.dx, ray.dy) if (ray.dx, ray.dy) > (0, 0) else (-ray.dx, -ray.dy) for ray in fan.rays})
+    m = line_count(fan.rays)
     return [k * (s - smoothness) - min(s + 1, m * (s - smoothness)) for s in range(smoothness + 1, degree + 1)]
 
 

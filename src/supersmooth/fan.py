@@ -4,17 +4,19 @@ A Ray is an oriented direction stored as a primitive integer vector, so
 equality of rays is equality of oriented directions.  A FanPartition keeps
 k >= 2 pairwise-distinct rays in strictly clockwise order starting from the
 first input ray; sector j is the region swept clockwise from rays[j]
-(inclusive) to rays[j+1] (exclusive).
+(inclusive) to rays[j+1] (exclusive).  Its constructor (`build_fan` is the
+same callable) is the only way to build one: it checks and sorts the rays and
+derives `collinear_free` from `line_count`, the one rule for rays on one line.
 
 Clockwise order is decided exactly, without angles, by one integer
 comparator: half-turn buckets relative to the base b first, then, inside one
-open half-turn, the sign of a cross product.  `build_fan`, `locate_sector`
+open half-turn, the sign of a cross product.  `FanPartition`, `locate_sector`
 and the grid's row crossings all read this one rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd, lcm
@@ -72,6 +74,12 @@ def are_collinear(a: Ray, b: Ray) -> bool:
     return _cross(a, b) == 0
 
 
+def line_count(rays: Iterable[Ray]) -> int:
+    """Number of lines through the origin that carry the rays: a ray and its
+    opposite share one, and so do repeated rays."""
+    return len({(r.dx, r.dy) if (r.dx, r.dy) > (0, 0) else (-r.dx, -r.dy) for r in rays})
+
+
 def _half_turn_bucket(bx, by, vx, vy) -> int:
     """0: along (bx, by); 1: in the open clockwise half-turn; 2: opposite; 3: the rest."""
     c = bx * vy - by * vx
@@ -92,35 +100,32 @@ def _clockwise_cmp(bx, by, ux, uy, vx, vy) -> int:
 
 @dataclass(frozen=True, slots=True)
 class FanPartition:
-    """Clockwise-ordered rays; sector j opens clockwise at rays[j]."""
+    """The rays sorted clockwise from the first one; sector j opens clockwise
+    at rays[j].  Rebuilding from `rays` keeps the order."""
 
     rays: tuple[Ray, ...]
-    collinear_free: bool
+    collinear_free: bool = field(init=False)
+
+    def __init__(self, rays: Iterable[Ray]):
+        ray_list = [r if isinstance(r, Ray) else Ray(*r) for r in rays]
+        if len(ray_list) < 2:
+            raise FanSizeError("a fan partition needs at least 2 rays")
+        directions = set()
+        for r in ray_list:
+            if (r.dx, r.dy) in directions:
+                raise DuplicateRayError(f"duplicate oriented direction {r!r}")
+            directions.add((r.dx, r.dy))
+        base = ray_list[0]
+        bx, by = base.dx, base.dy
+        key = cmp_to_key(lambda u, v: _clockwise_cmp(bx, by, u.dx, u.dy, v.dx, v.dy))
+        object.__setattr__(self, "rays", (base, *sorted(ray_list[1:], key=key)))
+        object.__setattr__(self, "collinear_free", line_count(ray_list) == len(ray_list))
 
     def __len__(self) -> int:
         return len(self.rays)
 
 
-def build_fan(rays: Iterable[Ray]) -> FanPartition:
-    """Sort rays clockwise starting from the first one and flag collinear pairs.
-
-    Rebuilding from an already-sorted fan returns the same order.
-    """
-    ray_list = [r if isinstance(r, Ray) else Ray(*r) for r in rays]
-    if len(ray_list) < 2:
-        raise FanSizeError("a fan partition needs at least 2 rays")
-    directions = set()
-    for r in ray_list:
-        if (r.dx, r.dy) in directions:
-            raise DuplicateRayError(f"duplicate oriented direction {r!r}")
-        directions.add((r.dx, r.dy))
-    base = ray_list[0]
-    bx, by = base.dx, base.dy
-    key = cmp_to_key(lambda u, v: _clockwise_cmp(bx, by, u.dx, u.dy, v.dx, v.dy))
-    ordered = [base] + sorted(ray_list[1:], key=key)
-    # Primitive distinct rays share a line only when they are opposite.
-    collinear_free = all((-dx, -dy) not in directions for dx, dy in directions)
-    return FanPartition(rays=tuple(ordered), collinear_free=collinear_free)
+build_fan = FanPartition
 
 
 def locate_sector(fan: FanPartition, x, y) -> int:

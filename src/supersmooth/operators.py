@@ -25,7 +25,7 @@ from math import lcm, perm, prod
 from typing import Mapping, Sequence
 
 from .errors import ArityError, MissingDirectionError, SingularDecompositionError
-from .fan import FanPartition, Ray, are_collinear as _collinear, decompose_direction
+from .fan import FanPartition, Ray, decompose_direction, line_count
 # directional_derivative is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.operators.directional_derivative by name.
 from .poly import BiPoly, _as_fraction, _direction_components, directional_derivative, line_power  # noqa: F401
@@ -154,7 +154,7 @@ def expand_power_operator(fan: "FanPartition | Sequence[Ray]", n: int) -> PowerO
     k = len(rays)
     if k != n + 2:
         raise ArityError(f"order {n} needs a fan of {n + 2} rays, got {k}")
-    if any(_collinear(rays[i], rays[j]) for i in range(k) for j in range(i + 1, k)):
+    if line_count(rays) < k:
         raise SingularDecompositionError("rays contain a collinear pair")
     pairs = [decompose_direction(rays[0], rays[1], ray) for ray in rays[2:]]
     terms = {

@@ -52,9 +52,14 @@ def format_rational(value: Fraction | int) -> str:
     """
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-    num, den = value.numerator, value.denominator
+    return _format_ratio(value.numerator, value.denominator)
+
+
+def _format_ratio(num: int, den: int) -> str:
+    """Canonical text of the integers num/den (den > 0), reduced by one gcd: `_parse_ratio`'s twin."""
+    g = gcd(num, den)
     try:
-        return str(num) if den == 1 else f"{num}/{den}"
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
     except ValueError:
         raise DomainError(f"rational too long to print (over {sys.get_int_max_str_digits()} digits)") from None
 

@@ -38,7 +38,7 @@ from typing import Sequence
 from .errors import DomainError, SchemaError
 from .fan import FanPartition, Ray, _clockwise_cmp, build_fan, locate_sector
 from .poly import BiPoly
-from .rational import _parse_ratio, format_rational, parse_rational
+from .rational import _format_ratio, _parse_ratio, format_rational, parse_rational
 from .spline import PiecewisePoly
 
 MAX_DEGREE = 1000
@@ -61,7 +61,9 @@ def encode_spline(spline: PiecewisePoly, construction: dict | None = None) -> st
     ]
     pieces = []
     for piece in spline.pieces:
-        monomials = [f'        "{i},{j}": "{format_rational(coeff)}"' for (i, j), coeff in piece.sorted_terms()]
+        numerators, den = piece.integer_frame()
+        ordered = sorted(numerators.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0][0]))
+        monomials = [f'        "{i},{j}": "{_format_ratio(c, den)}"' for (i, j), c in ordered]
         pieces.append(f'    {{\n      "monomials": {_json_block(monomials, "{}", "      ")}\n    }}')
     text = f'{{\n  "rays": {_json_block(rays, "[]", "  ")},\n  "pieces": {_json_block(pieces, "[]", "  ")}'
     if construction is not None:

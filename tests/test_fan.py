@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 from functools import cmp_to_key
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from supersmooth import (
     DuplicateRayError,
+    FanPartition,
     FanSizeError,
     InvalidDirectionError,
     OriginSectorError,
@@ -19,8 +21,10 @@ from supersmooth import (
     decompose_direction,
     locate_sector,
 )
+from supersmooth.fan import line_count
 from helpers import (
     clockwise_cmp,
+    distinct_lines,
     fraction_locate_sector,
     random_collinear_free_fan,
     random_direction,
@@ -81,12 +85,12 @@ def test_build_fan_reorders_clockwise():
 
 
 def test_build_fan_rejects_duplicates():
-    with pytest.raises(DuplicateRayError):
+    with pytest.raises(DuplicateRayError, match=r"^duplicate oriented direction Ray\(1, 0\)$"):
         build_fan([Ray(1, 0), Ray(2, 0)])
 
 
 def test_build_fan_rejects_single_ray():
-    with pytest.raises(FanSizeError):
+    with pytest.raises(FanSizeError, match="^a fan partition needs at least 2 rays$"):
         build_fan([Ray(1, 0)])
 
 
@@ -98,6 +102,22 @@ def test_build_fan_idempotent():
 
 
 COMPASS = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 0), Ray(0, 1)])
+
+
+def test_build_fan_is_the_constructor():
+    assert build_fan is FanPartition
+
+
+def test_constructor_rejects_a_set_flag():
+    with pytest.raises(TypeError):
+        FanPartition(rays=(Ray(1, 0), Ray(-1, 0)), collinear_free=True)
+
+
+def test_replace_sorts_the_new_rays_and_derives_the_flag():
+    fan = dataclasses.replace(COMPASS, rays=[Ray(1, 0), Ray(1, 1), Ray(0, -1)])
+    assert fan.rays == FanPartition([Ray(1, 0), Ray(1, 1), Ray(0, -1)]).rays == (Ray(1, 0), Ray(0, -1), Ray(1, 1))
+    assert fan.collinear_free
+    assert not dataclasses.replace(fan, rays=[Ray(1, 0), Ray(-1, 0)]).collinear_free
 
 
 def test_locate_sector_interior_point():
@@ -222,6 +242,25 @@ def test_collinear_free_matches_pairwise_checks():
             are_collinear(a, b) for i, a in enumerate(rays) for b in rays[i + 1 :]
         )
         assert fan.collinear_free == expected
+
+
+@st.composite
+def _ray_lists(draw):
+    """Rays with repeats and opposite pairs, so several may share a line."""
+    rays = []
+    for d in draw(st.lists(_directions, min_size=1, max_size=8)):
+        ray = Ray(*d)
+        rays.append(draw(st.sampled_from([ray, Ray(-ray.dx, -ray.dy)] + rays)))
+    return rays
+
+
+@given(_ray_lists())
+def test_line_count_equals_the_distinct_lines_and_the_pairwise_checks(rays):
+    assert line_count(rays) == distinct_lines(rays)
+    distinct = list(dict.fromkeys(rays))
+    if len(distinct) >= 2:
+        pairwise_free = not any(are_collinear(a, b) for i, a in enumerate(distinct) for b in distinct[i + 1:])
+        assert FanPartition(distinct).collinear_free == pairwise_free
 
 
 # 30-digit directions within a few units of a multiple of one of four small

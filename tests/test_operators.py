@@ -55,8 +55,10 @@ def test_expand_requires_matching_ray_count():
 
 
 def test_expand_rejects_collinear_rays():
-    with pytest.raises(SingularDecompositionError):
-        expand_power_operator([Ray(1, 0), Ray(-1, 0), Ray(0, 1)], 1)
+    # an opposite pair, and a repeated ray in a plain sequence
+    for rays in ([Ray(1, 0), Ray(-1, 0), Ray(0, 1)], [Ray(1, 0), Ray(0, 1), Ray(0, 1)]):
+        with pytest.raises(SingularDecompositionError, match="^rays contain a collinear pair$"):
+            expand_power_operator(rays, 1)
 
 
 def test_cross_coefficient_is_product_of_betas():

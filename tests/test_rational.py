@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supersmooth import RationalParseError, format_rational, parse_rational
-from supersmooth.rational import _parse_ratio, primitive
+from supersmooth import DomainError, RationalParseError, format_rational, parse_rational
+from supersmooth.rational import _format_ratio, _parse_ratio, primitive
 
 
 def test_parse_integer_and_fraction():
@@ -53,6 +53,19 @@ def test_format_rejects_inexact_and_non_numeric_values(value):
 def test_parse_ratio_keeps_the_literal_unreduced(text, ratio):
     assert _parse_ratio(text) == ratio
     assert parse_rational(text) == Fraction(*ratio)
+
+
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
+def test_format_ratio_equals_formatting_the_fraction(num, den):
+    # the unreduced twin of format_rational: it reads back through _parse_ratio
+    text = _format_ratio(num, den)
+    assert text == format_rational(Fraction(num, den))
+    assert Fraction(*_parse_ratio(text)) == Fraction(num, den)
+
+
+def test_format_ratio_rejects_a_part_too_long_to_print():
+    with pytest.raises(DomainError, match="^rational too long to print"):
+        _format_ratio(3 * 10**5000, 7)
 
 
 @given(st.fractions(max_denominator=10**6))

@@ -9,6 +9,7 @@ from supersmooth import (
     INFINITE,
     BiPoly,
     DomainError,
+    FanPartition,
     PiecewisePoly,
     Ray,
     X,
@@ -135,6 +136,15 @@ def test_verdict_halfplane_not_applicable():
     assert not report.theorem_applicable
     assert report.global_order == 1 and report.origin_order == 1
     assert report.supersmoothness_holds is None
+
+
+def test_verdict_on_a_hand_made_halfplane_fan_is_not_applicable():
+    # The fan's constructor derives collinear_free, so a hand-made fan of an
+    # opposite pair cannot claim the gain and report it "violated".
+    spline = _two_piece(FanPartition((Ray(1, 0), Ray(-1, 0))), BiPoly.zero(), Y**2)
+    report = supersmoothness_verdict(spline)
+    assert not spline.fan.collinear_free and not report.theorem_applicable
+    assert render_report(report).endswith("theorem applicable: no\nsupersmoothness: not applicable\n")
 
 
 def test_verdict_counterexample_not_applicable():
