@@ -12,9 +12,10 @@ unbounded CPU: MAX_DIM_DEGREE for `dim --degree` and `--smoothness`,
 MAX_N for `construct --n` and `demo --n`, MAX_GRID_N for `sample --grid-n`.
 `dim` reads the dimension off a closed form, so its cost does not depend on
 the slopes; `check` time still grows with the size of the document, and
-`sample` time with grid_n^2 integer Horner passes of the pieces' x-degree
-(the sectors come from the order in which each row crosses the rays, with
-at most 4 lookups a grid).  A value above its cap is a domain error.
+`sample` time with grid_n^2 Horner steps over each row polynomial's nonzero
+x-terms, none where a piece is constant along the row (the sectors come
+from the order in which each row crosses the rays, with at most 4 lookups
+a grid).  A value above its cap is a domain error.
 """
 
 from __future__ import annotations

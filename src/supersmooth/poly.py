@@ -182,6 +182,13 @@ class BiPoly:
     def __hash__(self) -> int:
         return hash((frozenset(self._frame[0].items()), self._frame[1]))
 
+    # Pickle protocols 0 and 1 need both for a class with __slots__.
+    def __getstate__(self) -> tuple[dict[Monomial, int], int]:
+        return self._frame
+
+    def __setstate__(self, frame: tuple[dict[Monomial, int], int]) -> None:
+        self._frame = frame
+
     # -- calculus ------------------------------------------------------
 
     def partial(self, x_order: int, y_order: int) -> "BiPoly":

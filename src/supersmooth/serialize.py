@@ -116,21 +116,28 @@ def _parse_rational_at(value, where: str) -> Fraction:
         raise _rational_error(value, exc, where) from None
 
 
-def _parse_piece(monomials: dict, where: str) -> BiPoly:
+def _parse_piece(monomials: dict, where: str, keys: dict[str, tuple[int, int]]) -> BiPoly:
     """A piece's monomials as one integer frame: each "p/q" is read as the
-    integers (p, q), and the frame's denominator is the lcm of the q."""
+    integers (p, q), and the frame's denominator is the lcm of the q.
+
+    `keys` maps each monomial key already read in the document to its
+    (i, j), so a key that several pieces share is parsed and checked once.
+    """
     ratios: dict[tuple[int, int], tuple[int, int]] = {}
     for key, value in monomials.items():
-        match = _MONOMIAL_KEY.fullmatch(key)
-        if match is None:
-            raise SchemaError(f"{where}: monomial key {key!r} is not \"i,j\"")
-        try:
-            mono = int(match[1]), int(match[2])
-        except ValueError:
-            # Python refuses integer literals above sys.get_int_max_str_digits() digits.
-            raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}") from None
-        if mono[0] + mono[1] > MAX_DEGREE:
-            raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}")
+        mono = keys.get(key)
+        if mono is None:
+            match = _MONOMIAL_KEY.fullmatch(key)
+            if match is None:
+                raise SchemaError(f"{where}: monomial key {key!r} is not \"i,j\"")
+            try:
+                mono = int(match[1]), int(match[2])
+            except ValueError:
+                # Python refuses integer literals above sys.get_int_max_str_digits() digits.
+                raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}") from None
+            if mono[0] + mono[1] > MAX_DEGREE:
+                raise SchemaError(f"{where}: monomial key {key!r} has total degree above {MAX_DEGREE}")
+            keys[key] = mono
         if mono in ratios:
             raise SchemaError(f"{where}: duplicate monomial {key!r}")
         try:
@@ -189,14 +196,14 @@ def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
             raise SchemaError(f"{where}: zero direction")
         rays.append(Ray(dx, dy))
 
-    pieces = []
+    pieces, keys = [], {}
     for idx, entry in enumerate(pieces_field):
         where = f"pieces[{idx}]"
         _require_keys(entry, {"monomials"}, set(), where)
         monomials = entry["monomials"]
         if not isinstance(monomials, dict):
             raise SchemaError(f"{where}.monomials: expected an object")
-        pieces.append(_parse_piece(monomials, f"{where}.monomials"))
+        pieces.append(_parse_piece(monomials, f"{where}.monomials", keys))
 
     fan = build_fan(rays)
     if fan.rays != tuple(rays):
@@ -236,20 +243,55 @@ def decode_spline(text: str) -> PiecewisePoly:
 CSV_HEADER = "x,y,value,sector"
 
 
-def _integer_terms(piece: BiPoly, frame: int) -> tuple[list[list[tuple[int, int]]], int]:
+def _integer_terms(piece: BiPoly, frame: int) -> tuple[list[int], list[tuple[int, int, int]], int]:
     """The piece at (X/frame, Y/frame) as integers over one denominator.
 
     With D the lcm of the piece's denominators and T its total degree,
     p(X/frame, Y/frame) = sum c_ij D frame^(T-i-j) X^i Y^j / (D frame^T).
-    Returns those integer coefficients as [(j, c)] per x-exponent i, from
-    the top down, and the denominator D frame^T.
+    Returns the x-exponents i that have a term, from the top down, each
+    term as (position of its i in that list, j, integer coefficient), and
+    the denominator D frame^T.
     """
     terms, common = piece.integer_frame()
     top = max((i + j for i, j in terms), default=0)
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(max((i for i, _ in terms), default=0) + 1)]
-    for (i, j), c in terms.items():
-        columns[i].append((j, c * frame ** (top - i - j)))
-    return columns[::-1], common * frame**top
+    exponents = sorted({i for i, _ in terms}, reverse=True)
+    position = {i: at for at, i in enumerate(exponents)}
+    integer_terms = [(position[i], j, c * frame ** (top - i - j)) for (i, j), c in terms.items()]
+    return exponents, integer_terms, common * frame**top
+
+
+def _horner_steps(exponents: list[int], coeffs: list[int]) -> tuple[int, list[int], list[int] | None]:
+    """Horner's scheme for the sum of a*X^i over descending exponents i and their coefficients a.
+
+    Returns (lead, steps, gaps): start from num = lead, then num = num*X^gap + a
+    for each step a and its gap.  Zero coefficients take no step, and a last
+    step of 0 multiplies by X^i when the lowest nonzero term has i > 0, so a
+    point costs at most one step per nonzero term, and none for a constant.
+    gaps is None when every gap is 1.
+    """
+    if exponents and exponents[0] == len(exponents) - 1 and all(coeffs):
+        return coeffs[0], coeffs[1:], None
+    terms = [(i, a) for i, a in zip(exponents, coeffs) if a]
+    if not terms:
+        return 0, [], None
+    (top, lead), steps, gaps = terms[0], [], []
+    for i, a in terms[1:]:
+        steps.append(a)
+        gaps.append(top - i)
+        top = i
+    if top:
+        steps.append(0)
+        gaps.append(top)
+    return lead, steps, None if all(gap == 1 for gap in gaps) else gaps
+
+
+def _column_power(column_powers: dict[int, dict[int, int]], xs: list[int], gap: int, k: int) -> int:
+    """xs[k]**gap, computed on first use and kept in column_powers[gap][k]."""
+    powers = column_powers.setdefault(gap, {})
+    power = powers.get(k)
+    if power is None:
+        power = powers[k] = xs[k] ** gap
+    return power
 
 
 def _half_crossings(fan: FanPartition, sign: int) -> tuple[int, list[tuple[int, int, int, int]]]:
@@ -307,10 +349,14 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     crossings, so `locate_sector` runs only for a half-plane that no ray
     enters and for the two sides of the row y = 0: at most 4 calls a grid.
     Each piece is cleared to integers over one fixed denominator once a
-    grid and restricted to a row once per sector met; a point then costs
-    one integer Horner pass of the piece's x-degree (grid_n^2 passes in
-    all) and one correctly rounded int/int division.  The rows are
-    identical to those of locating and evaluating each point on its own.
+    grid and restricted to a row once per sector met, kept by its nonzero
+    X-terms.  A run of points whose row polynomial has no X term shares one
+    value, one int/int division; otherwise a point costs one Horner step
+    per nonzero term (`_horner_steps`) and one correctly rounded division.
+    Every row has the same X, so each X^gap of a gap > 1 is computed once
+    per column a grid.  The rows are identical to those of locating and
+    evaluating each point on its own, and so is the point that an overflow
+    names.
     """
     if grid_n < 2:
         raise DomainError("grid_n must be at least 2")
@@ -326,59 +372,84 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     fan = spline.fan
     upper, lower = _half_crossings(fan, 1), _half_crossings(fan, -1)
     pieces = [_integer_terms(piece, frame) for piece in spline.pieces]
-    top_j = max((j for piece in spline.pieces for _, j in piece.integer_frame()[0]), default=0)
+    y_exponents = sorted({j for piece in spline.pieces for _, j in piece.integer_frame()[0]})
+    column_powers: dict[int, dict[int, int]] = {}
     rows = []
     for y, row in zip(reversed(coords), reversed(xs)):
-        powers = [1]
-        for _ in range(top_j):
-            powers.append(powers[-1] * row)
+        # Y^j for each y-exponent j of a term, stepping from the one below.
+        powers, power, below = {}, 1, 0
+        for j in y_exponents:
+            power *= row if j - below == 1 else row ** (j - below)
+            powers[j], below = power, j
         if row:
             before, crossings = upper if row > 0 else lower
         else:
             # The row through the origin: one crossing, at the origin, whose sector is -1.
             before, crossings = locate_sector(fan, -1, 0), [(0, 1, -1, locate_sector(fan, 1, 0))]
-        restricted: dict[int, tuple[list[int], int]] = {}
+        restricted: dict[int, tuple[int, list[int], list[int] | None, int]] = {}
         for start, stop, sector in _row_runs(xs, row, before, crossings):
             if sector not in restricted:
                 # The piece on this row, in X; the origin's sector -1 takes piece 0.
-                columns, den = pieces[max(sector, 0)]
-                restricted[sector] = [sum(c * powers[j] for j, c in column) for column in columns], den
-            coeffs, den = restricted[sector]
-            top, rest = coeffs[0], coeffs[1:]
+                exponents, terms, den = pieces[max(sector, 0)]
+                coeffs = [0] * len(exponents)
+                for at, j, c in terms:
+                    coeffs[at] += c * powers[j]
+                restricted[sector] = *_horner_steps(exponents, coeffs), den
+            lead, steps, gaps, den = restricted[sector]
+            if not steps:
+                # Constant along the row: one division, shared by the whole run.
+                try:
+                    value = lead / den
+                except OverflowError:
+                    raise _too_large(coords[start], y) from None
+                rows.extend([(x, y, value, sector) for x in coords[start:stop]])
+                continue
             for k in range(start, stop):
-                x = xs[k]
-                num = top
-                for coeff in rest:
-                    num = num * x + coeff
+                x, num = xs[k], lead
+                if gaps is None:
+                    for coeff in steps:
+                        num = num * x + coeff
+                else:
+                    for gap, coeff in zip(gaps, steps):
+                        num = num * (x if gap == 1 else _column_power(column_powers, xs, gap, k)) + coeff
                 try:
                     value = num / den
                 except OverflowError:
-                    raise DomainError(
-                        f"the value at ({coords[k]!r}, {y!r}) is too large for a float; use a smaller radius"
-                    ) from None
+                    raise _too_large(coords[k], y) from None
                 rows.append((coords[k], y, value, sector))
     return rows
+
+
+def _too_large(x: float, y: float) -> DomainError:
+    return DomainError(f"the value at ({x!r}, {y!r}) is too large for a float; use a smaller radius")
+
+
+class _FloatText(dict):
+    """Each float's 17-significant-digit text, formatted on first use.  Zeros
+    are never stored: 0.0 and -0.0 are one dict key but print differently."""
+
+    def __missing__(self, value: float) -> str:
+        text = f"{value:.17g}"
+        if value:
+            self[value] = text
+        return text
 
 
 def render_grid_csv(rows: Sequence[tuple[float, float, float, int]]) -> str:
     """Deterministic CSV text: fixed header, 17 significant digits.
 
-    A grid repeats its coordinates, so each distinct nonzero one is
-    formatted once; zeros are never stored and are formatted afresh, since
-    0.0 and -0.0 are one dict key but print differently.
+    A grid repeats its coordinates and most of its values, so each distinct
+    nonzero float is formatted once.  A row whose y, value and sector are
+    the same objects as the previous row's (`is`, so 0.0 and -0.0 never
+    mix) reuses its ",y,value,sector" text, as a constant run from
+    `sample_grid` does.
     """
-    text: dict[float, str] = {}
+    text = _FloatText()
     lines = [CSV_HEADER]
+    last_y = last_value = last_sector = tail = None
     for x, y, value, sector in rows:
-        tx = text.get(x)
-        if tx is None:
-            tx = f"{x:.17g}"
-            if x:
-                text[x] = tx
-        ty = text.get(y)
-        if ty is None:
-            ty = f"{y:.17g}"
-            if y:
-                text[y] = ty
-        lines.append(f"{tx},{ty},{value:.17g},{sector}")
+        if y is not last_y or value is not last_value or sector is not last_sector:
+            last_y, last_value, last_sector = y, value, sector
+            tail = f",{text[y]},{text[value]},{sector}"
+        lines.append(text[x] + tail)
     return "\n".join(lines) + "\n"

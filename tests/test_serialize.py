@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supersmooth import (
@@ -148,6 +148,41 @@ def test_decode_rejects_overlong_exponent():
         decode_spline(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "pieces, message",
+    [
+        # "01,2" maps to the (1, 2) that "1,2" already names, in either piece
+        ([{"1,2": "1"}, {"1,2": "1", "01,2": "2"}], "pieces[1].monomials: duplicate monomial '01,2'"),
+        ([{"01,2": "1"}, {"1,2": "1", "01,2": "2"}], "pieces[1].monomials: duplicate monomial '01,2'"),
+        # a bad key in both pieces is reported in the first
+        ([{"1,x": "1"}, {"1,x": "1"}], "pieces[0].monomials: monomial key '1,x' is not \"i,j\""),
+        ([{"1,2": "1"}, {"1,2": "1", "999,2": "1"}],
+         "pieces[1].monomials: monomial key '999,2' has total degree above 1000"),
+        # a key read before still has its coefficient checked in each piece
+        ([{"1,2": "1"}, {"1,2": "1/0"}], "pieces[1].monomials['1,2']: zero denominator: '1/0'"),
+    ],
+)
+def test_decode_reads_a_shared_key_once_and_names_the_same_piece(pieces, message):
+    doc = _document(pieces=[{"monomials": monomials} for monomials in pieces])
+    with pytest.raises(SchemaError) as info:
+        decode_spline(json.dumps(doc))
+    assert str(info.value) == message
+
+
+def test_decode_matches_each_distinct_key_once(monkeypatch):
+    keys = []
+
+    class CountingPattern:
+        def fullmatch(self, key):
+            keys.append(key)
+            return pattern.fullmatch(key)
+
+    pattern = serialize._MONOMIAL_KEY
+    monkeypatch.setattr(serialize, "_MONOMIAL_KEY", CountingPattern())
+    spline = decode_spline(encode_counterexample(build_counterexample([1, 2, 3, 4], 3)))
+    assert sorted(keys) == sorted({f"{i},{j}" for piece in spline.pieces for i, j in piece.integer_frame()[0]})
+
+
 def test_encoded_keys_round_trip():
     fan = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 3)])
     pieces = (BiPoly({(0, 0): 1, (10, 0): -2, (0, 1000): 3}), BiPoly({(123, 456): 1, (1, 1): 7}), BiPoly.zero())
@@ -195,16 +230,24 @@ def test_decode_maps_overlong_integer_to_schema_error():
         decode_spline('{"n": ' + "1" * 5000 + "}")
 
 
+# {x^1000 below the x-axis, y^1000/3 above}: 137 bytes.
+_POWER_1000 = (
+    '{"rays": [{"dx": "1", "dy": "0"}, {"dx": "-1", "dy": "0"}], "pieces": '
+    '[{"monomials": {"1000,0": "1"}}, {"monomials": {"0,1000": "1/3"}}]}'
+)
+
+
 def test_high_degree_piece_samples_like_the_pointwise_route():
-    # y^1000 above the x-axis: each row's powers of Y reach Y^1000.
+    # y^1000 above the x-axis: each row's powers of Y reach Y^1000; then
+    # x^1000 below it as well, one Horner step of X^1000 a point.
     text = json.dumps({
         "rays": [{"dx": "1", "dy": "0"}, {"dx": "-1", "dy": "0"}],
         "pieces": [{"monomials": {}}, {"monomials": {"0,1000": "1"}}],
     })
-    spline = decode_spline(text)
-    for grid_n in (2, 5, 8):
-        rows = sample_grid(spline, grid_n, 1.0)
-        assert render_grid_csv(rows) == render_grid_csv(pointwise_sample_grid(spline, grid_n, 1.0))
+    for spline in (decode_spline(text), decode_spline(_POWER_1000)):
+        for grid_n in (2, 5, 8):
+            rows = sample_grid(spline, grid_n, 1.0)
+            assert render_grid_csv(rows) == render_grid_csv(pointwise_sample_grid(spline, grid_n, 1.0))
 
 
 def _construction(**overrides):
@@ -343,11 +386,17 @@ _PIECES = st.dictionaries(
     st.fractions(min_value=-20, max_value=20, max_denominator=9),
     max_size=6,
 ).map(BiPoly)  # the empty map is the zero piece
+# Pieces constant along every row: 0 and c*y^k.
+_X_FREE_PIECES = st.one_of(
+    st.just(BiPoly.zero()),
+    st.builds(lambda c, k: c * Y**k, st.fractions(min_value=-20, max_value=20, max_denominator=9), st.integers(0, 5)),
+)
 
 
 @st.composite
 def _grid_splines(draw) -> PiecewisePoly:
-    """Fans of 2..7 rays in [-4, 4]^2, with axis rays and opposite pairs drawn often.
+    """Fans of 2..7 rays in [-4, 4]^2, with axis rays and opposite pairs drawn often,
+    and pieces that are often constant in x.
 
     A 2-ray fan that is not an opposite pair has a sector wider than a half-turn.
     """
@@ -359,13 +408,13 @@ def _grid_splines(draw) -> PiecewisePoly:
     if len(rays) < 2:
         rays.append(Ray(-rays[0].dx, -rays[0].dy))
     fan = build_fan(rays)
-    return PiecewisePoly(fan=fan, pieces=tuple(draw(_PIECES) for _ in fan.rays))
+    return PiecewisePoly(fan=fan, pieces=tuple(draw(st.one_of(_PIECES, _X_FREE_PIECES)) for _ in fan.rays))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     _grid_splines(),
-    st.integers(2, 40),
+    st.one_of(st.integers(2, 40), st.sampled_from([3, 5, 9])),  # odd sizes have the origin row
     st.sampled_from([5e-324, 1e-320, 1e-3, 0.1, 1.0, 1.5, 7.0, 123.456]),
 )
 def test_row_scan_csv_equals_the_pointwise_route(spline, grid_n, radius):
@@ -469,17 +518,63 @@ _CSV_FLOATS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(_CSV_FLOATS, max_size=6),
-    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), _CSV_FLOATS, st.integers(-1, 20)), max_size=60),
-)
-def test_csv_equals_the_per_line_format(pool, cells):
-    # Coordinates come from a small pool, so each one repeats, as in a grid;
-    # 0.0 and -0.0 are always in it, and are one dict key.
-    pool = [0.0, -0.0, *pool]
-    rows = [(pool[i % len(pool)], pool[j % len(pool)], value, sector) for i, j, value, sector in cells]
+@st.composite
+def _csv_runs(draw) -> list[tuple[float, float, float, int]]:
+    """Rows in runs that share their y and value objects, as `sample_grid` emits
+    them, from a small pool of floats, so coordinates and values repeat as in
+    a grid.  The pool holds each float twice: the same bits (nan and -0.0
+    included) as two distinct objects; 0.0 and -0.0 are one dict key."""
+    pool = [0.0, -0.0, math.nan, math.inf, -math.inf, *draw(st.lists(_CSV_FLOATS, max_size=4))]
+    pool += [-(-v) for v in pool]
+    pick = st.sampled_from(pool)
+    rows = []
+    sectors = st.integers(-1, 300)  # ints above 256 are distinct objects when equal
+    for y, value, sector, other, length, change in draw(st.lists(
+        st.tuples(pick, pick, sectors, sectors, st.integers(1, 6), st.integers(0, 6)), max_size=12
+    )):
+        # the sector changes in the middle of a run when 0 < change < length
+        rows.extend((draw(pick), y, value, sector if k < change else other) for k in range(length))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_csv_runs())
+@example([(0.0, 1.5, 0.0, 2), (-0.0, 1.5, -0.0, 2), (1.0, -0.0, 0.0, 2)])  # equal, never the same text
+def test_csv_equals_the_per_line_format(rows):
     assert render_grid_csv(rows) == per_line_grid_csv(rows)
+
+
+def test_sampling_costs_the_nonzero_terms_of_each_row(monkeypatch):
+    # Each row below the x-axis is c*X^1000: one Horner step, through X^1000
+    # read from a cache that holds one power per column; each row above is
+    # one constant run, with no step at all.
+    plans, caches = [], []
+    horner_steps, column_power = serialize._horner_steps, serialize._column_power
+
+    def steps(exponents, coeffs):
+        plan = horner_steps(exponents, coeffs)
+        plans.append((sum(1 for c in coeffs if c), plan))
+        return plan
+
+    def power(column_powers, xs, gap, k):
+        caches.append(column_powers)
+        return column_power(column_powers, xs, gap, k)
+
+    monkeypatch.setattr(serialize, "_horner_steps", steps)
+    monkeypatch.setattr(serialize, "_column_power", power)
+    grid_n = 150
+    rows = sample_grid(decode_spline(_POWER_1000), grid_n, 1.0)
+    assert len(rows) == grid_n**2
+    assert all(len(plan[1]) <= nonzero for nonzero, plan in plans)
+    assert {(nonzero, len(steps_), tuple(gaps or ())) for nonzero, (_, steps_, gaps) in plans} == {
+        (1, 1, (1000,)),  # c*X^1000
+        (1, 0, ()),  # c*Y^1000, a nonzero constant
+    }
+    (cache,) = {id(cache): cache for cache in caches}.values()
+    assert list(cache) == [1000]
+    assert len(cache[1000]) <= grid_n
+    # one cached power read per point below the x-axis (an even grid has no row y = 0)
+    assert len(caches) == sum(1 for _, y, _, _ in rows if y < 0) == grid_n**2 // 2
 
 
 def test_row_scan_points_exactly_on_a_diagonal_ray():

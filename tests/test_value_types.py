@@ -46,8 +46,7 @@ def _assert_same(copied, value):
 @pytest.mark.parametrize("name", VALUES)
 def test_pickle_round_trip(name):
     value = VALUES[name]
-    # protocols 0 and 1 cannot pickle a __slots__ class without __getstate__ (BiPoly)
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         _assert_same(pickle.loads(pickle.dumps(value, protocol)), value)
 
 
