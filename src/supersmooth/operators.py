@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, perm, prod
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import ArityError, MissingDirectionError, SingularDecompositionError
@@ -36,7 +37,8 @@ class OperatorPoly:
     """Polynomial in commuting derivative symbols with rational coefficients.
 
     Frozen; `terms` keeps the nonzero coefficients as Fractions, keyed by
-    exponent tuples of length `arity`.
+    exponent tuples of length `arity`, in a read-only mapping.  A mapping
+    proxy neither pickles nor deep-copies, so copies rebuild from a dict.
     """
 
     arity: int
@@ -52,7 +54,13 @@ class OperatorPoly:
             c = _as_fraction(coeff)
             if c != 0:
                 clean[tuple(exponents)] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __reduce__(self):
+        return OperatorPoly, (self.arity, dict(self.terms))
+
+    def __repr__(self):
+        return f"OperatorPoly(arity={self.arity}, terms={dict(self.terms)})"
 
     def is_homogeneous(self, degree: int) -> bool:
         return all(sum(e) == degree for e in self.terms)

@@ -16,15 +16,17 @@ definition, differentiation across the line, a change of variables and
 the Fraction difference as independent references.
 
 "C^m at the origin" means all per-piece partial derivatives up to total
-order m agree at the origin, that is, every jump p_j - p_0 starts at total
-degree m+1 or later.  Identical pieces agree to every order: INFINITE.
+order m agree at the origin, that is, every jump across a ray starts at
+total degree m+1 or later: each p_j - p_0 is a sum of such jumps, and each
+jump is a difference of two p_j - p_0.  Identical pieces: INFINITE.
 
 Both orders are read off each piece's integer frame (`BiPoly.integer_frame`,
 its terms over the lcm D > 0 of their denominators), which is the form a
 BiPoly is stored in, so reading it builds nothing.  A positive scale keeps
-a jump's zeros and line multiplicities, so the jump b/Db - a/Da across a
-ray is formed as b*Da - a*Db in integers, with no common denominator:
-a verdict on k pieces of t terms costs k jumps of O(t) integer operations
+a jump's zeros, degrees and line multiplicities, so the jump b/Db - a/Da
+across a ray is formed as b*Da - a*Db in integers, with no common
+denominator, and one split by homogeneous degree reads both orders: a
+verdict on k pieces of t terms costs k jumps of O(t) integer operations
 and the line divisions, whose cost grows with the multiplicity found.
 """
 
@@ -83,16 +85,16 @@ def smoothness_order_of_difference(diff: BiPoly, ray) -> Order:
     the line form l = dy*x - dx*y in `diff`, with (dx, dy) the primitive
     integer direction of `ray`, read off `diff`'s integer frame.
     """
-    terms, _ = diff.integer_frame()
-    return _integer_order(terms, Ray(*ray)) if terms else INFINITE
+    return _integer_order(diff.integer_frame()[0], Ray(*ray))[0]
 
 
-def _integer_order(terms: dict[Monomial, int], ray: Ray) -> Order:
-    """`smoothness_order_of_difference` of a nonzero integer polynomial.
+def _integer_order(terms: dict[Monomial, int], ray: Ray) -> tuple[Order, Order]:
+    """Order across `ray` and lowest total degree less one of an integer polynomial.
 
     Since l is homogeneous, its multiplicity is the least one among the
     homogeneous components, each found by exact integer division (see
-    `_line_multiplicity`) after the content is divided out.
+    `_line_multiplicity`) after the content is divided out.  The zero
+    polynomial has no component, so both orders are INFINITE.
     """
     content = gcd(*terms.values())
     # components[s][i] is the coefficient of x^i y^(s-i), over the content
@@ -107,7 +109,7 @@ def _integer_order(terms: dict[Monomial, int], ray: Ray) -> Order:
         least = _line_multiplicity(coeffs, ray.dx, ray.dy, least)
         if least == 0:
             break
-    return least - 1
+    return least - 1, min(components, default=INFINITE) - 1
 
 
 def _line_multiplicity(coeffs: list[int], dx: int, dy: int, limit) -> int:
@@ -140,12 +142,9 @@ def _line_multiplicity(coeffs: list[int], dx: int, dy: int, limit) -> int:
     return count
 
 
-def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
-    """Smoothness order between the two pieces adjacent along rays[ray_index]."""
-    k = len(spline.fan.rays)
-    if not 0 <= ray_index < k:
-        raise DomainError(f"ray index {ray_index} out of range for {k} rays")
-    before, before_den = spline.pieces[(ray_index - 1) % k].integer_frame()
+def _jump_orders(spline: PiecewisePoly, ray_index: int) -> tuple[Order, Order]:
+    """`_integer_order` of the jump between the two pieces along rays[ray_index]."""
+    before, before_den = spline.pieces[ray_index - 1].integer_frame()
     after, after_den = spline.pieces[ray_index].integer_frame()
     # (before - after) * before_den * after_den, in integers
     jump = {mono: c * after_den for mono, c in before.items()}
@@ -155,7 +154,15 @@ def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
             jump[mono] = value
         else:
             del jump[mono]  # only an existing term can cancel: c is nonzero
-    return _integer_order(jump, spline.fan.rays[ray_index]) if jump else INFINITE
+    return _integer_order(jump, spline.fan.rays[ray_index])
+
+
+def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
+    """Smoothness order between the two pieces adjacent along rays[ray_index]."""
+    k = len(spline.fan.rays)
+    if not 0 <= ray_index < k:
+        raise DomainError(f"ray index {ray_index} out of range for {k} rays")
+    return _jump_orders(spline, ray_index)[0]
 
 
 def global_smoothness_order(spline: PiecewisePoly):
@@ -166,18 +173,10 @@ def global_smoothness_order(spline: PiecewisePoly):
 def origin_smoothness_order(spline: PiecewisePoly):
     """Largest m such that all per-piece partials up to order m agree at the origin.
 
-    That is one less than the lowest total degree of any jump p_j - p_0, or
-    INFINITE when all pieces are identical.
+    That is one less than the lowest total degree of any jump across a ray,
+    or INFINITE when all pieces are identical.
     """
-    base, base_den = spline.pieces[0].integer_frame()
-    low = INFINITE
-    for piece in spline.pieces[1:]:
-        terms, den = piece.integer_frame()
-        for mono in terms.keys() | base.keys():
-            degree = mono[0] + mono[1]
-            if degree < low and terms.get(mono, 0) * base_den != base.get(mono, 0) * den:
-                low = degree
-    return low - 1
+    return min(_jump_orders(spline, j)[1] for j in range(len(spline.fan.rays)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,13 +200,12 @@ class SmoothnessReport:
 
 def supersmoothness_verdict(spline: PiecewisePoly) -> SmoothnessReport:
     """Compute all smoothness orders and the supersmoothness verdict."""
-    per_ray = tuple(smoothness_across_ray(spline, j) for j in range(len(spline.fan.rays)))
-    global_order = min(per_ray)
-    origin_order = origin_smoothness_order(spline)
     k = len(spline.fan.rays)
+    per_ray, lowest = zip(*(_jump_orders(spline, j) for j in range(k)))
+    global_order = min(per_ray)
+    origin_order = min(lowest)
     applicable = spline.fan.collinear_free and global_order >= k - 2
-    gained = origin_order >= global_order + 1
-    if gained:
+    if origin_order >= global_order + 1:  # the extra derivative; INFINITE gains on INFINITE
         holds = True
     elif applicable:
         holds = False
@@ -231,11 +229,6 @@ def render_report(report: SmoothnessReport) -> str:
     lines.append(f"global: {format_order(report.global_order)}")
     lines.append(f"origin: {format_order(report.origin_order)}")
     lines.append(f"theorem applicable: {'yes' if report.theorem_applicable else 'no'}")
-    if report.supersmoothness_holds is None:
-        verdict = "not applicable"
-    elif report.supersmoothness_holds:
-        verdict = "holds"
-    else:
-        verdict = "violated"
+    verdict = {True: "holds", False: "violated", None: "not applicable"}[report.supersmoothness_holds]
     lines.append(f"supersmoothness: {verdict}")
     return "\n".join(lines) + "\n"

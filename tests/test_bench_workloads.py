@@ -1,12 +1,14 @@
-"""The benchmark's `grid` and `verdict` tasks pass their own oracles on the package as it stands.
+"""The benchmark's `space`, `grid` and `verdict` tasks pass their own oracles on the package as it stands.
 
 `perfbench/workloads.py` checks every task output against an independent
-answer (exact per-row grid sectors and values, the README fixture verdicts,
-the ray lemma on continuous splines, the rays and slopes of each written
-counterexample and its n-1 report, the half-plane and y^d reports, expanded
-power operators, one error line per malformed document).  Running the tiny
-task lists here puts those oracles in the test suite, without a benchmark
-run.
+answer (Schumaker's dimension for `dim` and general fans, the order and
+rank of sampled spline-space bases, exact per-row grid sectors and values,
+the README fixture verdicts, the ray lemma on continuous splines, the rays
+and slopes of each written counterexample and its n-1 report, the
+half-plane and y^d reports, expanded power operators, one error line per
+malformed document).  Running the tiny task lists here puts those oracles
+in the test suite, without a benchmark run; a `space` check runs outside
+its task's guard, so an exception there would end a benchmark run.
 """
 
 import importlib.util
@@ -31,6 +33,14 @@ def workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_tiny_space_tasks_pass_their_checks(workloads, tmp_path, seed):
+    tasks = workloads.build("space", seed, 0, supersmooth, str(tmp_path), tiny=True)
+    assert {task.kind for task in tasks} == {"dim", "fan_dim", "sample"}
+    verdicts = [(task.kind, task.check(task.run())) for task in tasks]
+    assert [entry for entry in verdicts if entry[1] != "ok"] == []
 
 
 @pytest.mark.parametrize("seed", [5, 11])

@@ -159,6 +159,9 @@ def test_operator_is_a_frozen_value():
     with pytest.raises(FrozenInstanceError):
         op.arity = 3
     with pytest.raises(TypeError):
+        op.terms[(2,)] = 0
+    assert op == OperatorPoly(2, {(1, 0): Fraction(1, 3)})
+    with pytest.raises(TypeError):
         hash(op)
 
 

@@ -272,6 +272,9 @@ def test_integer_kernel_normalises_the_direction():
     for direction in [(2, -4), (Fraction(1, 2), -1), (-3, 6), (Fraction(-1, 3), Fraction(2, 3))]:
         assert smoothness_order_of_difference(diff, direction) == 1
         assert smoothness_order_of_difference(BiPoly.zero(), direction) == INFINITE
+    # the zero difference reads its direction too, so a zero direction is an error
+    with pytest.raises(DomainError):
+        smoothness_order_of_difference(BiPoly.zero(), (0, 0))
 
 
 _coefficients = st.integers(-9, 9) | _rationals
@@ -307,6 +310,10 @@ def test_orders_from_piece_frames_equal_the_fraction_difference_route(spline):
     report = supersmoothness_verdict(spline)
     assert list(report.per_ray_order) == fraction_ray_orders(spline)
     assert report.origin_order == fraction_origin_order(spline)
+    # the one-pass verdict against the public readers and the partials at the origin
+    assert report.per_ray_order == tuple(smoothness_across_ray(spline, j) for j in range(len(spline.fan.rays)))
+    assert report.global_order == global_smoothness_order(spline)
+    assert report.origin_order == origin_smoothness_order(spline) == _origin_order_from_partials(spline)
 
 
 @settings(max_examples=150, deadline=None)
@@ -365,11 +372,23 @@ def test_verdict_and_report_flag_a_missing_gain(monkeypatch):
     # order is 1, and an origin order stuck at the global one must read "violated"
     spline = _two_piece(TWO_GENERIC, BiPoly.zero(), Y * (X + Y))
     assert supersmoothness_verdict(spline).supersmoothness_holds is True
-    monkeypatch.setattr(spline_module, "origin_smoothness_order", global_smoothness_order)
+    jump_orders = spline_module._jump_orders
+    monkeypatch.setattr(spline_module, "_jump_orders", lambda spline, j: (jump_orders(spline, j)[0],) * 2)
     report = supersmoothness_verdict(spline)
     assert (report.global_order, report.origin_order, report.theorem_applicable) == (0, 0, True)
     assert report.supersmoothness_holds is False
     assert render_report(report).endswith("theorem applicable: yes\nsupersmoothness: violated\n")
+
+
+def test_verdict_forms_each_jump_once(monkeypatch):
+    calls = []
+    jump_orders = spline_module._jump_orders
+    monkeypatch.setattr(spline_module, "_jump_orders", lambda spline, j: calls.append(j) or jump_orders(spline, j))
+    for slopes in ([1, 2], [1, 2, 3, 4], [3, Fraction(-1, 2), 1, Fraction(7, 5), 9]):
+        spline = build_counterexample(slopes, len(slopes) - 1).spline
+        calls.clear()
+        supersmoothness_verdict(spline)
+        assert calls == list(range(len(spline.fan.rays)))
 
 
 def test_list_pieces_are_stored_as_a_tuple():
