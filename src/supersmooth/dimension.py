@@ -15,12 +15,19 @@ Block s has rank min(s+1, m*(s-r)) when the k rays lie on m distinct lines
 (Schumaker 1979; Lai & Schumaker, Spline Functions on Triangulations, 2007,
 ch. 9), so dim S^r_d = C(d+2, 2) + sum_s kappa_s with kernel sizes
 kappa_s = k*(s-r) - min(s+1, m*(s-r)); only the basis needs elimination.
+
+Cost: the basis and the samples build the kernel splines once a call (one
+line-form power per ray, one elimination per block, none when r >= d), as
+columns: per piece and monomial of degree s, its coefficient in each of block
+s's kernel splines.  The basis reads the columns; a sample costs one integer
+dot product per piece and monomial of degree > r.
 """
 
 from __future__ import annotations
 
 import random
 from math import comb
+from operator import mul
 
 from . import linalg
 from .errors import DomainError
@@ -74,50 +81,57 @@ def spline_space_dimension(fan: FanPartition, degree: int, smoothness: int) -> i
     return sum(kernel_sizes(fan, degree, smoothness)) + comb(degree + 2, 2)
 
 
-def _kernels(fan: FanPartition, degree: int, smoothness: int) -> list[tuple[int, list[list[int]]]]:
-    return [(s, linalg.nullspace(rows, cols=cols)) for s, rows, cols in _blocks(fan, degree, smoothness)]
-
-
-def _combine(fan: FanPartition, degree: int, smoothness: int, kernels, weights) -> PiecewisePoly:
-    """The basis combination with these weights: P_d's monomials first, then
-    each kernel vector, degree by degree.
-
-    The weighted kernel vectors are summed into one cofactor vector per
-    degree, so each piece is assembled once.
-    """
-    lines = [line_power(ray.dy, -ray.dx, smoothness + 1) for ray in fan.rays] if kernels else []
-    globals_count = comb(degree + 2, 2)
-    common = {mono: w for mono, w in zip(_monomials(degree), weights[:globals_count]) if w}
-    rest = iter(weights[globals_count:])
-    jumps = [{} for _ in fan.rays]
-    for s, vectors in kernels:
+def _kernel_splines(fan: FanPartition, degree: int, smoothness: int):
+    """Per block: its slice of the weight vector, and per piece j the pairs
+    (x^i y^(s-i), column) where column[v] is that coefficient of kernel vector
+    v's cumulative spline p_j = sum_{i<=j} q_i l_i^(r+1).  Block s's columns of
+    ray i map the cofactor q_i to its jump, so p_j is their running sum."""
+    splines = []
+    start = comb(degree + 2, 2)
+    for s, rows, cols in _blocks(fan, degree, smoothness):
+        vectors = linalg.nullspace(rows, cols=cols)
         width = s - smoothness
-        cofactor = [0] * (len(lines) * width)
-        for vector, w in zip(vectors, rest):
-            if w:
-                cofactor = [c + w * v for c, v in zip(cofactor, vector)]
-        for j, line in enumerate(lines):
-            for b in range(width):
-                q = cofactor[j * width + b]
-                if q:
-                    for a, coeff in enumerate(line):
-                        mono = (a + b, s - a - b)
-                        jumps[j][mono] = jumps[j].get(mono, 0) + q * coeff
-    pieces = []
-    for jump in jumps:
-        for mono, c in jump.items():
-            common[mono] = common.get(mono, 0) + c
-        pieces.append(BiPoly._from_frame(common, 1))
-    return PiecewisePoly(fan=fan, pieces=tuple(pieces))
+        running = [[0] * len(vectors) for _ in rows]
+        pieces = []
+        for j in range(0, cols, width):
+            cofactors = [vector[j:j + width] for vector in vectors]
+            running = [[c + sum(map(mul, part, q)) for c, q in zip(column, cofactors)]
+                       for part, column in zip((row[j:j + width] for row in rows), running)]
+            pieces.append([((i, s - i), column) for i, column in enumerate(running) if any(column)])
+        splines.append((slice(start, start + len(vectors)), pieces))
+        start += len(vectors)
+    return splines
+
+
+def _combine(fan: FanPartition, degree: int, splines, weights) -> PiecewisePoly:
+    """The basis combination with these weights: P_d's monomials first, then
+    each kernel spline, block by block.
+
+    Each piece starts from the global monomials' weights and adds, for each
+    of its columns, one integer dot product with the block's weights.
+    """
+    common = dict(zip(_monomials(degree), weights))
+    pieces = [dict(common) for _ in fan.rays]
+    for block, columns_by_piece in splines:
+        block_weights = weights[block]
+        for piece, columns in zip(pieces, columns_by_piece):
+            for mono, column in columns:
+                piece[mono] += sum(map(mul, block_weights, column))
+    return PiecewisePoly(fan=fan, pieces=tuple(BiPoly._from_frame(piece, 1) for piece in pieces))
 
 
 def spline_space_basis(fan: FanPartition, degree: int, smoothness: int) -> list[PiecewisePoly]:
     """A basis of the spline space, as piecewise polynomials with integer coefficients:
     the global monomials of degree <= degree, then the cumulative splines of
     the conformality kernel."""
-    dim = spline_space_dimension(fan, degree, smoothness)
-    kernels = _kernels(fan, degree, smoothness)
-    return [_combine(fan, degree, smoothness, kernels, [int(i == e) for i in range(dim)]) for e in range(dim)]
+    spline_space_dimension(fan, degree, smoothness)  # rejects a negative degree or smoothness
+    basis = [PiecewisePoly(fan, (BiPoly._from_frame({mono: 1}, 1),) * len(fan.rays)) for mono in _monomials(degree)]
+    for block, columns_by_piece in _kernel_splines(fan, degree, smoothness):
+        for v in range(block.stop - block.start):
+            pieces = tuple(BiPoly._from_frame({mono: column[v] for mono, column in columns}, 1)
+                           for columns in columns_by_piece)
+            basis.append(PiecewisePoly(fan, pieces))
+    return basis
 
 
 def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: int,
@@ -125,13 +139,15 @@ def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: 
     """Random elements of the spline space: integer combinations of the basis.
 
     Weights are drawn uniformly from [-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND]
-    with a fixed default seed, so samples are reproducible.
+    with a fixed default seed, so samples are reproducible.  A negative count
+    is a DomainError.
     """
     dim = spline_space_dimension(fan, degree, smoothness)
-    kernels = _kernels(fan, degree, smoothness)
+    if count < 0:
+        raise DomainError("count must be nonnegative")
+    splines = _kernel_splines(fan, degree, smoothness)
     rng = random.Random(seed)
     return [
-        _combine(fan, degree, smoothness, kernels,
-                 [rng.randint(-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND) for _ in range(dim)])
+        _combine(fan, degree, splines, [rng.randint(-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND) for _ in range(dim)])
         for _ in range(count)
     ]

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from random import Random
@@ -132,6 +133,23 @@ def test_no_line_powers_when_smoothness_reaches_the_degree(monkeypatch):
     assert all(len(set(s.pieces)) == 1 for s in samples)
 
 
+def test_kernel_splines_are_built_once_a_call(monkeypatch):
+    # one line-form power per ray and one elimination per block, however many samples
+    calls = Counter()
+    line_power, nullspace = dimension.line_power, linalg.nullspace
+    monkeypatch.setattr(dimension, "line_power", lambda *args: calls.update(["line_power"]) or line_power(*args))
+    monkeypatch.setattr(linalg, "nullspace", lambda *args, **kw: calls.update(["nullspace"]) or nullspace(*args, **kw))
+    degree, smoothness = 5, 1
+    counts = []
+    for call in (lambda: sample_spline_space(GENERIC_4, degree, smoothness, count=1, seed=7),
+                 lambda: sample_spline_space(GENERIC_4, degree, smoothness, count=40, seed=7),
+                 lambda: spline_space_basis(GENERIC_4, degree, smoothness)):
+        calls.clear()
+        call()
+        counts.append(dict(calls))
+    assert counts == [{"line_power": len(GENERIC_4.rays), "nullspace": degree - smoothness}] * 3
+
+
 def test_dimension_matches_schumaker_on_random_fans():
     rng = Random(1979)
     seen_lines = set()
@@ -199,6 +217,55 @@ def test_negative_degree_or_smoothness_is_domain_error(degree, smoothness):
             call(GENERIC_3, degree, smoothness)
     with pytest.raises(DomainError):
         sample_spline_space(GENERIC_3, degree, smoothness, count=1)
+
+
+def test_negative_count_is_domain_error_before_any_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a negative count is rejected first")
+
+    monkeypatch.setattr(linalg, "nullspace", refuse)
+    with pytest.raises(DomainError, match="count must be nonnegative"):
+        sample_spline_space(GENERIC_3, 2, 0, count=-1)
+    monkeypatch.undo()
+    assert sample_spline_space(GENERIC_3, 2, 0, count=0) == []
+
+
+def _cumulative_splines(fan, degree, smoothness):
+    """The kernel splines by public BiPoly arithmetic: for each vector of
+    sympy's null basis of each block, the pieces sum_{i<=j} q_i l_i^(r+1)."""
+    lines = [BiPoly({(1, 0): ray.dy, (0, 1): -ray.dx}) ** (smoothness + 1) for ray in fan.rays]
+    splines = []
+    for s, rows, cols in _blocks(fan, degree, smoothness):
+        width = s - smoothness
+        for vector in sympy_nullspace(rows, cols=cols):
+            piece, pieces = BiPoly.zero(), []
+            for j, line in enumerate(lines):
+                cofactor = BiPoly({(b, width - 1 - b): vector[j * width + b] for b in range(width)})
+                piece = piece + cofactor * line
+                pieces.append(piece)
+            splines.append(tuple(pieces))
+    return splines
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 5), degree=st.integers(0, 6), data=st.data())
+def test_basis_and_samples_equal_the_cumulative_construction(seed, k, degree, data):
+    # random_fan puts opposite pairs in about a third of its rays
+    smoothness = data.draw(st.integers(0, degree + 1), label="smoothness")
+    count = data.draw(st.integers(0, 3), label="count")
+    fan = random_fan(Random(seed), k)
+    monomials = [(i, s - i) for s in range(degree + 1) for i in range(s + 1)]
+    reference = [(BiPoly({mono: 1}),) * k for mono in monomials] + _cumulative_splines(fan, degree, smoothness)
+    assert [spline.pieces for spline in spline_space_basis(fan, degree, smoothness)] == reference
+    # a sample is the basis combination with weights drawn in basis order, sample by sample
+    rng = Random(seed)
+    expected = []
+    for _ in range(count):
+        weights = [rng.randint(-9, 9) for _ in reference]
+        expected.append(tuple(
+            sum((element[j].scale(w) for w, element in zip(weights, reference)), BiPoly.zero()) for j in range(k)
+        ))
+    assert [spline.pieces for spline in sample_spline_space(fan, degree, smoothness, count, seed)] == expected
 
 
 @settings(deadline=None)
