@@ -71,7 +71,7 @@ from .poly import (
     linear_form_power,
     restrict_to_ray,
 )
-from .rational import Rational, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .serialize import (
     decode_document,
     decode_spline,

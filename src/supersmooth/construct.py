@@ -26,7 +26,7 @@ from .linalg import nullspace  # noqa: F401 -- unused; perfbench/spans.py patche
 # linear_form_power is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.construct.linear_form_power by name.
 from .poly import BiPoly, line_power, linear_form_power  # noqa: F401
-from .rational import primitive
+from .rational import exact, primitive
 # The two orders are unused here (the build certifies them in closed form)
 # but stay bound: perfbench/spans.py patches supersmooth.construct.<name>.
 from .spline import PiecewisePoly, global_smoothness_order, origin_smoothness_order  # noqa: F401
@@ -42,8 +42,8 @@ class CounterexampleSpec:
     spline: PiecewisePoly
 
 
-def _distinct_nonzero(slopes: Sequence) -> list[Fraction]:
-    values = [Fraction(s) for s in slopes]
+def _distinct_nonzero(slopes: Sequence) -> list[Fraction | int]:
+    values = [exact(s) for s in slopes]
     if any(v == 0 for v in values):
         raise InvalidSlopesError("slopes must be nonzero (the x-axis is already a gluing line)")
     if len(set(values)) != len(values):
@@ -51,7 +51,7 @@ def _distinct_nonzero(slopes: Sequence) -> list[Fraction]:
     return values
 
 
-def _checked_slopes(slopes: Sequence, n: int) -> list[Fraction]:
+def _checked_slopes(slopes: Sequence, n: int) -> list[Fraction | int]:
     if n < 1:
         raise InvalidSlopesError("order n must be at least 1 (n = 0 has no polynomial example)")
     values = _distinct_nonzero(slopes)
@@ -71,7 +71,7 @@ def counterexample_coeffs(slopes: Sequence, n: int) -> list[int]:
     return _coeffs(_checked_slopes(slopes, n))
 
 
-def _coeffs(values: list[Fraction]) -> list[int]:
+def _coeffs(values: list[Fraction | int]) -> list[int]:
     """`counterexample_coeffs` of already checked slopes, in integers.
 
     With a_i = p_i/q_i, a_i - a_j = (p_i q_j - p_j q_i)/(q_i q_j), so the
@@ -85,7 +85,7 @@ def _coeffs(values: list[Fraction]) -> list[int]:
     return primitive([q**n * (common // den) for (_, q), den in zip(pairs, denominators)])
 
 
-def _lower_halfplane_ray(slope: Fraction) -> Ray:
+def _lower_halfplane_ray(slope: Fraction | int) -> Ray:
     """The ray of the line y = -slope*x that points into the open lower half-plane."""
     if slope > 0:
         return Ray(1, -slope)
@@ -97,7 +97,7 @@ def fan_from_slopes(slopes: Sequence) -> FanPartition:
     return _slope_fan(_distinct_nonzero(slopes))
 
 
-def _slope_fan(values: list[Fraction]) -> FanPartition:
+def _slope_fan(values: list[Fraction | int]) -> FanPartition:
     """`fan_from_slopes` of already checked slopes."""
     return build_fan([Ray(1, 0)] + [_lower_halfplane_ray(a) for a in values])
 
@@ -154,7 +154,7 @@ def build_halfplane_example(n: int, extra_ray_slopes: Sequence | None = None) ->
     """
     if n < 0:
         raise InvalidSlopesError("n must be nonnegative")
-    slopes = [Fraction(s) for s in (default_extra_slopes(n) if extra_ray_slopes is None else extra_ray_slopes)]
+    slopes = [exact(s) for s in (default_extra_slopes(n) if extra_ray_slopes is None else extra_ray_slopes)]
     if len(slopes) != n:
         raise InvalidSlopesError(f"half-plane example of order {n} needs {n} extra slopes, got {len(slopes)}")
     if len(set(slopes)) != len(slopes):

@@ -19,38 +19,27 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd, isfinite
 from typing import Iterable, Iterator
 
-from .errors import (
-    DuplicateRayError,
-    FanSizeError,
-    InvalidDirectionError,
-    OriginSectorError,
-    SingularDecompositionError,
-)
+from .errors import DomainError, DuplicateRayError, FanSizeError, OriginSectorError, SingularDecompositionError
+from .rational import clear_direction, exact
 
 
 @dataclass(frozen=True, slots=True)
 class Ray:
     """Oriented direction from the origin, canonicalized to primitive integers.
 
-    Components are ints (bools included) or Fractions; any other type raises
-    TypeError.  (1/2, -3/4) and (2, -3) construct the same ray; (2, -3) and
-    (-2, 3) do not: rays are oriented, so the sign is never flipped.
+    Components pass `rational.clear_direction`: exact, not both zero.
+    (1/2, -3/4) and (2, -3) construct the same ray; (2, -3) and (-2, 3) do
+    not: rays are oriented, so the sign is never flipped.
     """
 
     dx: int
     dy: int
 
     def __init__(self, dx, dy):
-        for value in (dx, dy):
-            if not isinstance(value, (int, Fraction)):
-                raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-        scale = lcm(dx.denominator, dy.denominator)
-        dx, dy = dx.numerator * (scale // dx.denominator), dy.numerator * (scale // dy.denominator)
-        if dx == 0 and dy == 0:
-            raise InvalidDirectionError("a ray needs a nonzero direction")
+        dx, dy, _ = clear_direction(dx, dy)
         content = gcd(dx, dy)
         object.__setattr__(self, "dx", dx // content)
         object.__setattr__(self, "dy", dy // content)
@@ -128,18 +117,28 @@ class FanPartition:
 build_fan = FanPartition
 
 
+def _coordinate_ratio(value) -> tuple[int, int]:
+    if not isinstance(value, float):
+        return exact(value).as_integer_ratio()
+    if not isfinite(value):
+        raise DomainError(f"a point coordinate must be finite, got {value}")
+    return value.as_integer_ratio()
+
+
 def locate_sector(fan: FanPartition, x, y) -> int:
     """Sector index of a nonzero point; points on rays[j] report j.
 
+    A coordinate is exact (`rational.exact`) or a finite float, read exactly;
+    any other type is a TypeError and an infinite or NaN float a DomainError.
     The answer is the last ray, in clockwise order from rays[0], that is not
     clockwise past the point.  A positive multiple of the point lies in the
     same sector, so the point's denominators are cleared once and every
     comparison is an integer cross product.
     """
-    fx, fy = Fraction(x), Fraction(y)
-    if fx == 0 and fy == 0:
+    (a, b), (e, f) = _coordinate_ratio(x), _coordinate_ratio(y)
+    px, py = a * f, e * b
+    if not (px or py):
         raise OriginSectorError("the origin lies on every ray and has no sector")
-    px, py = fx.numerator * fy.denominator, fy.numerator * fx.denominator
     rays = fan.rays
     bx, by = rays[0].dx, rays[0].dy
     sector = 0

@@ -29,14 +29,15 @@ from .errors import ArityError, MissingDirectionError, SingularDecompositionErro
 from .fan import FanPartition, Ray, decompose_direction, line_count
 # directional_derivative is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.operators.directional_derivative by name.
-from .poly import BiPoly, _as_fraction, _direction_components, directional_derivative, line_power  # noqa: F401
+from .poly import BiPoly, check_exponents, directional_derivative, line_power  # noqa: F401
+from .rational import clear_direction, exact
 
 
 @dataclass(frozen=True, slots=True)
 class OperatorPoly:
     """Polynomial in commuting derivative symbols with rational coefficients.
 
-    Frozen; `terms` keeps the nonzero coefficients as Fractions, keyed by
+    Frozen; `terms` keeps the nonzero exact coefficients as given, keyed by
     exponent tuples of length `arity`, in a read-only mapping.  A mapping
     proxy neither pickles nor deep-copies, so copies rebuild from a dict.
     """
@@ -45,15 +46,13 @@ class OperatorPoly:
     terms: Mapping[tuple, Fraction | int] | None = None
 
     def __post_init__(self):
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, Fraction | int] = {}
         for exponents, coeff in (self.terms or {}).items():
             if len(exponents) != self.arity:
                 raise ValueError(f"exponent tuple {exponents} does not match arity {self.arity}")
-            if not all(isinstance(e, int) and e >= 0 for e in exponents):
-                raise ValueError(f"exponent tuple {exponents} needs nonnegative integers")
-            c = _as_fraction(coeff)
-            if c != 0:
-                clean[tuple(exponents)] = c
+            check_exponents(*exponents)
+            if exact(coeff):
+                clean[tuple(exponents)] = coeff
         object.__setattr__(self, "terms", MappingProxyType(clean))
 
     def __reduce__(self):
@@ -94,7 +93,7 @@ def apply_operator(op: OperatorPoly, directions: Sequence[Ray | None], p: BiPoly
             if index not in cleared:
                 if index >= len(directions) or directions[index] is None:
                     raise MissingDirectionError(f"no direction bound to symbol {index}")
-                cleared[index] = _direction_components(directions[index])
+                cleared[index] = clear_direction(*directions[index])
             ux, uy, m = cleared[index]
             if (index, power) not in powers:
                 powers[index, power] = line_power(ux, uy, power)

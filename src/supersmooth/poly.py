@@ -5,6 +5,8 @@ the sum of c*x^i*y^j/D over numerators {(i, j): c}, where D > 0, no
 numerator is zero and gcd(D, *numerators) = 1.  Each polynomial has one such
 frame, so == and hash compare frames.  `terms`, the Fraction coefficients,
 is a fresh read-only view.  All operations are exact and run in integers.
+Exact input passes `rational`'s rules; every monomial and derivative
+exponent passes `check_exponents`.
 Restricting a BiPoly to a ray through the origin yields a BiPoly in x
 alone, with x standing for the ray parameter t.
 """
@@ -15,17 +17,16 @@ from fractions import Fraction
 from math import comb, gcd, lcm, perm
 from typing import Mapping, Tuple
 
-from .errors import InvalidDirectionError
+from .rational import clear_denominators, clear_direction, exact
 
 Monomial = Tuple[int, int]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+def check_exponents(*exponents: int) -> None:
+    """The one exponent rule: each is an int other than a bool, and >= 0."""
+    for e in exponents:
+        if type(e) is not int or e < 0:
+            raise ValueError(f"exponents must be nonnegative integers, got {exponents}")
 
 
 class BiPoly:
@@ -34,16 +35,11 @@ class BiPoly:
     __slots__ = ("_frame",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        for (i, j), coeff in (terms or {}).items():
-            if i < 0 or j < 0:
-                raise ValueError(f"negative exponent in monomial ({i}, {j})")
-            c = _as_fraction(coeff)
-            if c != 0:
-                clean[(i, j)] = c
-        # Lowest-terms Fractions over the lcm of their denominators leave no common factor.
-        common = lcm(*(c.denominator for c in clean.values()))
-        self._frame = ({mono: c.numerator * (common // c.denominator) for mono, c in clean.items()}, common)
+        terms = terms or {}
+        for i, j in terms:
+            check_exponents(i, j)
+        numerators, common = clear_denominators(list(terms.values()))
+        self._frame = ({(i, j): c for (i, j), c in zip(terms, numerators) if c}, common)
 
     @classmethod
     def _from_frame(cls, numerators: Mapping[Monomial, int], denominator: int) -> "BiPoly":
@@ -156,13 +152,12 @@ class BiPoly:
     __rmul__ = __mul__
 
     def scale(self, factor) -> "BiPoly":
-        f = _as_fraction(factor)
+        f = exact(factor)
         numerators, common = self._frame
         return BiPoly._from_frame({mono: c * f.numerator for mono, c in numerators.items()}, common * f.denominator)
 
     def __pow__(self, exponent: int) -> "BiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("polynomial power needs a nonnegative integer exponent")
+        check_exponents(exponent)
         result = BiPoly.constant(1)
         base = self
         k = exponent
@@ -193,8 +188,7 @@ class BiPoly:
 
     def partial(self, x_order: int, y_order: int) -> "BiPoly":
         """Exact mixed partial derivative of the given orders."""
-        if x_order < 0 or y_order < 0:
-            raise ValueError("derivative orders must be nonnegative")
+        check_exponents(x_order, y_order)
         numerators, common = self._frame
         return BiPoly._from_frame({
             (i - x_order, j - y_order): c * perm(i, x_order) * perm(j, y_order)
@@ -205,7 +199,7 @@ class BiPoly:
     def evaluate(self, x, y) -> Fraction:
         """Exact value at a rational point x = a/b, y = e/f: the sum of
         c*a^i*b^(I-i)*e^j*f^(J-j) over D*b^I*f^J, I and J the top exponents."""
-        (a, b), (e, f) = _as_fraction(x).as_integer_ratio(), _as_fraction(y).as_integer_ratio()
+        (a, b), (e, f) = exact(x).as_integer_ratio(), exact(y).as_integer_ratio()
         numerators, common = self._frame
         top_i = max((i for i, _ in numerators), default=0)
         top_j = max((j for _, j in numerators), default=0)
@@ -244,16 +238,6 @@ X = BiPoly({(1, 0): 1})
 Y = BiPoly({(0, 1): 1})
 
 
-def _direction_components(direction) -> tuple[int, int, int]:
-    """The direction (dx, dy) as integers (u, v) over one common denominator m > 0."""
-    dx, dy = direction
-    dx, dy = _as_fraction(dx), _as_fraction(dy)
-    if dx == 0 and dy == 0:
-        raise InvalidDirectionError("direction vector must be nonzero")
-    m = lcm(dx.denominator, dy.denominator)
-    return dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator), m
-
-
 def directional_derivative(p: BiPoly, direction) -> BiPoly:
     """dx * dp/dx + dy * dp/dy using the direction's raw components.
 
@@ -261,14 +245,14 @@ def directional_derivative(p: BiPoly, direction) -> BiPoly:
     either of "equals zero" form or compares both sides under the same
     scaling, so unit length would only introduce irrational norms.
     """
-    u, v, m = _direction_components(direction)
+    u, v, m = clear_direction(*direction)
     return p.partial(1, 0).scale(Fraction(u, m)) + p.partial(0, 1).scale(Fraction(v, m))
 
 
 def restrict_to_ray(p: BiPoly, direction) -> BiPoly:
     """The restriction t -> p(t*dx, t*dy), exact, as a BiPoly in x alone (x is t):
     with (dx, dy) = (u, v)/m, t^k has the sum of c*u^i*v^j*m^(T-k) over D*m^T."""
-    u, v, m = _direction_components(direction)
+    u, v, m = clear_direction(*direction)
     numerators, common = p.integer_frame()
     top = max(p.total_degree(), 0)
     by_power: dict[Monomial, int] = {}
@@ -285,8 +269,7 @@ def line_power(u, v, n: int) -> list[int]:
 
 def linear_form_power(slope, n: int) -> BiPoly:
     """(y + slope*x)^n = (p*x + q*y)^n / q^n for slope = p/q."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    a = _as_fraction(slope)
+    check_exponents(n)
+    a = exact(slope)
     coefficients = line_power(a.numerator, a.denominator, n)
     return BiPoly._from_frame({(k, n - k): c for k, c in enumerate(coefficients)}, a.denominator**n)

@@ -1,8 +1,9 @@
-"""Exact rational scalars and their canonical text form.
+"""Exact rational scalars, the one rule for exact input, and their text form.
 
-Rationals are plain `fractions.Fraction` values: arbitrary precision,
-always reduced, denominator always positive.  The canonical serialization
-is "p" for integers and "p/q" with q > 0 otherwise, e.g. "-3/4".
+Rationals are ints (bools included) and `fractions.Fraction` values; `exact`
+refuses any other type, and every exact entry point of the package reads it,
+`clear_denominators` or `clear_direction`.  The canonical serialization is
+"p" for integers and "p/q" with q > 0 otherwise, e.g. "-3/4".
 """
 
 from __future__ import annotations
@@ -11,11 +12,32 @@ import re
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection
+from typing import Collection, Sequence
 
-from .errors import DomainError, RationalParseError
+from .errors import DomainError, InvalidDirectionError, RationalParseError
 
-Rational = Fraction
+
+def exact(value: Fraction | int) -> Fraction | int:
+    """`value` itself if it is an int (bools included) or a Fraction, else a TypeError."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def clear_denominators(values: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """Exact values as integers over the lcm of their denominators, which leaves no common factor."""
+    common = lcm(*(exact(v).denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+def clear_direction(dx: Fraction | int, dy: Fraction | int) -> tuple[int, int, int]:
+    """Exact (dx, dy) as integers (u, v) over one denominator m > 0; (0, 0) is an InvalidDirectionError."""
+    m = lcm(exact(dx).denominator, exact(dy).denominator)
+    u, v = dx.numerator * (m // dx.denominator), dy.numerator * (m // dy.denominator)
+    if not (u or v):
+        raise InvalidDirectionError("a ray needs a nonzero direction")
+    return u, v, m
+
 
 # Strict literal form: optional sign, ASCII digits, optional "/digits".
 # The denominator carries no sign, so "3/-4" is rejected outright.  \d
@@ -50,9 +72,7 @@ def format_rational(value: Fraction | int) -> str:
     sys.get_int_max_str_digits() digits) is a DomainError: `parse_rational`
     could not read it back either.
     """
-    if not isinstance(value, (int, Fraction)):
-        raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-    return _format_ratio(value.numerator, value.denominator)
+    return _format_ratio(exact(value).numerator, value.denominator)
 
 
 def _format_ratio(num: int, den: int) -> str:

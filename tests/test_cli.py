@@ -1,5 +1,8 @@
 import json
+import re
 import time
+from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 
 from supersmooth import (
     build_counterexample,
+    encode_counterexample,
+    format_rational,
     render_report,
     supersmoothness_verdict,
 )
@@ -450,6 +455,66 @@ def test_dim_cost_does_not_grow_with_the_slope_list(capsys):
 def test_caps_admit_the_documented_sizes():
     # dim degrees, orders n and grid sizes used by the tests, README and benchmark
     assert cli.MAX_DIM_DEGREE > 12 and cli.MAX_N > 16 and cli.MAX_GRID_N > 129
+
+
+def _random_slopes(seed: int, count: int, bits: int) -> list[Fraction]:
+    """`count` distinct nonzero slopes p/q with |p| and q below 2^bits."""
+    rng, slopes = Random(seed), set()
+    while len(slopes) < count:
+        slopes.add(Fraction(rng.choice((-1, 1)) * (rng.getrandbits(bits) or 1), rng.getrandbits(bits) or 1))
+    return sorted(slopes)
+
+
+def _slopes_option(slopes) -> str:
+    return "--slopes=" + ",".join(format_rational(a) for a in slopes)
+
+
+def _longest_integer(text: str) -> int:
+    return max(map(len, re.findall(r"[0-9]+", text)))
+
+
+@pytest.mark.parametrize("bits", [20, 40, 60])
+@pytest.mark.parametrize("command", [["construct"], ["demo", "counterexample"]], ids=["construct", "demo"])
+def test_slopes_above_the_digit_bound_never_reach_the_build(monkeypatch, capsys, command, bits):
+    # 65 random p/q slopes at n = 64: the parent spent 1.9 s (20 bits) to
+    # 18.9 s (60 bits) building before the output failed to print.
+    def build(*args):
+        raise AssertionError("build_counterexample was called")
+
+    monkeypatch.setattr(cli, "build_counterexample", build)
+    slopes = _random_slopes(bits, cli.MAX_N + 1, bits)
+    assert cli._construct_digits(cli.MAX_N, slopes) > cli.MAX_CONSTRUCT_DIGITS
+    assert main([*command, "--n", str(cli.MAX_N), _slopes_option(slopes)]) == 1
+    assert "the digit bound of --slopes" in capsys.readouterr().err
+
+
+# (n, slopes) accepted by the digit bound: integers up to n = MAX_N, a shared
+# denominator, and random p/q close to the limit.
+_DIGIT_LADDER = [
+    *((n, list(range(1, n + 2))) for n in (1, 2, 8, 16, 32, 48, 64)),
+    *((n, [Fraction(k, 1000) for k in range(1, n + 2)]) for n in (4, 16, 32)),
+    (4, _random_slopes(4, 5, 700)),
+    (8, _random_slopes(8, 9, 190)),
+    (16, _random_slopes(16, 17, 50)),
+    (32, _random_slopes(32, 33, 12)),
+]
+
+
+@pytest.mark.parametrize("n, slopes", _DIGIT_LADDER, ids=[f"n{n}-{i}" for i, (n, _) in enumerate(_DIGIT_LADDER)])
+def test_the_digit_bound_covers_every_printed_integer(capsys, n, slopes):
+    bound = cli._construct_digits(n, slopes)
+    assert bound <= cli.MAX_CONSTRUCT_DIGITS
+    assert main(["construct", "--n", str(n), _slopes_option(slopes)]) == 0
+    assert _longest_integer(capsys.readouterr().out) <= bound
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.fractions(max_denominator=10**9).filter(bool), min_size=n + 1, max_size=n + 1))
+))
+def test_the_digit_bound_covers_every_integer_of_small_counterexamples(case):
+    n, slopes = case
+    text = encode_counterexample(build_counterexample(sorted(slopes), n))
+    assert _longest_integer(text) <= cli._construct_digits(n, sorted(slopes))
 
 
 def _outcome(argv, capsys) -> tuple:

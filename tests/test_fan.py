@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 from functools import cmp_to_key
 from random import Random
@@ -9,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supersmooth import (
+    DomainError,
     DuplicateRayError,
     FanPartition,
     FanSizeError,
@@ -122,21 +125,44 @@ def test_replace_sorts_the_new_rays_and_derives_the_flag():
 
 def test_locate_sector_interior_point():
     assert locate_sector(COMPASS, 1, -1) == 0
+    # ints, Fractions and finite floats, each read exactly
+    assert locate_sector(COMPASS, 0.5, -1.5) == locate_sector(COMPASS, Fraction(1, 2), -1) == 0
 
 
 def test_locate_sector_on_ray_reports_that_ray():
     assert locate_sector(COMPASS, 0, 5) == 3
     assert locate_sector(COMPASS, 7, 0) == 0
+    assert locate_sector(COMPASS, True, 0.0) == 0
 
 
 def test_locate_sector_upper_left():
     # upper-left quadrant opens clockwise at ray 2 (the negative x-axis)
     assert locate_sector(COMPASS, -1, 1) == 2
+    assert locate_sector(COMPASS, -1e-300, 1e300) == 2
 
 
 def test_locate_sector_rejects_origin():
-    with pytest.raises(OriginSectorError):
-        locate_sector(COMPASS, 0, 0)
+    for x, y in [(0, 0), (0.0, -0.0), (Fraction(0), False)]:
+        with pytest.raises(OriginSectorError):
+            locate_sector(COMPASS, x, y)
+
+
+@pytest.mark.parametrize(
+    "x, y, error",
+    [
+        ("1", "2", TypeError),
+        (1, "2", TypeError),
+        (Decimal("0.5"), 1, TypeError),
+        (None, 1, TypeError),
+        (math.inf, 1, DomainError),
+        (1, -math.inf, DomainError),
+        (math.nan, 0, DomainError),
+        (0.0, math.nan, DomainError),
+    ],
+)
+def test_locate_sector_rejects_a_coordinate_that_is_not_exact_or_a_finite_float(x, y, error):
+    with pytest.raises(error, match="^expected an exact rational|must be finite"):
+        locate_sector(COMPASS, x, y)
 
 
 def _cross(a, b):

@@ -6,6 +6,10 @@ A BiPoly's storage stays behind its module: no other package module reads
 one of its slots or calls object.__new__; they build through `BiPoly(...)`
 and `BiPoly._from_frame` and read through `integer_frame()`.
 
+What counts as an exact number has one owner: outside `rational`, no
+package module spells the exact-input TypeError or takes an lcm of
+`.denominator` attributes.
+
 The one exception to the second rule: a name that `perfbench/spans.py`
 patches in that module (its `FUNCTION_PATCHES`) stays bound there for the
 patch, whether or not the module calls it.
@@ -76,6 +80,18 @@ def test_bipoly_storage_is_read_only_in_its_module(path):
             assert not is_object_new, f"{path.name}:{node.lineno} calls object.__new__"
         elif isinstance(node, ast.Constant):
             assert node.value not in slots, f"{path.name}:{node.lineno} names BiPoly.{node.value}"
+
+
+@pytest.mark.parametrize("path", [path for path in _MODULES if path.name != "rational.py"], ids=lambda path: path.stem)
+def test_exact_input_is_decided_only_in_rational(path):
+    offences = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "expected an exact rational" in node.value:
+            offences.append(f"{path.name}:{node.lineno} spells the exact-input TypeError")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm":
+            if any(isinstance(inner, ast.Attribute) and inner.attr == "denominator" for inner in ast.walk(node)):
+                offences.append(f"{path.name}:{node.lineno} takes an lcm of denominators")
+    assert not offences, offences
 
 
 def _references(tree: ast.Module) -> set[str]:

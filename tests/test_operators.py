@@ -139,6 +139,10 @@ def test_apply_requires_all_directions():
         ({(-1,): 1}, ValueError),
         ({(1.5,): 1}, ValueError),
         ({(1, 0): 1}, ValueError),
+        ({(0.5,): 1}, ValueError),
+        ({(1.0,): 1}, ValueError),
+        ({(True,): 1}, ValueError),
+        ({(True,): 0}, ValueError),
     ],
 )
 def test_operator_rejects_inexact_coefficients_and_bad_exponents(terms, error):

@@ -95,6 +95,12 @@ def test_subtracting_a_non_polynomial_raises():
         (lambda: X ** 1.5, ValueError),
         (lambda: X.partial(0, -1), ValueError),
         (lambda: linear_form_power(2, -1), ValueError),
+        # One exponent rule: a non-bool int >= 0, for monomials and derivatives alike.
+        *((lambda e=e: BiPoly({(e, 0): 1}), ValueError) for e in (0.5, 1.0, True, -1)),
+        *((lambda e=e: BiPoly({(0, e): 0}), ValueError) for e in (0.5, 1.0, True, -1)),
+        *((lambda e=e: X.partial(e, 0), ValueError) for e in (0.5, 1.0, True, -1)),
+        *((lambda e=e: X ** e, ValueError) for e in (0.5, 1.0, True, -1)),
+        *((lambda e=e: linear_form_power(2, e), ValueError) for e in (0.5, 1.0, True, -1)),
     ],
 )
 def test_invalid_operands_and_arguments_raise(call, error):

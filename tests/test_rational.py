@@ -6,8 +6,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supersmooth import DomainError, RationalParseError, format_rational, parse_rational
-from supersmooth.rational import _format_ratio, _parse_ratio, primitive
+from supersmooth import (
+    BiPoly,
+    DomainError,
+    InvalidDirectionError,
+    OperatorPoly,
+    RationalParseError,
+    Ray,
+    X,
+    apply_operator,
+    build_counterexample,
+    build_halfplane_example,
+    counterexample_coeffs,
+    directional_derivative,
+    fan_from_slopes,
+    format_rational,
+    linear_form_power,
+    parse_rational,
+    restrict_to_ray,
+)
+from supersmooth.rational import _format_ratio, _parse_ratio, clear_denominators, primitive
 
 
 def test_parse_integer_and_fraction():
@@ -112,3 +130,59 @@ def test_primitive_is_the_coprime_positive_multiple(values):
     assert [v * scale for v in values] == ints
     assert ints[lead] > 0
     assert gcd(*ints) == 1
+
+
+# Every entry point that takes an exact number or direction, each fed `bad`
+# in one exact slot.
+_EXACT_ENTRY_POINTS = {
+    "Ray": lambda bad: Ray(bad, 1),
+    "BiPoly": lambda bad: BiPoly({(1, 0): bad}),
+    "BiPoly.scale": lambda bad: X.scale(bad),
+    "BiPoly.evaluate": lambda bad: X.evaluate(1, bad),
+    "linear_form_power": lambda bad: linear_form_power(bad, 2),
+    "directional_derivative": lambda bad: directional_derivative(X, (bad, 1)),
+    "restrict_to_ray": lambda bad: restrict_to_ray(X, (1, bad)),
+    "OperatorPoly": lambda bad: OperatorPoly(1, {(1,): bad}),
+    "apply_operator": lambda bad: apply_operator(OperatorPoly(1, {(1,): 1}), [(bad, 1)], X),
+    "format_rational": lambda bad: format_rational(bad),
+    "counterexample_coeffs": lambda bad: counterexample_coeffs([bad, 2], 1),
+    "fan_from_slopes": lambda bad: fan_from_slopes([bad, 2]),
+    "build_counterexample": lambda bad: build_counterexample([bad, 2], 1),
+    "build_halfplane_example": lambda bad: build_halfplane_example(1, [bad]),
+}
+
+
+@pytest.mark.parametrize("entry", _EXACT_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "Decimal"])
+def test_every_exact_entry_point_refuses_inexact_input_with_one_error(entry, bad):
+    with pytest.raises(TypeError, match=f"^expected an exact rational, got {type(bad).__name__}$"):
+        _EXACT_ENTRY_POINTS[entry](bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda zero: Ray(*zero),
+        lambda zero: directional_derivative(X, zero),
+        lambda zero: restrict_to_ray(X, zero),
+        lambda zero: apply_operator(OperatorPoly(1, {(1,): 1}), [zero], X),
+    ],
+    ids=["Ray", "directional_derivative", "restrict_to_ray", "apply_operator"],
+)
+@pytest.mark.parametrize("zero", [(0, 0), (False, Fraction(0)), (Fraction(0, 3), 0)])
+def test_a_zero_direction_is_one_error(call, zero):
+    with pytest.raises(InvalidDirectionError, match="^a ray needs a nonzero direction$"):
+        call(zero)
+
+
+def test_ints_stay_ints_through_the_exact_entry_points():
+    assert type(OperatorPoly(1, {(1,): 3}).terms[(1,)]) is int
+    numerators, common = clear_denominators([3, Fraction(1, 2), True])
+    assert (numerators, common) == ([6, 1, 2], 2) and all(type(v) is int for v in numerators)
+
+
+@given(st.lists(st.fractions(max_denominator=50), max_size=6))
+def test_clear_denominators_leaves_no_common_factor(values):
+    numerators, common = clear_denominators(values)
+    assert [Fraction(v, common) for v in numerators] == values
+    assert gcd(common, *numerators) == 1

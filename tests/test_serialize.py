@@ -183,11 +183,22 @@ def test_decode_matches_each_distinct_key_once(monkeypatch):
     assert sorted(keys) == sorted({f"{i},{j}" for piece in spline.pieces for i, j in piece.integer_frame()[0]})
 
 
-def test_encoded_keys_round_trip():
+_monomials = st.tuples(st.integers(0, serialize.MAX_DEGREE), st.integers(0, serialize.MAX_DEGREE)).filter(
+    lambda mono: sum(mono) <= serialize.MAX_DEGREE
+)
+_exact_coefficients = st.one_of(st.integers(-10**30, 10**30), st.booleans(), st.fractions(max_denominator=10**12))
+_piece_terms = st.dictionaries(_monomials, _exact_coefficients, max_size=6)
+
+
+@given(st.lists(_piece_terms, min_size=3, max_size=3))
+@example([{(0, 0): 1, (10, 0): -2, (0, 1000): 3}, {(123, 456): 1, (1, 1): 7}, {}])
+@example([{(1000, 0): True, (0, 0): False}, {(0, 1): Fraction(-7, 3)}, {(500, 500): 10**30}])
+def test_encoded_keys_round_trip(terms):
+    # Everything BiPoly accepts (int exponents, int, bool or Fraction
+    # coefficients) survives encode and decode.
     fan = build_fan([Ray(1, 0), Ray(0, -1), Ray(-1, 3)])
-    pieces = (BiPoly({(0, 0): 1, (10, 0): -2, (0, 1000): 3}), BiPoly({(123, 456): 1, (1, 1): 7}), BiPoly.zero())
-    spline = PiecewisePoly(fan=fan, pieces=pieces)
-    assert decode_spline(encode_spline(spline)).pieces == pieces
+    spline = PiecewisePoly(fan=fan, pieces=tuple(BiPoly(t) for t in terms))
+    assert decode_spline(encode_spline(spline)).pieces == spline.pieces
 
 
 def test_decode_rejects_non_clockwise_rays():
