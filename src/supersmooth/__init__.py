@@ -14,6 +14,7 @@ from .construct import (
     build_counterexample,
     build_halfplane_example,
     counterexample_coeffs,
+    counterexample_digits,
     default_extra_slopes,
     fan_from_slopes,
 )

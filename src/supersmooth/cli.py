@@ -11,9 +11,10 @@ Each argument that sizes exact or grid work has a constant cap, as
 unbounded CPU: MAX_DIM_DEGREE for `dim --degree` and `--smoothness`,
 MAX_N for `construct --n` and `demo --n`, MAX_GRID_N for `sample --grid-n`.
 The counterexample of `construct` and `demo counterexample` is refused before
-it is built when `_construct_digits`, a bound from n and the slopes'
-numerators and denominators on the digits of every integer it holds, is
-above MAX_CONSTRUCT_DIGITS, the default `sys.get_int_max_str_digits()`.
+it is built when `construct.counterexample_digits`, its bound on the digits of
+every integer the counterexample holds, is above MAX_CONSTRUCT_DIGITS, the
+default `sys.get_int_max_str_digits()`; slopes the builder refuses get its
+error from that bound already.
 `dim` reads the dimension off a closed form, so its cost does not depend on
 the slopes; `check` time still grows with the size of the document, and
 `sample` time with grid_n^2 Horner steps over each row polynomial's nonzero
@@ -28,11 +29,11 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from math import comb
 
 from .construct import (
     build_counterexample,
     build_halfplane_example,
+    counterexample_digits,
     fan_from_slopes,
 )
 from .dimension import sample_spline_space, spline_space_dimension
@@ -79,37 +80,6 @@ def _slopes_arg(text: str) -> list[Fraction]:
 def _check_cap(option: str, value: int, cap: int) -> None:
     if value > cap:
         raise DomainError(f"{option} {value} is above the limit of {cap}")
-
-
-def _construct_digits(n: int, slopes: list[Fraction | int]) -> int:
-    """An upper bound on the decimal digits of every integer in the order-n
-    counterexample over the slopes p_i/q_i.
-
-    By Cramer's rule the coefficient c_i divides q_i^n times the minor
-    prod_(j != i) p_j * prod_(j < k; j, k != i) (p_k q_j - p_j q_k), and each
-    piece coefficient is C(n, t) times a sum over i of q_i^(n-t) p_i^t times
-    the minor, over a denominator that divides the coefficients' gcd.  Each
-    factor below 2^b counts b bits.
-    """
-    pairs = [(a.numerator, a.denominator) for a in slopes]
-    own = [abs(p).bit_length() for p, _ in pairs]
-    rows = own[:]  # row i: the bits of p_i and of every difference with slope i
-    for i, (p, q) in enumerate(pairs):
-        for j, (p_j, q_j) in enumerate(pairs[:i]):
-            bits = abs(p * q_j - p_j * q).bit_length()
-            rows[i] += bits
-            rows[j] += bits
-    every_factor = (sum(rows) + sum(own)) // 2  # each p_j once, each difference once
-    minor_times_power = max(n * max(abs(p), q).bit_length() - row for (p, q), row in zip(pairs, rows))
-    bits = every_factor + minor_times_power + comb(n, n // 2).bit_length() + (n + 1).bit_length()
-    return bits * 30103 // 100000 + 1  # 0.30103 > log10(2)
-
-
-def _check_construct_cap(n: int, slopes: list[Fraction | int]) -> None:
-    # Only an n and a list length that `build_counterexample` accepts are
-    # bounded (it refuses the rest), so the pair loop stays at most 65^2 / 2 steps.
-    if n >= 1 and len(slopes) == n + 1:
-        _check_cap("the digit bound of --slopes", _construct_digits(n, slopes), MAX_CONSTRUCT_DIGITS)
 
 
 @functools.cache
@@ -161,7 +131,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _cmd_construct(args) -> int:
     _check_cap("--n", args.n, MAX_N)
-    _check_construct_cap(args.n, args.slopes)
+    _check_cap("the digit bound of --slopes", counterexample_digits(args.slopes, args.n), MAX_CONSTRUCT_DIGITS)
     spec = build_counterexample(args.slopes, args.n)
     _emit(encode_counterexample(spec), args.output)
     return 0
@@ -195,7 +165,7 @@ def _demo_spline(name: str, n: int, slopes, seed: int) -> PiecewisePoly:
         return spline
     if name == "counterexample":
         slopes = slopes if slopes is not None else list(range(1, n + 2))
-        _check_construct_cap(n, slopes)
+        _check_cap("the digit bound of --slopes", counterexample_digits(slopes, n), MAX_CONSTRUCT_DIGITS)
         spec = build_counterexample(slopes, n)
         slope_text = ",".join(format_rational(a) for a in spec.slopes)
         coeff_text = ",".join(format_rational(c) for c in spec.coeffs)

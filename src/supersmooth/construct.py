@@ -7,6 +7,8 @@ rejoin the zero piece C^(n-1)-smoothly across the x-axis.  The result is
 C^(n-1) everywhere but loses exactly one order at the origin.  Each piece
 is the one before plus c_i*l_i^n, that jump written as one integer frame
 over q_i^n for a_i = p_i/q_i, so the build multiplies no polynomials.
+What it costs is decided here too: `counterexample_digits` bounds the digits
+of every integer the build would hold, so a caller can refuse slopes first.
 
 The half-plane example shows why collinear rays void the supersmoothness
 gain: y^(n+1) above the x-axis against zero below, with n extra rays thrown
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm, prod
 from typing import Sequence
 
 from .errors import InvalidSlopesError
@@ -83,6 +85,30 @@ def _coeffs(values: list[Fraction | int]) -> list[int]:
     denominators = [p * prod(p * q_j - p_j * q for p_j, q_j in pairs if (p_j, q_j) != (p, q)) for p, q in pairs]
     common = lcm(*denominators)
     return primitive([q**n * (common // den) for (_, q), den in zip(pairs, denominators)])
+
+
+def counterexample_digits(slopes: Sequence, n: int) -> int:
+    """An upper bound on the decimal digits of every integer in
+    `build_counterexample(slopes, n)`, after the same check of the slopes.
+
+    By Cramer's rule the coefficient c_i divides q_i^n times the minor
+    prod_(j != i) p_j * prod_(j < k; j, k != i) (p_k q_j - p_j q_k) of
+    `_coeffs`, and each piece coefficient is C(n, t) times a sum over i of
+    q_i^(n-t) p_i^t times the minor, over a denominator that divides the
+    coefficients' gcd.  Each factor below 2^b counts b bits.
+    """
+    pairs = [(a.numerator, a.denominator) for a in _checked_slopes(slopes, n)]
+    own = [abs(p).bit_length() for p, _ in pairs]
+    rows = own[:]  # row i: the bits of p_i and of every difference with slope i
+    for i, (p, q) in enumerate(pairs):
+        for j, (p_j, q_j) in enumerate(pairs[:i]):
+            bits = abs(p * q_j - p_j * q).bit_length()
+            rows[i] += bits
+            rows[j] += bits
+    every_factor = (sum(rows) + sum(own)) // 2  # each p_j once, each difference once
+    minor_times_power = max(n * max(abs(p), q).bit_length() - row for (p, q), row in zip(pairs, rows))
+    bits = every_factor + minor_times_power + comb(n, n // 2).bit_length() + (n + 1).bit_length()
+    return bits * 30103 // 100000 + 1  # 0.30103 > log10(2)
 
 
 def _lower_halfplane_ray(slope: Fraction | int) -> Ray:

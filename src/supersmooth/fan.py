@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, isfinite
+from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import DomainError, DuplicateRayError, FanSizeError, OriginSectorError, SingularDecompositionError
-from .rational import clear_direction, exact
+from .errors import DuplicateRayError, FanSizeError, OriginSectorError, SingularDecompositionError
+from .rational import clear_direction, real_ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,25 +117,17 @@ class FanPartition:
 build_fan = FanPartition
 
 
-def _coordinate_ratio(value) -> tuple[int, int]:
-    if not isinstance(value, float):
-        return exact(value).as_integer_ratio()
-    if not isfinite(value):
-        raise DomainError(f"a point coordinate must be finite, got {value}")
-    return value.as_integer_ratio()
-
-
 def locate_sector(fan: FanPartition, x, y) -> int:
     """Sector index of a nonzero point; points on rays[j] report j.
 
-    A coordinate is exact (`rational.exact`) or a finite float, read exactly;
+    A coordinate is exact or a finite float, read exactly (`rational.real_ratio`);
     any other type is a TypeError and an infinite or NaN float a DomainError.
     The answer is the last ray, in clockwise order from rays[0], that is not
     clockwise past the point.  A positive multiple of the point lies in the
     same sector, so the point's denominators are cleared once and every
     comparison is an integer cross product.
     """
-    (a, b), (e, f) = _coordinate_ratio(x), _coordinate_ratio(y)
+    (a, b), (e, f) = real_ratio(x, "a point coordinate"), real_ratio(y, "a point coordinate")
     px, py = a * f, e * b
     if not (px or py):
         raise OriginSectorError("the origin lies on every ray and has no sector")

@@ -30,6 +30,7 @@ from typing import Callable
 
 from .errors import DomainError, EvaluationError
 from .fan import FanPartition
+from .rational import real_direction
 
 Field = Callable[[float, float], float]
 
@@ -139,11 +140,20 @@ def _extrapolate(estimates: list[float], stages) -> float:
 
 
 def _unit(direction) -> tuple[float, float]:
-    """The unit vector of a nonzero direction, in floats."""
-    ux, uy = map(float, direction)
+    """The unit vector of a nonzero direction, in floats.
+
+    The components are read exactly (`rational.real_direction`) and each is
+    rounded once, times one power of two that puts the larger at most 2^1000
+    and the smaller as far above 2^-1000 as that allows, so no component
+    overflows or is subnormal before `hypot` unless its share of the unit
+    vector rounds to 0 anyway.  Rounding and `hypot` commute with that
+    scaling, so normal float components give the unscaled quotients bit for bit.
+    """
+    ratios = real_direction(*direction)
+    sizes = [p.bit_length() - q.bit_length() for p, q in ratios if p]
+    shift = -(max(sizes) + max(min(sizes), max(sizes) - 2000)) // 2
+    ux, uy = ((p << shift) / q if shift >= 0 else p / (q << -shift) for p, q in ratios)
     norm = math.hypot(ux, uy)
-    if norm == 0.0:
-        raise DomainError("direction must be nonzero")
     return (ux / norm, uy / norm)
 
 

@@ -2,7 +2,9 @@
 
 Rationals are ints (bools included) and `fractions.Fraction` values; `exact`
 refuses any other type, and every exact entry point of the package reads it,
-`clear_denominators` or `clear_direction`.  The canonical serialization is
+`clear_denominators` or `clear_direction`.  Points and directions of float
+code (`fan.locate_sector`, `numcheck`) may also hold finite floats, read
+exactly by `real_ratio` and `real_direction`.  The canonical serialization is
 "p" for integers and "p/q" with q > 0 otherwise, e.g. "-3/4".
 """
 
@@ -11,7 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Collection, Sequence
 
 from .errors import DomainError, InvalidDirectionError, RationalParseError
@@ -37,6 +39,26 @@ def clear_direction(dx: Fraction | int, dy: Fraction | int) -> tuple[int, int, i
     if not (u or v):
         raise InvalidDirectionError("a ray needs a nonzero direction")
     return u, v, m
+
+
+def real_ratio(value, what: str) -> tuple[int, int]:
+    """The integers (p, q > 0) of an exact value or a finite float, read exactly.
+
+    Any other type is `exact`'s TypeError, an infinite or NaN float a
+    DomainError that names `what`.
+    """
+    if not isinstance(value, float):
+        return exact(value).as_integer_ratio()
+    if not isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+    return value.as_integer_ratio()
+
+
+def real_direction(dx, dy) -> tuple[tuple[int, int], tuple[int, int]]:
+    """`real_ratio` of each component of a direction; (0, 0) is `clear_direction`'s InvalidDirectionError."""
+    (p, q), (r, s) = real_ratio(dx, "a direction component"), real_ratio(dy, "a direction component")
+    clear_direction(p, r)  # a component is zero exactly when its numerator is
+    return (p, q), (r, s)
 
 
 # Strict literal form: optional sign, ASCII digits, optional "/digits".
@@ -86,7 +108,12 @@ def _format_ratio(num: int, den: int) -> str:
 
 def primitive(values: Collection[Fraction | int]) -> list[int]:
     """Coprime integer multiple of a rational vector, first nonzero entry positive (zeros stay zeros)."""
-    common = lcm(*(v.denominator for v in values))
+    try:
+        common = lcm(*(v.denominator for v in values))
+    except AttributeError:  # on the elimination path `exact` reads the entries only once one has failed
+        for v in values:
+            exact(v)
+        raise
     ints = [v.numerator * (common // v.denominator) for v in values]
     content = gcd(*ints)
     if next((v for v in ints if v), 0) < 0:

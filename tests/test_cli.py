@@ -15,7 +15,7 @@ from supersmooth import (
     render_report,
     supersmoothness_verdict,
 )
-from supersmooth import cli
+from supersmooth import cli, construct
 from supersmooth.cli import main
 from helpers import schumaker_dimension
 
@@ -483,9 +483,19 @@ def test_slopes_above_the_digit_bound_never_reach_the_build(monkeypatch, capsys,
 
     monkeypatch.setattr(cli, "build_counterexample", build)
     slopes = _random_slopes(bits, cli.MAX_N + 1, bits)
-    assert cli._construct_digits(cli.MAX_N, slopes) > cli.MAX_CONSTRUCT_DIGITS
+    assert construct.counterexample_digits(slopes, cli.MAX_N) > cli.MAX_CONSTRUCT_DIGITS
     assert main([*command, "--n", str(cli.MAX_N), _slopes_option(slopes)]) == 1
     assert "the digit bound of --slopes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["construct"], ["demo", "counterexample"]], ids=["construct", "demo"])
+def test_slopes_bad_twice_report_the_slope_error(monkeypatch, capsys, command):
+    # above the digit bound and with a repeated slope: the builder's error wins
+    monkeypatch.setattr(cli, "build_counterexample", None)
+    slopes = _random_slopes(5, cli.MAX_N + 1, 60)
+    slopes[-1] = slopes[0]
+    assert main([*command, "--n", str(cli.MAX_N), _slopes_option(slopes)]) == 1
+    assert capsys.readouterr().err == "error: slopes must be pairwise distinct\n"
 
 
 # (n, slopes) accepted by the digit bound: integers up to n = MAX_N, a shared
@@ -502,7 +512,7 @@ _DIGIT_LADDER = [
 
 @pytest.mark.parametrize("n, slopes", _DIGIT_LADDER, ids=[f"n{n}-{i}" for i, (n, _) in enumerate(_DIGIT_LADDER)])
 def test_the_digit_bound_covers_every_printed_integer(capsys, n, slopes):
-    bound = cli._construct_digits(n, slopes)
+    bound = construct.counterexample_digits(slopes, n)
     assert bound <= cli.MAX_CONSTRUCT_DIGITS
     assert main(["construct", "--n", str(n), _slopes_option(slopes)]) == 0
     assert _longest_integer(capsys.readouterr().out) <= bound
@@ -514,7 +524,7 @@ def test_the_digit_bound_covers_every_printed_integer(capsys, n, slopes):
 def test_the_digit_bound_covers_every_integer_of_small_counterexamples(case):
     n, slopes = case
     text = encode_counterexample(build_counterexample(sorted(slopes), n))
-    assert _longest_integer(text) <= cli._construct_digits(n, sorted(slopes))
+    assert _longest_integer(text) <= construct.counterexample_digits(sorted(slopes), n)
 
 
 def _outcome(argv, capsys) -> tuple:

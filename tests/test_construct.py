@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -16,6 +17,7 @@ from supersmooth import (
     build_counterexample,
     build_halfplane_example,
     counterexample_coeffs,
+    counterexample_digits,
     default_extra_slopes,
     fan_from_slopes,
     global_smoothness_order,
@@ -143,6 +145,18 @@ def test_build_checks_the_slopes_once(monkeypatch):
     assert len(checks) == 1
     assert spec.coeffs == tuple(counterexample_coeffs(spec.slopes, 2))
     assert spec.spline.fan == fan_from_slopes(spec.slopes)
+
+
+@pytest.mark.parametrize(
+    "slopes, n",
+    [([1], 0), ([1, 2], 2), ([1, 1, 2], 2), ([1, 0, 2], 2)],
+    ids=["n0", "count", "repeated", "zero"],
+)
+def test_the_digit_bound_refuses_what_the_builder_refuses(slopes, n):
+    with pytest.raises(InvalidSlopesError) as built:
+        build_counterexample(slopes, n)
+    with pytest.raises(InvalidSlopesError, match=f"^{re.escape(str(built.value))}$"):
+        counterexample_digits(slopes, n)
 
 
 verdict_slope_sets = st.lists(

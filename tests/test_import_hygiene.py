@@ -8,7 +8,9 @@ and `BiPoly._from_frame` and read through `integer_frame()`.
 
 What counts as an exact number has one owner: outside `rational`, no
 package module spells the exact-input TypeError or takes an lcm of
-`.denominator` attributes.
+`.denominator` attributes, and no `raise` refuses a zero direction.  What the
+counterexample costs has one owner too: `construct` bounds it, and `cli`,
+which keeps only the cap, binds nothing from `math`.
 
 The one exception to the second rule: a name that `perfbench/spans.py`
 patches in that module (its `FUNCTION_PATCHES`) stays bound there for the
@@ -91,6 +93,30 @@ def test_exact_input_is_decided_only_in_rational(path):
         elif isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "lcm":
             if any(isinstance(inner, ast.Attribute) and inner.attr == "denominator" for inner in ast.walk(node)):
                 offences.append(f"{path.name}:{node.lineno} takes an lcm of denominators")
+    assert not offences, offences
+
+
+@pytest.mark.parametrize("path", [path for path in _MODULES if path.name != "rational.py"], ids=lambda path: path.stem)
+def test_a_zero_direction_is_refused_only_in_rational(path):
+    offences = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.Raise):
+            inner = list(ast.walk(node))
+            texts = [n.value for n in inner if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+            if any(getattr(n, "id", None) == "InvalidDirectionError" for n in inner) or any(
+                "direction" in text and "nonzero" in text for text in texts
+            ):
+                offences.append(f"{path.name}:{node.lineno} refuses a zero direction")
+    assert not offences, offences
+
+
+def test_cli_binds_nothing_from_math():
+    offences = []
+    for node in ast.walk(_tree(_PACKAGE / "cli.py")):
+        if isinstance(node, ast.Import):
+            offences += [f"cli.py:{node.lineno} binds {a.name}" for a in node.names if a.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            offences += [f"cli.py:{node.lineno} binds {a.name} from math" for a in node.names]
     assert not offences, offences
 
 

@@ -1,6 +1,8 @@
 import math
 import struct
 import sys
+from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -57,6 +59,7 @@ def test_config_validation():
     # 2*base_step, the stencil's first offset, would overflow and the field would be blamed
     ("base_step", 1e308), ("base_step", math.nextafter(sys.float_info.max / 2, math.inf)),
     ("tolerance", math.nan), ("tolerance", math.inf), ("tolerance", False), ("tolerance", None),
+    ("tolerance", 0.0), ("tolerance", -0.0),
     ("samples_per_ray", 2.5), ("samples_per_ray", 3.0), ("samples_per_ray", True),
     ("richardson_levels", True), ("richardson_levels", 2.0), ("richardson_levels", Fraction(3)),
     ("richardson_levels", 1100),
@@ -88,6 +91,12 @@ def test_config_accepts_the_largest_level_count_and_no_more(base_step, largest):
     # the whole stencil runs at the accepted maximum: no OverflowError, no blamed field
     one_sided_directional_derivative(lambda x, y: x, (0.0, 0.0), (1, 0), cfg)
     assert estimate_gradient(lambda x, y: x + y, (0.0, 0.0), cfg) == (1.0, 1.0)
+
+
+def test_a_step_too_small_for_its_levels_names_the_last_halving():
+    with pytest.raises(DomainError, match=r"^base_step / 2\*\*\(richardson_levels - 1\) must be a normal float, "
+                                          r"not 9\.332636185032189e-302 / 2\*\*23$"):
+        NumericConfig(base_step=2.0**-1000, richardson_levels=24)
 
 
 def test_an_overflowing_extrapolation_raises_once_per_estimate():
@@ -167,6 +176,88 @@ def test_one_sided_rejects_zero_direction(direction):
 def test_ray_lemma_rejects_zero_direction(ray):
     with pytest.raises(DomainError):
         verify_ray_lemma(lambda x, y: x, lambda x, y: x, ray, CFG)
+
+
+@pytest.mark.parametrize("direction", [
+    (1.7e308, 1.7e308),  # the float norm overflows
+    (1e-320, 1e-320),  # subnormal components
+    (10**400, 10**400),  # beyond float range
+    (Fraction(1, 10**400), Fraction(1, 10**400)),
+])
+def test_a_direction_beyond_the_float_norm_s_range_has_its_unit_vector(direction):
+    for estimate in (one_sided_directional_derivative(lambda x, y: x + y, (0.0, 0.0), direction, CFG)[0],
+                     fresh_one_sided(lambda x, y: x + y, (0.0, 0.0), direction, CFG)[1]):
+        assert abs(estimate - math.sqrt(2)) < 1e-12
+
+
+@pytest.mark.parametrize("direction, error", [
+    (("1", 2), TypeError), ((1, Decimal("0.5")), TypeError), ((None, 1), TypeError),
+    ((math.inf, 1), DomainError), ((0.0, -math.inf), DomainError), ((math.nan, 1.0), DomainError),
+])
+def test_a_direction_component_is_exact_or_a_finite_float(direction, error):
+    # the direction is blamed, not the field
+    for check in (lambda: one_sided_directional_derivative(lambda x, y: x, (0.0, 0.0), direction, CFG),
+                  lambda: verify_ray_lemma(lambda x, y: x, lambda x, y: x, direction, CFG)):
+        with pytest.raises(error, match="^expected an exact rational, got|^a direction component must be finite, got"):
+            check()
+
+
+# Boundary fixtures: every value, stencil difference and Richardson stage of
+# these fields is a short dyadic fraction, so each gap below equals its
+# threshold exactly and only the comparison decides.
+EDGE = NumericConfig(base_step=2.0**-10, tolerance=0.5, samples_per_ray=8)
+JUST_BELOW = replace(EDGE, tolerance=math.nextafter(0.5, 0.0))
+ZERO = lambda x, y: 0.0
+
+
+@pytest.mark.parametrize("g, gaps", [
+    (lambda x, y: 0.5, (0.5, 0.0)),
+    (lambda x, y: 0.5 * x, (0.4375, 0.5)),  # the last sample is t = 7/8
+], ids=["value", "derivative"])
+def test_ray_lemma_passes_a_gap_equal_to_the_tolerance(g, gaps):
+    report = verify_ray_lemma(ZERO, g, (1, 0), EDGE)
+    assert (report.max_value_gap, report.max_dirderiv_gap, report.passed) == (*gaps, True)
+    assert not verify_ray_lemma(ZERO, g, (1, 0), JUST_BELOW).passed
+
+
+@pytest.mark.parametrize("f_lower, gaps", [
+    (lambda x, y: 0.5, (0.5, 0.0)),
+    (lambda x, y: 0.5 * x, (0.25, 0.5)),  # the curve is sampled on x in [-1/2, 1/2]
+], ids=["continuity", "gradient"])
+def test_corner_gradient_passes_a_gap_equal_to_the_tolerance(f_lower, gaps):
+    gluing = CurveGluing(g=abs, corner_x=0.0, f_upper=ZERO, f_lower=f_lower)
+    report = verify_corner_gradient(gluing, EDGE)
+    assert (report.continuity_gap, report.grad_gap, report.passed) == (*gaps, True)
+    assert not verify_corner_gradient(gluing, JUST_BELOW).passed
+
+
+@pytest.mark.parametrize("scale, is_witness", [(0.5, False), (1.0, True)])
+def test_a_witness_needs_a_gradient_norm_above_the_root_of_the_tolerance(scale, is_witness):
+    # h = scale * (y - |x|) vanishes on y = |x|; its central gradient at the corner is (0, scale)
+    gluing = CurveGluing(g=abs, corner_x=0.0, f_upper=ZERO, f_lower=ZERO)
+    report = corner_witness_check(lambda x, y: scale * (y - abs(x)), gluing, replace(EDGE, tolerance=0.25))
+    assert (report.vanishes_on_curve, report.grad_norm_at_p, report.is_witness) == (True, scale, is_witness)
+
+
+def test_a_witness_vanishes_within_the_tolerance():
+    gluing = CurveGluing(g=abs, corner_x=0.0, f_upper=ZERO, f_lower=ZERO)
+    assert corner_witness_check(lambda x, y: 0.5 + y - abs(x), gluing, EDGE).vanishes_on_curve
+    assert not corner_witness_check(lambda x, y: 0.5 + y - abs(x), gluing, JUST_BELOW).vanishes_on_curve
+
+
+def test_the_curve_is_sampled_at_evenly_spaced_points_about_the_corner():
+    xs = []
+    gluing = CurveGluing(g=lambda x: xs.append(x) or 0.0, corner_x=0.25, f_upper=ZERO, f_lower=ZERO)
+    verify_corner_gradient(gluing, EDGE)
+    # 2 * 8 + 1 samples on [corner - 1/2, corner + 1/2], then the corner itself
+    assert xs == [-0.25 + i / 16 for i in range(17)] + [0.25]
+
+
+def test_the_default_config_samples_a_ray_nine_times():
+    points = []
+    verify_ray_lemma(lambda x, y: points.append(x) or 0.0, ZERO, (1, 0))
+    # each sample evaluates P = (k/9, 0) first, then the far point and one point per level
+    assert len(points) == 9 * 5 and points[::5] == [k / 9 for k in range(9)]
 
 
 def test_stencil_is_second_order():

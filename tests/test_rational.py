@@ -22,8 +22,12 @@ from supersmooth import (
     fan_from_slopes,
     format_rational,
     linear_form_power,
+    nullspace,
+    one_sided_directional_derivative,
     parse_rational,
+    rank,
     restrict_to_ray,
+    verify_ray_lemma,
 )
 from supersmooth.rational import _format_ratio, _parse_ratio, clear_denominators, primitive
 
@@ -149,6 +153,8 @@ _EXACT_ENTRY_POINTS = {
     "fan_from_slopes": lambda bad: fan_from_slopes([bad, 2]),
     "build_counterexample": lambda bad: build_counterexample([bad, 2], 1),
     "build_halfplane_example": lambda bad: build_halfplane_example(1, [bad]),
+    "nullspace": lambda bad: nullspace([[1, 2], [bad, 1]]),
+    "rank": lambda bad: rank([[bad, 1]]),
 }
 
 
@@ -159,17 +165,29 @@ def test_every_exact_entry_point_refuses_inexact_input_with_one_error(entry, bad
         _EXACT_ENTRY_POINTS[entry](bad)
 
 
+_EXACT_DIRECTION_CALLS = {
+    "Ray": lambda zero: Ray(*zero),
+    "directional_derivative": lambda zero: directional_derivative(X, zero),
+    "restrict_to_ray": lambda zero: restrict_to_ray(X, zero),
+    "apply_operator": lambda zero: apply_operator(OperatorPoly(1, {(1,): 1}), [zero], X),
+}
+# The float code reads finite floats too, so it gets the float zeros as well.
+_NUMERIC_DIRECTION_CALLS = {
+    "one_sided_directional_derivative": lambda zero: one_sided_directional_derivative(lambda x, y: x, (0.0, 0.0), zero),
+    "verify_ray_lemma": lambda zero: verify_ray_lemma(lambda x, y: x, lambda x, y: x, zero),
+}
+_EXACT_ZEROS = [(0, 0), (False, Fraction(0)), (Fraction(0, 3), 0)]
+_FLOAT_ZEROS = [(0.0, -0.0), (-0.0, 0)]
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, zero",
     [
-        lambda zero: Ray(*zero),
-        lambda zero: directional_derivative(X, zero),
-        lambda zero: restrict_to_ray(X, zero),
-        lambda zero: apply_operator(OperatorPoly(1, {(1,): 1}), [zero], X),
+        pytest.param(call, zero, id=f"zero{i}-{name}")
+        for name, call in {**_EXACT_DIRECTION_CALLS, **_NUMERIC_DIRECTION_CALLS}.items()
+        for i, zero in enumerate(_EXACT_ZEROS + _FLOAT_ZEROS * (name in _NUMERIC_DIRECTION_CALLS))
     ],
-    ids=["Ray", "directional_derivative", "restrict_to_ray", "apply_operator"],
 )
-@pytest.mark.parametrize("zero", [(0, 0), (False, Fraction(0)), (Fraction(0, 3), 0)])
 def test_a_zero_direction_is_one_error(call, zero):
     with pytest.raises(InvalidDirectionError, match="^a ray needs a nonzero direction$"):
         call(zero)
