@@ -36,7 +36,6 @@ from .errors import (
 from .fan import (
     FanPartition,
     Ray,
-    are_collinear,
     build_fan,
     decompose_direction,
     locate_sector,

@@ -27,7 +27,7 @@ from .fan import FanPartition, Ray, build_fan
 from .linalg import nullspace  # noqa: F401 -- unused; perfbench/spans.py patches it here
 # linear_form_power is unused here but stays bound: perfbench/spans.py
 # patches supersmooth.construct.linear_form_power by name.
-from .poly import BiPoly, line_power, linear_form_power  # noqa: F401
+from .poly import BiPoly, check_exponents, line_power, linear_form_power  # noqa: F401
 from .rational import exact, primitive
 # The two orders are unused here (the build certifies them in closed form)
 # but stay bound: perfbench/spans.py patches supersmooth.construct.<name>.
@@ -56,6 +56,7 @@ def _distinct_nonzero(slopes: Sequence) -> list[Fraction | int]:
 def _checked_slopes(slopes: Sequence, n: int) -> list[Fraction | int]:
     if n < 1:
         raise InvalidSlopesError("order n must be at least 1 (n = 0 has no polynomial example)")
+    check_exponents(n)
     values = _distinct_nonzero(slopes)
     if len(values) != n + 1:
         raise InvalidSlopesError(f"order {n} needs exactly {n + 1} slopes, got {len(values)}")
@@ -180,6 +181,7 @@ def build_halfplane_example(n: int, extra_ray_slopes: Sequence | None = None) ->
     """
     if n < 0:
         raise InvalidSlopesError("n must be nonnegative")
+    check_exponents(n)
     slopes = [exact(s) for s in (default_extra_slopes(n) if extra_ray_slopes is None else extra_ray_slopes)]
     if len(slopes) != n:
         raise InvalidSlopesError(f"half-plane example of order {n} needs {n} extra slopes, got {len(slopes)}")

@@ -11,7 +11,8 @@ derives `collinear_free` from `line_count`, the one rule for rays on one line.
 Clockwise order is decided exactly, without angles, by one integer
 comparator: half-turn buckets relative to the base b first, then, inside one
 open half-turn, the sign of a cross product.  `FanPartition`, `locate_sector`
-and the grid's row crossings all read this one rule.
+and `row_crossings` (which rays a grid row meets, in order) all read this one
+rule.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ def _cross(a, b) -> Fraction | int:
     ax, ay = a
     bx, by = b
     return ax * by - ay * bx
-
-
-def are_collinear(a: Ray, b: Ray) -> bool:
-    """True iff the rays lie on one line through the origin (same or opposite)."""
-    return _cross(a, b) == 0
 
 
 def line_count(rays: Iterable[Ray]) -> int:
@@ -110,9 +106,6 @@ class FanPartition:
         object.__setattr__(self, "rays", (base, *sorted(ray_list[1:], key=key)))
         object.__setattr__(self, "collinear_free", line_count(ray_list) == len(ray_list))
 
-    def __len__(self) -> int:
-        return len(self.rays)
-
 
 build_fan = FanPartition
 
@@ -139,6 +132,25 @@ def locate_sector(fan: FanPartition, x, y) -> int:
             break
         sector = j
     return sector
+
+
+def row_crossings(fan: FanPartition, sign: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """How rows y with the given sign (+1 or -1) meet the rays, left to right.
+
+    Returns the sector before the first crossing and, per ray with dy of that
+    sign in the order met, (dx, dy, sector on the ray, sector past it).  The
+    fan is clockwise, so a row above the origin meets its rays clockwise
+    from (-1, 0) and a row below meets them counterclockwise; past rays[j]
+    lies sector j above and j-1 below.  A half that no ray enters lies in
+    one sector.
+    """
+    rays, k = fan.rays, len(fan.rays)
+    key = cmp_to_key(lambda i, j: _clockwise_cmp(-1, 0, rays[i].dx, rays[i].dy, rays[j].dx, rays[j].dy))
+    met = sorted((j for j, r in enumerate(rays) if r.dy * sign > 0), key=key, reverse=sign < 0)
+    if not met:
+        return locate_sector(fan, 0, sign), []
+    crossings = [(rays[j].dx, rays[j].dy, j, j if sign > 0 else (j - 1) % k) for j in met]
+    return (met[0] - 1) % k if sign > 0 else met[0], crossings
 
 
 def decompose_direction(v1: Ray, v2: Ray, vj: Ray) -> tuple[Fraction, Fraction]:

@@ -14,6 +14,9 @@ at a designated corner point P = (corner_x, g(corner_x)).  Three checks:
 
 Everything is estimated with finite differences plus Richardson
 extrapolation; tolerances are absolute and assume O(1)-scaled inputs.
+A point or corner coordinate is exact or a finite float, read once a call
+(`rational.real_ratio`); a point that the smallest stencil step leaves
+unchanged, where every difference would be 0, is a DomainError.
 
 Cost: each call builds one stencil plan (step vectors, spans 2h and the
 Richardson stage factors), so with S samples per ray and L levels,
@@ -30,7 +33,7 @@ from typing import Callable
 
 from .errors import DomainError, EvaluationError
 from .fan import FanPartition
-from .rational import real_direction
+from .rational import real_direction, real_ratio
 
 Field = Callable[[float, float], float]
 
@@ -85,7 +88,9 @@ class CurveGluing:
     f_lower: Field
 
     def corner(self) -> tuple[float, float]:
-        return (self.corner_x, self.g(self.corner_x))
+        """P = (corner_x, g(corner_x)) in floats, read as the checks read it."""
+        x = _coordinate(self.corner_x)
+        return x, _curve_value(self.g, x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,6 +107,35 @@ class PiecewiseField:
 
 def _non_finite(value, x, y) -> EvaluationError:
     return EvaluationError(f"function returned non-finite value {value!r} at ({x}, {y})")
+
+
+def _coordinate(value) -> float:
+    """A point coordinate as a float: a finite float as it is, an exact value rounded once."""
+    p, q = real_ratio(value, "a point coordinate")
+    if isinstance(value, float):
+        return value
+    try:
+        return p / q
+    except OverflowError:
+        raise DomainError("a point coordinate must be within the float range") from None
+
+
+def _check_moves(point: tuple[float, float], step: tuple[float, float]) -> None:
+    """A DomainError unless `step`, a call's smallest stencil step, moves each
+    coordinate of `point` along which it has a nonzero component."""
+    for p, s in zip(point, step):
+        if s and p + s == p:
+            raise DomainError(
+                f"a stencil step of {s!r} leaves the coordinate {p!r} of the point {point!r} unchanged; "
+                "use a larger base_step or fewer levels"
+            )
+
+
+def _curve_value(g: Callable[[float], float], x: float) -> float:
+    y = g(x)
+    if not math.isfinite(y):
+        raise EvaluationError(f"curve g returned non-finite value {y!r} at x = {x}")
+    return y
 
 
 def _finite_estimate(value: float, x, y) -> float:
@@ -206,8 +240,10 @@ def one_sided_directional_derivative(f: Field, point, direction,
     returned error estimate is the last extrapolation delta (infinite when
     a single level leaves nothing to compare).
     """
-    px, py = point
-    return _one_sided(f, px, py, _stencil_plan(_unit(direction), cfg))[1:]
+    px, py = map(_coordinate, point)
+    plan = _stencil_plan(_unit(direction), cfg)
+    _check_moves((px, py), plan[1][-1][0])  # the last level's step, the smallest
+    return _one_sided(f, px, py, plan)[1:]
 
 
 def _central_partial(f: Field, px: float, py: float, axis: int, steps, stages) -> float:
@@ -229,9 +265,17 @@ def _central_partial(f: Field, px: float, py: float, axis: int, steps, stages) -
 
 def estimate_gradient(f: Field, point, cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
     """Two-sided gradient estimate; requires f on a full neighborhood of the point."""
+    px, py = map(_coordinate, point)
+    return _gradient(f, px, py, cfg)
+
+
+def _gradient(f: Field, px: float, py: float, cfg: NumericConfig) -> tuple[float, float]:
+    """`estimate_gradient` at a point already read.  The step away from 0 moves
+    a coordinate least, so it alone is checked."""
     steps = [(h, 2.0 * h) for h in _offsets(cfg)[1:]]
+    h = steps[-1][0]
+    _check_moves((px, py), (math.copysign(h, px), math.copysign(h, py)))
     stages = _stages(range(2, 2 * cfg.richardson_levels, 2))
-    px, py = point
     return (_central_partial(f, px, py, 0, steps, stages), _central_partial(f, px, py, 1, steps, stages))
 
 
@@ -246,7 +290,9 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
     """Check that f and g agree on a ray together with their ray-direction derivatives.
 
     Only the direction along the ray is constrained; transversal mismatch is
-    invisible to this check by design.
+    invisible to this check by design.  The samples move away from the
+    origin along the steps, so the smallest step is checked once, at the
+    farthest sample, before it is evaluated.
     """
     ux, uy = _unit(ray)
     plan = _stencil_plan((ux, uy), cfg)
@@ -256,6 +302,8 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
     for k in range(samples):
         t = RAY_EXTENT * k / samples
         px, py = t * ux, t * uy
+        if k == samples - 1:
+            _check_moves((px, py), plan[1][-1][0])  # the last level's step, the smallest
         f0, df, _ = _one_sided(f, px, py, plan)
         g0, dg, _ = _one_sided(g, px, py, plan)
         value_gap = max(value_gap, abs(f0 - g0))
@@ -273,11 +321,15 @@ def verify_field_rays(field: PiecewiseField, cfg: NumericConfig = NumericConfig(
     ]
 
 
-def _curve_samples(gluing: CurveGluing, cfg: NumericConfig) -> list[tuple[float, float]]:
+def _curve_points(gluing: CurveGluing, cfg: NumericConfig) -> tuple[list[tuple[float, float]], tuple[float, float]]:
+    """Points of the curve evenly spaced on [corner_x - CURVE_EXTENT, corner_x + CURVE_EXTENT],
+    then the corner P, from one reading of corner_x; g is evaluated in that order."""
+    corner_x = _coordinate(gluing.corner_x)
     count = 2 * cfg.samples_per_ray + 1
     step = 2.0 * CURVE_EXTENT / (count - 1)
-    xs = [gluing.corner_x - CURVE_EXTENT + i * step for i in range(count)]
-    return [(x, gluing.g(x)) for x in xs]
+    xs = [corner_x - CURVE_EXTENT + i * step for i in range(count)]
+    samples = [(x, _curve_value(gluing.g, x)) for x in xs]
+    return samples, (corner_x, _curve_value(gluing.g, corner_x))
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,14 +348,14 @@ def verify_corner_gradient(gluing: CurveGluing, cfg: NumericConfig = NumericConf
     apply.  For a continuous glue along a genuinely cornered curve the
     gradient gap must vanish; along a smooth curve it can stay far from 0.
     """
+    samples, corner = _curve_points(gluing, cfg)
     continuity_gap = 0.0
-    for point in _curve_samples(gluing, cfg):
+    for point in samples:
         continuity_gap = max(
             continuity_gap, abs(_eval(gluing.f_upper, *point) - _eval(gluing.f_lower, *point))
         )
-    corner = gluing.corner()
-    grad_upper = estimate_gradient(gluing.f_upper, corner, cfg)
-    grad_lower = estimate_gradient(gluing.f_lower, corner, cfg)
+    grad_upper = _gradient(gluing.f_upper, *corner, cfg)
+    grad_lower = _gradient(gluing.f_lower, *corner, cfg)
     grad_gap = math.hypot(grad_upper[0] - grad_lower[0], grad_upper[1] - grad_lower[1])
     passed = continuity_gap <= cfg.tolerance and grad_gap <= cfg.tolerance
     return CornerGradientReport(
@@ -330,9 +382,10 @@ def corner_witness_check(h: Field, gluing: CurveGluing,
     sqrt(tolerance) at P.  A candidate that fails to vanish on the curve is
     reported as invalid (is_witness False), not raised.
     """
-    residual = max(abs(_eval(h, *point)) for point in _curve_samples(gluing, cfg))
+    samples, corner = _curve_points(gluing, cfg)
+    residual = max(abs(_eval(h, *point)) for point in samples)
     vanishes = residual <= cfg.tolerance
-    grad = estimate_gradient(h, gluing.corner(), cfg)
+    grad = _gradient(h, *corner, cfg)
     grad_norm = math.hypot(*grad)
     return WitnessReport(
         vanishes_on_curve=vanishes,

@@ -32,11 +32,10 @@ import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Sequence
 
 from .errors import DomainError, SchemaError
-from .fan import FanPartition, Ray, _clockwise_cmp, build_fan, locate_sector
+from .fan import Ray, build_fan, locate_sector, row_crossings
 from .poly import BiPoly
 from .rational import _format_ratio, _parse_ratio, format_rational, parse_rational
 from .spline import PiecewisePoly
@@ -294,25 +293,6 @@ def _column_power(column_powers: dict[int, dict[int, int]], xs: list[int], gap: 
     return power
 
 
-def _half_crossings(fan: FanPartition, sign: int) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """How rows y with the given sign meet the rays, left to right.
-
-    Returns the sector before the first crossing and, per ray with dy of that
-    sign in the order met, (dx, dy, sector on the ray, sector past it).  The
-    fan is clockwise, so a row above the origin meets its rays clockwise
-    from (-1, 0) and a row below meets them counterclockwise; past rays[j]
-    lies sector j above and j-1 below.
-    A half that no ray enters lies in one sector.
-    """
-    rays, k = fan.rays, len(fan.rays)
-    key = cmp_to_key(lambda i, j: _clockwise_cmp(-1, 0, rays[i].dx, rays[i].dy, rays[j].dx, rays[j].dy))
-    met = sorted((j for j, r in enumerate(rays) if r.dy * sign > 0), key=key, reverse=sign < 0)
-    if not met:
-        return locate_sector(fan, 0, sign), []
-    crossings = [(rays[j].dx, rays[j].dy, j, j if sign > 0 else (j - 1) % k) for j in met]
-    return (met[0] - 1) % k if sign > 0 else met[0], crossings
-
-
 def _row_runs(xs: list[int], row: int, before: int, crossings):
     """(start, stop, sector) runs of the ascending integers xs on the row Y = row.
 
@@ -345,9 +325,10 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     Every coordinate is a float, so a dyadic rational; over the largest of
     their denominators, B, each point is (X/B, Y/B) with integers X and Y.
     Each row is scanned once.  A ray crosses a row Y != 0 at most once, at
-    X = Y*dx/dy, and the fan's clockwise order fixes the sector between
-    crossings, so `locate_sector` runs only for a half-plane that no ray
-    enters and for the two sides of the row y = 0: at most 4 calls a grid.
+    X = Y*dx/dy, and `fan.row_crossings` gives each half-plane's crossings
+    in order and the sector between them, so `locate_sector` runs only for
+    a half-plane that no ray enters and for the two sides of the row y = 0:
+    at most 4 calls a grid.
     Each piece is cleared to integers over one fixed denominator once a
     grid and restricted to a row once per sector met, kept by its nonzero
     X-terms.  A run of points whose row polynomial has no X term shares one
@@ -370,7 +351,7 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     frame = max(b for _, b in ratios)
     xs = [a * (frame // b) for a, b in ratios]
     fan = spline.fan
-    upper, lower = _half_crossings(fan, 1), _half_crossings(fan, -1)
+    upper, lower = row_crossings(fan, 1), row_crossings(fan, -1)
     pieces = [_integer_terms(piece, frame) for piece in spline.pieces]
     y_exponents = sorted({j for piece in spline.pieces for _, j in piece.integer_frame()[0]})
     column_powers: dict[int, dict[int, int]] = {}

@@ -73,9 +73,6 @@ class PiecewisePoly:
                 f"got {len(self.pieces)}"
             )
 
-    def max_total_degree(self) -> int:
-        return max(p.total_degree() for p in self.pieces)
-
 
 def smoothness_order_of_difference(diff: BiPoly, ray) -> Order:
     """Largest r such that all partials of `diff` up to order r vanish on the ray.
@@ -106,14 +103,12 @@ def _integer_order(terms: dict[Monomial, int], ray: Ray) -> tuple[Order, Order]:
         row[i] = c // content
     least = INFINITE
     for coeffs in components.values():
-        least = _line_multiplicity(coeffs, ray.dx, ray.dy, least)
-        if least == 0:
-            break
+        least = min(least, _line_multiplicity(coeffs, ray.dx, ray.dy))
     return least - 1, min(components, default=INFINITE) - 1
 
 
-def _line_multiplicity(coeffs: list[int], dx: int, dy: int, limit) -> int:
-    """Multiplicity of l = dy*x - dx*y in sum_i coeffs[i] x^i y^(s-i), at most `limit`.
+def _line_multiplicity(coeffs: list[int], dx: int, dy: int) -> int:
+    """Multiplicity of l = dy*x - dx*y in sum_i coeffs[i] x^i y^(s-i).
 
     `coeffs` is a nonzero integer list and (dx, dy) is primitive.  On an
     axis l is a unit times x or y, so the multiplicity is the count of zero
@@ -125,9 +120,9 @@ def _line_multiplicity(coeffs: list[int], dx: int, dy: int, limit) -> int:
     """
     if dx == 0 or dy == 0:
         end = coeffs if dx == 0 else reversed(coeffs)
-        return min(limit, next(n for n, a in enumerate(end) if a))
+        return next(n for n, a in enumerate(end) if a)
     count = 0
-    while count < limit:
+    while True:
         quotient = []
         b = 0
         for a in coeffs[:-1]:
@@ -136,10 +131,9 @@ def _line_multiplicity(coeffs: list[int], dx: int, dy: int, limit) -> int:
                 return count
             quotient.append(b)
         if coeffs[-1] != dy * b:
-            break
+            return count
         coeffs = quotient
         count += 1
-    return count
 
 
 def _jump_orders(spline: PiecewisePoly, ray_index: int) -> tuple[Order, Order]:

@@ -51,11 +51,17 @@ def random_direction(rng: Random, bound: int = 5) -> tuple[int, int]:
             return d
 
 
+def on_one_line(a: Ray, b: Ray) -> bool:
+    """True iff the rays lie on one line through the origin (same or opposite):
+    their cross product is zero.  Pairwise, so independent of `fan.line_count`."""
+    return a.dx * b.dy - a.dy * b.dx == 0
+
+
 def random_collinear_free_fan(rng: Random, k: int, bound: int = 7) -> FanPartition:
     rays: list[Ray] = []
     while len(rays) < k:
         candidate = Ray(*random_direction(rng, bound))
-        if any(candidate.dx * r.dy - candidate.dy * r.dx == 0 for r in rays):
+        if any(on_one_line(candidate, r) for r in rays):
             continue
         rays.append(candidate)
     return build_fan(rays)
@@ -172,7 +178,7 @@ def fraction_order_of_difference(diff: BiPoly, ray):
     components: dict[int, list[int]] = {}
     for (i, j), c in zip(diff.terms, primitive(diff.terms.values())):
         components.setdefault(i + j, [0] * (i + j + 1))[i] = c
-    return min(_line_multiplicity(coeffs, dx, dy, INFINITE) for coeffs in components.values()) - 1
+    return min(_line_multiplicity(coeffs, dx, dy) for coeffs in components.values()) - 1
 
 
 def fraction_ray_orders(spline: PiecewisePoly) -> list:

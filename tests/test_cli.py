@@ -1,7 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -32,6 +36,20 @@ def test_construct_check_pipeline_matches_in_memory(tmp_path, capsys):
     assert "global: 1" in cli_report
     assert "origin: 1" in cli_report
     assert "supersmoothness: not applicable" in cli_report
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m supersmooth ARGS` in a fresh interpreter, on the imported package's source tree."""
+    source = str(Path(cli.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "supersmooth", *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_the_module_entry_point_runs_the_cli():
+    done = _run_module("dim", "--degree", "2", "--smoothness", "1", "--slopes", "1,2,3")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "7\n", "")
+    bare = _run_module()
+    assert bare.returncode == 2 and bare.stdout == "" and bare.stderr.startswith("usage:")
 
 
 def test_construct_to_stdout(tmp_path, capsys):

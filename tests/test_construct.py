@@ -159,6 +159,23 @@ def test_the_digit_bound_refuses_what_the_builder_refuses(slopes, n):
         counterexample_digits(slopes, n)
 
 
+_ORDER_CALLS = {
+    "build_counterexample": lambda n: build_counterexample([1, 2], n),
+    "counterexample_coeffs": lambda n: counterexample_coeffs([1, 2], n),
+    "counterexample_digits": lambda n: counterexample_digits([1, 2], n),
+    "build_halfplane_example": lambda n: build_halfplane_example(n, [0]),
+}
+
+
+@pytest.mark.parametrize("call", _ORDER_CALLS)
+@pytest.mark.parametrize("n", [True, 1.0], ids=["bool", "float"])
+def test_an_order_that_is_not_an_int_is_the_exponent_rule_s_error(call, n):
+    # A bool n once built a counterexample whose document wrote "n": true,
+    # which decode_document refuses; a float n failed deep in the build.
+    with pytest.raises(ValueError, match=rf"^exponents must be nonnegative integers, got \({n!r},\)$"):
+        _ORDER_CALLS[call](n)
+
+
 verdict_slope_sets = st.lists(
     st.integers(-40, 40).filter(bool).map(Fraction)
     | st.builds(Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6)),

@@ -184,7 +184,7 @@ def _coefficient_vectors(splines, degree):
 
 def _assert_spans_the_space(splines, fan, degree, smoothness):
     for spline in splines:
-        assert spline.max_total_degree() <= degree
+        assert max(p.total_degree() for p in spline.pieces) <= degree
         for j in range(len(fan.rays)):
             assert smoothness_across_ray(spline, j) >= smoothness
     assert rank(_coefficient_vectors(splines, degree)) == len(splines)

@@ -10,7 +10,8 @@ What counts as an exact number has one owner: outside `rational`, no
 package module spells the exact-input TypeError or takes an lcm of
 `.denominator` attributes, and no `raise` refuses a zero direction.  What the
 counterexample costs has one owner too: `construct` bounds it, and `cli`,
-which keeps only the cap, binds nothing from `math`.
+which keeps only the cap, binds nothing from `math`.  Clockwise order is
+`fan`'s: no other module binds one of its private names.
 
 The one exception to the second rule: a name that `perfbench/spans.py`
 patches in that module (its `FUNCTION_PATCHES`) stays bound there for the
@@ -117,6 +118,17 @@ def test_cli_binds_nothing_from_math():
             offences += [f"cli.py:{node.lineno} binds {a.name}" for a in node.names if a.name.split(".")[0] == "math"]
         elif isinstance(node, ast.ImportFrom) and node.module == "math":
             offences += [f"cli.py:{node.lineno} binds {a.name} from math" for a in node.names]
+    assert not offences, offences
+
+
+def test_no_module_outside_fan_binds_a_private_fan_name():
+    offences = []
+    for path in _MODULES:
+        if path.name == "fan.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "fan":
+                offences += [f"{path.name}:{node.lineno} binds fan.{a.name}" for a in node.names if a.name.startswith("_")]
     assert not offences, offences
 
 

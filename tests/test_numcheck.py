@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import sys
 from dataclasses import replace
@@ -258,6 +259,62 @@ def test_the_default_config_samples_a_ray_nine_times():
     verify_ray_lemma(lambda x, y: points.append(x) or 0.0, ZERO, (1, 0))
     # each sample evaluates P = (k/9, 0) first, then the far point and one point per level
     assert len(points) == 9 * 5 and points[::5] == [k / 9 for k in range(9)]
+
+
+SUM = lambda x, y: x + y
+
+
+@pytest.mark.parametrize("call, step, coordinate, point", [
+    (lambda: estimate_gradient(SUM, (1e20, 0.0)), 0.00025, 1e20, (1e20, 0.0)),
+    (lambda: estimate_gradient(SUM, (1e308, 0.0)), 0.00025, 1e308, (1e308, 0.0)),
+    (lambda: one_sided_directional_derivative(SUM, (1e20, 0.0), (1, 0)), 0.00025, 1e20, (1e20, 0.0)),
+    (lambda: one_sided_directional_derivative(SUM, (0.0, 1e20), (1, -1)), -0.00025 / math.sqrt(2), 1e20, (0.0, 1e20)),
+    (lambda: verify_ray_lemma(SUM, SUM, (1, 0), NumericConfig(richardson_levels=200)),
+     1e-3 / 2**199, 8 / 9, (8 / 9, 0.0)),
+], ids=["gradient", "gradient-1e308", "one-sided", "one-sided-y", "ray-lemma"])
+def test_a_point_that_the_smallest_step_leaves_unchanged_is_a_domain_error(call, step, coordinate, point):
+    # every stencil difference there would be 0: the gradient read (0.0, 0.0)
+    with pytest.raises(DomainError, match=rf"^a stencil step of {re.escape(repr(step))} leaves the coordinate "
+                                          rf"{re.escape(repr(coordinate))} of the point {re.escape(repr(point))} unchanged; "):
+        call()
+
+
+def test_the_gradient_checks_the_step_away_from_zero():
+    # 2^43 + 2^-10 rounds back to 2^43, 2^43 - 2^-10 does not; 2^42 + 2^-10 is a float
+    cfg = NumericConfig(base_step=2.0**-10, richardson_levels=1)
+    for x in (2.0**43, -(2.0**43)):
+        with pytest.raises(DomainError, match="leaves the coordinate"):
+            estimate_gradient(SUM, (x, 0.0), cfg)
+        with pytest.raises(DomainError, match="leaves the coordinate"):
+            estimate_gradient(SUM, (0.0, x), cfg)
+    assert estimate_gradient(SUM, (2.0**42, -(2.0**42)), cfg) == (1.0, 1.0)
+
+
+def test_a_step_along_a_zero_component_is_not_checked():
+    # the direction (0, 1) never moves x, so a huge x is no error
+    assert one_sided_directional_derivative(lambda x, y: y, (1e300, 0.0), (0, 1)) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_curve_that_returns_a_non_finite_value_is_blamed(value):
+    gluing = CurveGluing(g=lambda x: value if x < 0 else 0.0, corner_x=0.0, f_upper=ZERO, f_lower=ZERO)
+    for check in (lambda: verify_corner_gradient(gluing, EDGE), lambda: corner_witness_check(ZERO, gluing, EDGE)):
+        with pytest.raises(EvaluationError, match=rf"^curve g returned non-finite value {value!r} at x = -0.5$"):
+            check()
+    corner = CurveGluing(g=lambda x: value, corner_x=0.0, f_upper=ZERO, f_lower=ZERO)
+    with pytest.raises(EvaluationError, match=rf"^curve g returned non-finite value {value!r} at x = 0.0$"):
+        corner.corner()
+
+
+def test_an_exact_point_is_rounded_once_to_floats():
+    seen = []
+    f = lambda x, y: seen.append((x, y)) or math.sin(x) * y
+    third = Fraction(1, 3)
+    assert one_sided_directional_derivative(f, (third, 2), (1, 1)) == one_sided_directional_derivative(f, (1 / 3, 2.0), (1, 1))
+    assert estimate_gradient(f, (third, 2)) == estimate_gradient(f, (1 / 3, 2.0))
+    assert all(type(x) is float and type(y) is float for x, y in seen)
+    gluing = CurveGluing(g=abs, corner_x=third, f_upper=ZERO, f_lower=ZERO)
+    assert gluing.corner() == (1 / 3, 1 / 3)
 
 
 def test_stencil_is_second_order():

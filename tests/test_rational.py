@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from supersmooth import (
     BiPoly,
+    CurveGluing,
     DomainError,
     InvalidDirectionError,
     OperatorPoly,
@@ -17,8 +18,10 @@ from supersmooth import (
     apply_operator,
     build_counterexample,
     build_halfplane_example,
+    corner_witness_check,
     counterexample_coeffs,
     directional_derivative,
+    estimate_gradient,
     fan_from_slopes,
     format_rational,
     linear_form_power,
@@ -27,6 +30,7 @@ from supersmooth import (
     parse_rational,
     rank,
     restrict_to_ray,
+    verify_corner_gradient,
     verify_ray_lemma,
 )
 from supersmooth.rational import _format_ratio, _parse_ratio, clear_denominators, primitive
@@ -191,6 +195,33 @@ _FLOAT_ZEROS = [(0.0, -0.0), (-0.0, 0)]
 def test_a_zero_direction_is_one_error(call, zero):
     with pytest.raises(InvalidDirectionError, match="^a ray needs a nonzero direction$"):
         call(zero)
+
+
+# The float code's points: each coordinate is exact or a finite float, read
+# once a call by `real_ratio`; the corner's x is such a coordinate too.
+_ZERO_FIELD = lambda x, y: 0.0
+_NUMERIC_POINT_CALLS = {
+    "one_sided_directional_derivative": lambda bad: one_sided_directional_derivative(_ZERO_FIELD, (bad, 0.0), (1, 0)),
+    "estimate_gradient": lambda bad: estimate_gradient(_ZERO_FIELD, (0.0, bad)),
+    "verify_corner_gradient": lambda bad: verify_corner_gradient(CurveGluing(abs, bad, _ZERO_FIELD, _ZERO_FIELD)),
+    "corner_witness_check": lambda bad: corner_witness_check(_ZERO_FIELD, CurveGluing(abs, bad, _ZERO_FIELD, _ZERO_FIELD)),
+    "CurveGluing.corner": lambda bad: CurveGluing(abs, bad, _ZERO_FIELD, _ZERO_FIELD).corner(),
+}
+
+
+@pytest.mark.parametrize("call", _NUMERIC_POINT_CALLS)
+@pytest.mark.parametrize("bad, error, message", [
+    ("1", TypeError, "^expected an exact rational, got str$"),
+    (Decimal("0.5"), TypeError, "^expected an exact rational, got Decimal$"),
+    (None, TypeError, "^expected an exact rational, got NoneType$"),
+    (float("inf"), DomainError, "^a point coordinate must be finite, got inf$"),
+    (float("nan"), DomainError, "^a point coordinate must be finite, got nan$"),
+    (10**400, DomainError, "^a point coordinate must be within the float range$"),
+], ids=["str", "Decimal", "None", "inf", "nan", "huge"])
+def test_a_numeric_point_coordinate_is_exact_or_a_finite_float(call, bad, error, message):
+    # the point is blamed, not the field
+    with pytest.raises(error, match=message):
+        _NUMERIC_POINT_CALLS[call](bad)
 
 
 def test_ints_stay_ints_through_the_exact_entry_points():

@@ -325,7 +325,7 @@ def test_order_of_difference_equals_the_fraction_route(ray, diff, scale):
 
 def _origin_order_from_partials(spline):
     """The origin order from the first disagreeing partial in origin_partials."""
-    table = origin_partials(spline, spline.max_total_degree())
+    table = origin_partials(spline, max(p.total_degree() for p in spline.pieces))
     disagree = [i + j for (i, j), row in table.items() if len(set(row)) > 1]
     return min(disagree) - 1 if disagree else INFINITE
 
