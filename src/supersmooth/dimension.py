@@ -32,7 +32,7 @@ from operator import mul
 from . import linalg
 from .errors import DomainError
 from .fan import FanPartition, line_count
-from .poly import BiPoly, line_power
+from .poly import BiPoly, check_exponents, line_power
 from .spline import PiecewisePoly
 
 SAMPLE_WEIGHT_BOUND = 9
@@ -70,6 +70,7 @@ def kernel_sizes(fan: FanPartition, degree: int, smoothness: int) -> list[int]:
         raise DomainError("degree must be nonnegative")
     if smoothness < 0:
         raise DomainError("smoothness must be nonnegative")
+    check_exponents(degree, smoothness)
     k = len(fan.rays)
     m = line_count(fan.rays)
     return [k * (s - smoothness) - min(s + 1, m * (s - smoothness)) for s in range(smoothness + 1, degree + 1)]
@@ -124,7 +125,7 @@ def spline_space_basis(fan: FanPartition, degree: int, smoothness: int) -> list[
     """A basis of the spline space, as piecewise polynomials with integer coefficients:
     the global monomials of degree <= degree, then the cumulative splines of
     the conformality kernel."""
-    spline_space_dimension(fan, degree, smoothness)  # rejects a negative degree or smoothness
+    spline_space_dimension(fan, degree, smoothness)  # rejects a degree or smoothness that is not an int >= 0
     basis = [PiecewisePoly(fan, (BiPoly._from_frame({mono: 1}, 1),) * len(fan.rays)) for mono in _monomials(degree)]
     for block, columns_by_piece in _kernel_splines(fan, degree, smoothness):
         for v in range(block.stop - block.start):
@@ -145,6 +146,7 @@ def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: 
     dim = spline_space_dimension(fan, degree, smoothness)
     if count < 0:
         raise DomainError("count must be nonnegative")
+    check_exponents(count)
     splines = _kernel_splines(fan, degree, smoothness)
     rng = random.Random(seed)
     return [

@@ -14,8 +14,8 @@ at a designated corner point P = (corner_x, g(corner_x)).  Three checks:
 
 Everything is estimated with finite differences plus Richardson
 extrapolation; tolerances are absolute and assume O(1)-scaled inputs.
-A point or corner coordinate is exact or a finite float, read once a call
-(`rational.real_ratio`); a point that the smallest stencil step leaves
+A point or corner coordinate is exact or a finite float, rounded at most
+once (`rational.real_ratio`); a point that the smallest stencil step leaves
 unchanged, where every difference would be 0, is a DomainError.
 
 Cost: each call builds one stencil plan (step vectors, spans 2h and the
@@ -88,7 +88,7 @@ class CurveGluing:
     f_lower: Field
 
     def corner(self) -> tuple[float, float]:
-        """P = (corner_x, g(corner_x)) in floats, read as the checks read it."""
+        """P = (corner_x, g(corner_x)) in floats: the corner checks read P here, after the curve samples."""
         x = _coordinate(self.corner_x)
         return x, _curve_value(self.g, x)
 
@@ -264,14 +264,9 @@ def _central_partial(f: Field, px: float, py: float, axis: int, steps, stages) -
 
 
 def estimate_gradient(f: Field, point, cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
-    """Two-sided gradient estimate; requires f on a full neighborhood of the point."""
+    """Two-sided gradient estimate; requires f on a full neighborhood of the point.
+    Only the step away from 0 is checked: it moves a coordinate least."""
     px, py = map(_coordinate, point)
-    return _gradient(f, px, py, cfg)
-
-
-def _gradient(f: Field, px: float, py: float, cfg: NumericConfig) -> tuple[float, float]:
-    """`estimate_gradient` at a point already read.  The step away from 0 moves
-    a coordinate least, so it alone is checked."""
     steps = [(h, 2.0 * h) for h in _offsets(cfg)[1:]]
     h = steps[-1][0]
     _check_moves((px, py), (math.copysign(h, px), math.copysign(h, py)))
@@ -321,15 +316,13 @@ def verify_field_rays(field: PiecewiseField, cfg: NumericConfig = NumericConfig(
     ]
 
 
-def _curve_points(gluing: CurveGluing, cfg: NumericConfig) -> tuple[list[tuple[float, float]], tuple[float, float]]:
-    """Points of the curve evenly spaced on [corner_x - CURVE_EXTENT, corner_x + CURVE_EXTENT],
-    then the corner P, from one reading of corner_x; g is evaluated in that order."""
+def _curve_samples(gluing: CurveGluing, cfg: NumericConfig) -> list[tuple[float, float]]:
+    """Points of the curve evenly spaced on [corner_x - CURVE_EXTENT, corner_x + CURVE_EXTENT]."""
     corner_x = _coordinate(gluing.corner_x)
     count = 2 * cfg.samples_per_ray + 1
     step = 2.0 * CURVE_EXTENT / (count - 1)
     xs = [corner_x - CURVE_EXTENT + i * step for i in range(count)]
-    samples = [(x, _curve_value(gluing.g, x)) for x in xs]
-    return samples, (corner_x, _curve_value(gluing.g, corner_x))
+    return [(x, _curve_value(gluing.g, x)) for x in xs]
 
 
 @dataclass(frozen=True, slots=True)
@@ -348,14 +341,14 @@ def verify_corner_gradient(gluing: CurveGluing, cfg: NumericConfig = NumericConf
     apply.  For a continuous glue along a genuinely cornered curve the
     gradient gap must vanish; along a smooth curve it can stay far from 0.
     """
-    samples, corner = _curve_points(gluing, cfg)
+    samples, corner = _curve_samples(gluing, cfg), gluing.corner()  # g sees the samples first
     continuity_gap = 0.0
     for point in samples:
         continuity_gap = max(
             continuity_gap, abs(_eval(gluing.f_upper, *point) - _eval(gluing.f_lower, *point))
         )
-    grad_upper = _gradient(gluing.f_upper, *corner, cfg)
-    grad_lower = _gradient(gluing.f_lower, *corner, cfg)
+    grad_upper = estimate_gradient(gluing.f_upper, corner, cfg)
+    grad_lower = estimate_gradient(gluing.f_lower, corner, cfg)
     grad_gap = math.hypot(grad_upper[0] - grad_lower[0], grad_upper[1] - grad_lower[1])
     passed = continuity_gap <= cfg.tolerance and grad_gap <= cfg.tolerance
     return CornerGradientReport(
@@ -382,10 +375,10 @@ def corner_witness_check(h: Field, gluing: CurveGluing,
     sqrt(tolerance) at P.  A candidate that fails to vanish on the curve is
     reported as invalid (is_witness False), not raised.
     """
-    samples, corner = _curve_points(gluing, cfg)
+    samples, corner = _curve_samples(gluing, cfg), gluing.corner()  # g sees the samples first
     residual = max(abs(_eval(h, *point)) for point in samples)
     vanishes = residual <= cfg.tolerance
-    grad = _gradient(h, *corner, cfg)
+    grad = estimate_gradient(h, corner, cfg)
     grad_norm = math.hypot(*grad)
     return WitnessReport(
         vanishes_on_curve=vanishes,

@@ -46,6 +46,7 @@ class OperatorPoly:
     terms: Mapping[tuple, Fraction | int] | None = None
 
     def __post_init__(self):
+        check_exponents(self.arity)
         clean: dict[tuple, Fraction | int] = {}
         for exponents, coeff in (self.terms or {}).items():
             if len(exponents) != self.arity:
@@ -161,6 +162,7 @@ def expand_power_operator(fan: "FanPartition | Sequence[Ray]", n: int) -> PowerO
     k = len(rays)
     if k != n + 2:
         raise ArityError(f"order {n} needs a fan of {n + 2} rays, got {k}")
+    check_exponents(n)
     if line_count(rays) < k:
         raise SingularDecompositionError("rays contain a collinear pair")
     pairs = [decompose_direction(rays[0], rays[1], ray) for ray in rays[2:]]

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .errors import DomainError, SchemaError
 from .fan import Ray, build_fan, locate_sector, row_crossings
-from .poly import BiPoly
+from .poly import BiPoly, check_exponents
 from .rational import _format_ratio, _parse_ratio, format_rational, parse_rational
 from .spline import PiecewisePoly
 
@@ -341,6 +341,7 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     """
     if grid_n < 2:
         raise DomainError("grid_n must be at least 2")
+    check_exponents(grid_n)
     # 2*radius*(grid_n-1) is the largest intermediate of the coordinates below.
     if not (0 < radius and math.isfinite(2.0 * radius * (grid_n - 1))):
         raise DomainError("radius must be positive and small enough for finite grid coordinates")

@@ -6,11 +6,21 @@ SHA-256 of its stdout, its stderr and the file it names with -o are
 compared with `cli_corpus.json`.  On a mismatch the test prints the table
 of the current code; a deliberate change of output replaces the committed
 table with it.
+
+The check needs only the standard library, so it also runs without pytest,
+on any supported interpreter, and exits 1 on a mismatch:
+
+    PYTHONPATH=src python3 tests/test_cli_corpus.py
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import shlex
+import sys
+import tempfile
 from pathlib import Path
 
 from supersmooth.cli import main
@@ -85,26 +95,50 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest() if data else ""
 
 
-def _run(argv: list[str], capsys) -> dict:
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
-    row = {"exit": code, "stdout": _digest(out.encode()), "stderr": _digest(err.encode())}
+def _run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    row = {"exit": code, "stdout": _digest(out.getvalue().encode()), "stderr": _digest(err.getvalue().encode())}
     if "-o" in argv:
         written = Path(argv[argv.index("-o") + 1])
         row["file"] = _digest(written.read_bytes()) if written.exists() else None
     return row
 
 
-def test_cli_output_matches_the_committed_table(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    for k, document in enumerate(_SHAPE_ERRORS):
-        Path(f"shape{k}.json").write_text(document, encoding="utf-8")
-    table = {shlex.join(argv): _run(argv, capsys) for argv in _commands()}
+def corpus_mismatches(directory: Path) -> list[str]:
+    """Run every command in `directory` and return those whose row differs
+    from the committed table, printing the current table if any does."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        for k, document in enumerate(_SHAPE_ERRORS):
+            Path(f"shape{k}.json").write_text(document, encoding="utf-8")
+        table = {shlex.join(argv): _run(argv) for argv in _commands()}
+    finally:
+        os.chdir(previous)
     expected = json.loads(_TABLE.read_text(encoding="utf-8"))
     changed = sorted(command for command in table.keys() | expected.keys() if table.get(command) != expected.get(command))
     if changed:
         print(json.dumps(table, indent=1))
-    assert not changed, f"{len(changed)} command(s) differ from {_TABLE.name}, e.g. {changed[:3]}; the current table is on stdout"
+    return changed
+
+
+def _failure(changed: list[str]) -> str:
+    return f"{len(changed)} command(s) differ from {_TABLE.name}, e.g. {changed[:3]}; the current table is on stdout"
+
+
+def test_cli_output_matches_the_committed_table(tmp_path):
+    changed = corpus_mismatches(tmp_path)
+    assert not changed, _failure(changed)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        mismatches = corpus_mismatches(Path(scratch))
+    if mismatches:
+        sys.exit(_failure(mismatches))
+    print(f"all {len(_commands())} commands match {_TABLE.name}")

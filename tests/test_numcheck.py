@@ -254,6 +254,30 @@ def test_the_curve_is_sampled_at_evenly_spaced_points_about_the_corner():
     assert xs == [-0.25 + i / 16 for i in range(17)] + [0.25]
 
 
+@pytest.mark.parametrize("corner_x", [Fraction(1, 3), -0.0, 0.25])
+def test_the_corner_checks_read_the_corner_and_the_gradient_through_the_public_readers(corner_x):
+    # bit for bit, -0.0 included: the checks call gluing.corner() and estimate_gradient
+    bits = lambda values: struct.pack(f"<{len(values)}d", *values)
+    xs = []
+    f_upper = lambda x, y: math.sin(x) * math.exp(y)
+    f_lower = lambda x, y: math.cos(x + y) * x
+    witness = lambda x, y: y + abs(x - 1 / 3)
+    gluing = CurveGluing(g=lambda x: xs.append(x) or -abs(x - 1 / 3), corner_x=corner_x,
+                         f_upper=f_upper, f_lower=f_lower)
+    corner = gluing.corner()
+    # g sees the 2 * 8 + 1 samples about the corner, then the corner itself
+    expected_xs = [corner[0] - 0.5 + i / 16 for i in range(17)] + [corner[0]]
+    for check in (lambda: verify_corner_gradient(gluing, EDGE), lambda: corner_witness_check(witness, gluing, EDGE)):
+        xs.clear()
+        check()
+        assert bits(xs) == bits(expected_xs)
+    report = verify_corner_gradient(gluing, EDGE)
+    assert bits(report.grad_upper) == bits(estimate_gradient(f_upper, corner, EDGE))
+    assert bits(report.grad_lower) == bits(estimate_gradient(f_lower, corner, EDGE))
+    grad_norm = corner_witness_check(witness, gluing, EDGE).grad_norm_at_p
+    assert bits([grad_norm]) == bits([math.hypot(*estimate_gradient(witness, corner, EDGE))])
+
+
 def test_the_default_config_samples_a_ray_nine_times():
     points = []
     verify_ray_lemma(lambda x, y: points.append(x) or 0.0, ZERO, (1, 0))

@@ -15,13 +15,19 @@ from supersmooth import (
     Y,
     apply_operator,
     build_counterexample,
+    build_fan,
     decode_spline,
     directional_derivative,
     encode_spline,
+    expand_power_operator,
     linear_form_power,
     restrict_to_ray,
+    sample_grid,
     sample_spline_space,
+    spline_space_basis,
+    spline_space_dimension,
 )
+from supersmooth.dimension import kernel_sizes
 from supersmooth.poly import line_power
 from helpers import (
     assert_canonical_frame,
@@ -106,6 +112,39 @@ def test_subtracting_a_non_polynomial_raises():
 def test_invalid_operands_and_arguments_raise(call, error):
     with pytest.raises(error):
         call()
+
+
+_FAN = build_fan([(1, 0), (0, 1), (-1, -1)])
+_SPLINE = spline_space_basis(_FAN, 2, 1)[-1]
+# Every size a public entry reads, with the value it is bound to.  A bool
+# was read as 1 and a float failed deep inside with a bare TypeError.
+_SIZE_CALLS = {
+    "kernel_sizes-degree": lambda e: kernel_sizes(_FAN, e, 0),
+    "kernel_sizes-smoothness": lambda e: kernel_sizes(_FAN, 3, e),
+    "dimension-degree": lambda e: spline_space_dimension(_FAN, e, 0),
+    "dimension-smoothness": lambda e: spline_space_dimension(_FAN, 3, e),
+    "basis-degree": lambda e: spline_space_basis(_FAN, e, 0),
+    "basis-smoothness": lambda e: spline_space_basis(_FAN, 3, e),
+    "sample-degree": lambda e: sample_spline_space(_FAN, e, 0, 1),
+    "sample-smoothness": lambda e: sample_spline_space(_FAN, 3, e, 1),
+    "sample-count": lambda e: sample_spline_space(_FAN, 3, 1, e),
+    "expand_power_operator-n": lambda e: expand_power_operator(_FAN, e),
+    "OperatorPoly-arity": lambda e: OperatorPoly(e),
+}
+
+
+@pytest.mark.parametrize("call", _SIZE_CALLS)
+@pytest.mark.parametrize("size", [True, 1.0], ids=["bool", "float"])
+def test_every_size_passes_the_exponent_rule(call, size):
+    with pytest.raises(ValueError, match=r"^exponents must be nonnegative integers, got \(.*\)$"):
+        _SIZE_CALLS[call](size)
+
+
+@pytest.mark.parametrize("grid_n", [3.0, 2.5])
+def test_a_grid_size_passes_the_exponent_rule(grid_n):
+    # a bool grid_n is below 2, which is already the grid's own DomainError
+    with pytest.raises(ValueError, match=r"^exponents must be nonnegative integers, got \(.*\)$"):
+        sample_grid(_SPLINE, grid_n, 1.0)
 
 
 def test_comparison_with_a_non_polynomial_and_repr():

@@ -198,7 +198,7 @@ def test_a_zero_direction_is_one_error(call, zero):
 
 
 # The float code's points: each coordinate is exact or a finite float, read
-# once a call by `real_ratio`; the corner's x is such a coordinate too.
+# by `real_ratio` and rounded at most once; the corner's x is such a coordinate too.
 _ZERO_FIELD = lambda x, y: 0.0
 _NUMERIC_POINT_CALLS = {
     "one_sided_directional_derivative": lambda bad: one_sided_directional_derivative(_ZERO_FIELD, (bad, 0.0), (1, 0)),
