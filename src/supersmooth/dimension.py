@@ -149,7 +149,21 @@ def sample_spline_space(fan: FanPartition, degree: int, smoothness: int, count: 
     check_exponents(count)
     splines = _kernel_splines(fan, degree, smoothness)
     rng = random.Random(seed)
-    return [
-        _combine(fan, degree, splines, [rng.randint(-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND) for _ in range(dim)])
-        for _ in range(count)
-    ]
+    return [_combine(fan, degree, splines, _sample_weights(rng, dim)) for _ in range(count)]
+
+
+def _sample_weights(rng: random.Random, count: int) -> list[int]:
+    """`count` draws of rng.randint(-SAMPLE_WEIGHT_BOUND, SAMPLE_WEIGHT_BOUND) by the
+    rejection loop CPython's randint runs (getrandbits of the span's bit length
+    until below the span), without its calls per draw: the same weights and
+    generator state."""
+    span = 2 * SAMPLE_WEIGHT_BOUND + 1
+    bits = span.bit_length()
+    getrandbits = rng.getrandbits
+    weights = []
+    for _ in range(count):
+        r = getrandbits(bits)
+        while r >= span:
+            r = getrandbits(bits)
+        weights.append(r - SAMPLE_WEIGHT_BOUND)
+    return weights

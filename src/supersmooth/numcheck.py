@@ -18,10 +18,13 @@ A point or corner coordinate is exact or a finite float, rounded at most
 once (`rational.real_ratio`); a point that the smallest stencil step leaves
 unchanged, where every difference would be 0, is a DomainError.
 
-Cost: each call builds one stencil plan (step vectors, spans 2h and the
-Richardson stage factors), so with S samples per ray and L levels,
-verify_ray_lemma evaluates each field S*(L+2) times per ray and spends
-O(L^2) float operations per sample on the extrapolation.
+Cost: each call builds one stencil plan (the steps and spans 2h of every
+level and, per Richardson stage, its factors and the index range it
+updates), and one kernel reads it per field and point: it evaluates the
+stencil, forms the estimates, extrapolates and checks the result in one
+frame.  So with S samples per ray and L levels, verify_ray_lemma evaluates
+each field S*(L+2) times per ray and spends O(L^2) float operations per
+sample on the extrapolation.
 """
 
 from __future__ import annotations
@@ -138,11 +141,9 @@ def _curve_value(g: Callable[[float], float], x: float) -> float:
     return y
 
 
-def _finite_estimate(value: float, x, y) -> float:
-    """`value`, an extrapolated derivative, unless the stage factors 2^p of many levels overflowed it."""
-    if not math.isfinite(value):
-        raise EvaluationError(f"extrapolated derivative is non-finite ({value!r}) at ({x}, {y}); use fewer levels")
-    return value
+def _overflowed(value: float, x, y) -> EvaluationError:
+    """The error for an extrapolated derivative that the stage factors 2^p of many levels made non-finite."""
+    return EvaluationError(f"extrapolated derivative is non-finite ({value!r}) at ({x}, {y}); use fewer levels")
 
 
 def _eval(f: Field, x: float, y: float) -> float:
@@ -152,25 +153,15 @@ def _eval(f: Field, x: float, y: float) -> float:
     return value
 
 
-def _stages(error_powers) -> list[tuple[float, float]]:
-    """Richardson stage s kills the h^p term, p the s-th error power: (2^p, 2^p - 1) per stage."""
-    return [(2.0**p, 2.0**p - 1.0) for p in error_powers]
+def _stages(error_powers, count: int) -> list[tuple[float, float, range]]:
+    """Richardson stages over `count` estimates taken at successively halved steps.
 
-
-def _extrapolate(estimates: list[float], stages) -> float:
-    """Richardson-extrapolate, in place, estimates taken at successively halved steps.
-
-    The answer is left in estimates[-1].  Each stage runs from the last index
-    down, so estimates[i - 1] still holds the previous stage's value.  Returns
-    the last stage's change of estimates[-1] (infinite when there is no stage).
+    Stage s kills the h^p term, p the s-th error power, by setting
+    estimates[i] = (2^p * estimates[i] - estimates[i - 1]) / (2^p - 1) in
+    place, for i from the last index down to s, so estimates[i - 1] still
+    holds the previous stage's value: (2^p, 2^p - 1, those indices) per stage.
     """
-    last = len(estimates) - 1
-    previous = math.inf
-    for stage, (factor, denominator) in enumerate(stages, 1):
-        previous = estimates[last]
-        for i in range(last, stage - 1, -1):
-            estimates[i] = (factor * estimates[i] - estimates[i - 1]) / denominator
-    return abs(estimates[last] - previous) if stages else math.inf
+    return [(2.0**p, 2.0**p - 1.0, range(count - 1, s - 1, -1)) for s, p in enumerate(error_powers, 1)]
 
 
 def _unit(direction) -> tuple[float, float]:
@@ -198,18 +189,21 @@ def _offsets(cfg: NumericConfig) -> list[float]:
 
 
 def _stencil_plan(unit: tuple[float, float], cfg: NumericConfig):
-    """The forward stencil along `unit`, built once a call: the first far step
-    2h_0*u, then (h_i*u, 2h_i) per level, and the Richardson stages of the
-    stencil's error series h^2, h^3, h^4, ..."""
+    """The forward stencil along `unit`, built once a call and read by `_one_sided`
+    at every point: the first far step 2h_0*u as (far_x, far_y), then
+    (sx, sy, span) = (h_i*u, 2h_i) per level, and the `_stages` of the
+    stencil's error series h^2, h^3, h^4, ... over the L level estimates."""
     ux, uy = unit
     offsets = _offsets(cfg)
-    far_step = (offsets[0] * ux, offsets[0] * uy)
-    return far_step, [((h * ux, h * uy), 2.0 * h) for h in offsets[1:]], _stages(range(2, len(offsets)))
+    levels = [(h * ux, h * uy, 2.0 * h) for h in offsets[1:]]
+    return offsets[0] * ux, offsets[0] * uy, levels, _stages(range(2, len(offsets)), len(levels))
 
 
 def _one_sided(f: Field, px: float, py: float, plan) -> tuple[float, float, float]:
-    """f(P), then what `one_sided_directional_derivative` returns, from one set of evaluations."""
-    (far_x, far_y), levels, stages = plan
+    """f(P), then what `one_sided_directional_derivative` returns, in one pass:
+    the stencil's evaluations, its estimates, their extrapolation and the
+    finiteness check of the result."""
+    far_x, far_y, levels, stages = plan
     isfinite = math.isfinite
     f0 = f(px, py)
     if not isfinite(f0):
@@ -220,15 +214,22 @@ def _one_sided(f: Field, px: float, py: float, plan) -> tuple[float, float, floa
         raise _non_finite(far, x, y)
     minus_3f0 = -3.0 * f0
     estimates = []
-    for (sx, sy), span in levels:
+    for sx, sy, span in levels:
         x, y = px + sx, py + sy
         near = f(x, y)
         if not isfinite(near):
             raise _non_finite(near, x, y)
         estimates.append((minus_3f0 + 4.0 * near - far) / span)
         far = near
-    delta = _extrapolate(estimates, stages)
-    return f0, _finite_estimate(estimates[-1], px, py), delta
+    previous = math.inf  # with no stage, the delta from a finite estimate is infinite
+    for factor, denominator, indices in stages:
+        previous = estimates[-1]
+        for i in indices:
+            estimates[i] = (factor * estimates[i] - estimates[i - 1]) / denominator
+    estimate = estimates[-1]
+    if not isfinite(estimate):
+        raise _overflowed(estimate, px, py)
+    return f0, estimate, abs(estimate - previous)
 
 
 def one_sided_directional_derivative(f: Field, point, direction,
@@ -242,15 +243,17 @@ def one_sided_directional_derivative(f: Field, point, direction,
     """
     px, py = map(_coordinate, point)
     plan = _stencil_plan(_unit(direction), cfg)
-    _check_moves((px, py), plan[1][-1][0])  # the last level's step, the smallest
+    _check_moves((px, py), plan[2][-1][:2])  # the last level's step, the smallest
     return _one_sided(f, px, py, plan)[1:]
 
 
-def _central_partial(f: Field, px: float, py: float, axis: int, steps, stages) -> float:
-    """Central-difference partial over (h, 2h) per level, Richardson (error powers h^2, h^4, ...)."""
+def _central_partial(f: Field, px: float, py: float, axis: int, plan) -> float:
+    """Central-difference partial over the plan's (h, 2h) per level, extrapolated
+    over its stages (error powers h^2, h^4, ...) and checked, in one pass."""
+    levels, stages = plan
     isfinite = math.isfinite
     estimates = []
-    for h, span in steps:
+    for h, span in levels:
         xp, yp, xm, ym = (px + h, py, px - h, py) if axis == 0 else (px, py + h, px, py - h)
         plus = f(xp, yp)
         if not isfinite(plus):
@@ -259,19 +262,24 @@ def _central_partial(f: Field, px: float, py: float, axis: int, steps, stages) -
         if not isfinite(minus):
             raise _non_finite(minus, xm, ym)
         estimates.append((plus - minus) / span)
-    _extrapolate(estimates, stages)
-    return _finite_estimate(estimates[-1], px, py)
+    for factor, denominator, indices in stages:
+        for i in indices:
+            estimates[i] = (factor * estimates[i] - estimates[i - 1]) / denominator
+    estimate = estimates[-1]
+    if not isfinite(estimate):
+        raise _overflowed(estimate, px, py)
+    return estimate
 
 
 def estimate_gradient(f: Field, point, cfg: NumericConfig = NumericConfig()) -> tuple[float, float]:
     """Two-sided gradient estimate; requires f on a full neighborhood of the point.
     Only the step away from 0 is checked: it moves a coordinate least."""
     px, py = map(_coordinate, point)
-    steps = [(h, 2.0 * h) for h in _offsets(cfg)[1:]]
-    h = steps[-1][0]
+    levels = [(h, 2.0 * h) for h in _offsets(cfg)[1:]]
+    h = levels[-1][0]
     _check_moves((px, py), (math.copysign(h, px), math.copysign(h, py)))
-    stages = _stages(range(2, 2 * cfg.richardson_levels, 2))
-    return (_central_partial(f, px, py, 0, steps, stages), _central_partial(f, px, py, 1, steps, stages))
+    plan = levels, _stages(range(2, 2 * cfg.richardson_levels, 2), len(levels))
+    return (_central_partial(f, px, py, 0, plan), _central_partial(f, px, py, 1, plan))
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,11 +306,15 @@ def verify_ray_lemma(f: Field, g: Field, ray, cfg: NumericConfig = NumericConfig
         t = RAY_EXTENT * k / samples
         px, py = t * ux, t * uy
         if k == samples - 1:
-            _check_moves((px, py), plan[1][-1][0])  # the last level's step, the smallest
+            _check_moves((px, py), plan[2][-1][:2])  # the last level's step, the smallest
         f0, df, _ = _one_sided(f, px, py, plan)
         g0, dg, _ = _one_sided(g, px, py, plan)
-        value_gap = max(value_gap, abs(f0 - g0))
-        deriv_gap = max(deriv_gap, abs(df - dg))
+        gap = abs(f0 - g0)
+        if gap > value_gap:  # what max() keeps, without its call
+            value_gap = gap
+        gap = abs(df - dg)
+        if gap > deriv_gap:
+            deriv_gap = gap
     passed = value_gap <= cfg.tolerance and deriv_gap <= cfg.tolerance
     return RayLemmaReport(max_value_gap=value_gap, max_dirderiv_gap=deriv_gap, passed=passed)
 

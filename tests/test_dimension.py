@@ -351,3 +351,31 @@ def test_vertex_gain_of_higher_order_on_sampled_splines():
             samples = sample_spline_space(fan, d, r, count=3, seed=r)
             orders = [supersmoothness_verdict(spline).origin_order for spline in samples]
             assert min(orders) == gain, (fan, d, r)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 42, 2**32 - 1])
+@pytest.mark.parametrize("count", [0, 1, 19, 2000])
+def test_sample_weights_are_the_randint_draws(seed, count):
+    # the rejection loop stands in for randint(-9, 9): the same weights, and
+    # the generator left where randint leaves it, so later samples agree too
+    rng, reference = Random(seed), Random(seed)
+    assert dimension._sample_weights(rng, count) == [reference.randint(-9, 9) for _ in range(count)]
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("fan, degree, smoothness, count, seed", [
+    (GENERIC_4, 5, 1, 30, 3),
+    (GENERIC_3, 6, 2, 12, 0),
+    (build_fan([Ray(1, 0), Ray(0, 1), Ray(-1, 0), Ray(0, -1)]), 4, 1, 8, 9),  # two opposite pairs
+])
+def test_samples_are_the_basis_combinations_of_randint_weights(fan, degree, smoothness, count, seed):
+    basis = spline_space_basis(fan, degree, smoothness)
+    rng = Random(seed)
+    expected = []
+    for _ in range(count):
+        weights = [rng.randint(-9, 9) for _ in basis]
+        expected.append(tuple(
+            sum((element.pieces[j].scale(w) for w, element in zip(weights, basis)), BiPoly.zero())
+            for j in range(len(fan.rays))
+        ))
+    assert [spline.pieces for spline in sample_spline_space(fan, degree, smoothness, count, seed)] == expected

@@ -39,6 +39,7 @@ from helpers import (
     random_bipoly,
     random_collinear_free_fan,
     random_direction,
+    random_fan,
     stencil_derivative,
 )
 
@@ -455,6 +456,45 @@ def test_one_sided_and_gradient_equal_the_per_call_stencil(direction, levels, ba
         got, expected = new(_recorded(f, new_points)), old(_recorded(f, old_points))
         assert struct.pack("<2d", *got) == struct.pack("<2d", *expected)
         assert new_points == old_points
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda d: d != (0, 0)),
+    st.integers(7, 12),
+    st.floats(min_value=2.0**-20, max_value=0.1),
+    st.tuples(_unit_interval, _unit_interval),
+    st.tuples(_unit_interval, _unit_interval, _unit_interval),
+)
+def test_one_sided_and_gradient_equal_the_per_call_stencil_at_many_levels(direction, levels, base_step, point, coeffs):
+    # seven or more levels give the Richardson stages long index ranges
+    a, b, c = coeffs
+    f = lambda x, y: math.sin(a * x + b * y) + c * x * y * y
+    cfg = NumericConfig(base_step=base_step, richardson_levels=levels)
+    for new, old in (
+        (lambda f: one_sided_directional_derivative(f, point, direction, cfg),
+         lambda f: fresh_one_sided(f, point, direction, cfg)[1:]),
+        (lambda f: estimate_gradient(f, point, cfg), lambda f: fresh_gradient(f, point, cfg)),
+    ):
+        new_points, old_points = [], []
+        got, expected = new(_recorded(f, new_points)), old(_recorded(f, old_points))
+        assert struct.pack("<2d", *got) == struct.pack("<2d", *expected)
+        assert new_points == old_points
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**16))
+def test_field_rays_report_the_fresh_route_after_2kS_L_plus_2_evaluations(k, levels, samples, seed):
+    rng = Random(seed)
+    fan = random_fan(rng, k)  # about a third of its rays the opposite of an earlier one
+    fields = [_float_field(random_bipoly(rng, max_degree=4, terms=5)) for _ in fan.rays]
+    cfg = NumericConfig(richardson_levels=levels, samples_per_ray=samples)
+    points = []
+    reports = verify_field_rays(PiecewiseField(fan, tuple(_recorded(f, points) for f in fields)), cfg)
+    # each ray: both fields at f(P), the first far point and one point per level, at every sample
+    assert len(points) == 2 * k * samples * (levels + 2)
+    fresh = [fresh_ray_lemma(fields[(j - 1) % k], fields[j], fan.rays[j], cfg) for j in range(k)]
+    assert repr(reports) == repr(fresh)  # repr round-trips each float, so this is bit for bit
 
 
 def _failing_at(call: int, bad: float, fields):
