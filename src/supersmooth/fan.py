@@ -5,8 +5,8 @@ equality of rays is equality of oriented directions.  A FanPartition keeps
 k >= 2 pairwise-distinct rays in strictly clockwise order starting from the
 first input ray; sector j is the region swept clockwise from rays[j]
 (inclusive) to rays[j+1] (exclusive).  Its constructor (`build_fan` is the
-same callable) is the only way to build one: it checks and sorts the rays and
-derives `collinear_free` from `line_count`, the one rule for rays on one line.
+same callable) is the only way to build one: it checks and sorts the rays.
+`line_count` is the one rule for rays on one line.
 
 Clockwise order is decided exactly, without angles, by one integer
 comparator: half-turn buckets relative to the base b first, then, inside one
@@ -17,7 +17,7 @@ rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
@@ -89,7 +89,6 @@ class FanPartition:
     at rays[j].  Rebuilding from `rays` keeps the order."""
 
     rays: tuple[Ray, ...]
-    collinear_free: bool = field(init=False)
 
     def __init__(self, rays: Iterable[Ray]):
         ray_list = [r if isinstance(r, Ray) else Ray(*r) for r in rays]
@@ -104,7 +103,6 @@ class FanPartition:
         bx, by = base.dx, base.dy
         key = cmp_to_key(lambda u, v: _clockwise_cmp(bx, by, u.dx, u.dy, v.dx, v.dy))
         object.__setattr__(self, "rays", (base, *sorted(ray_list[1:], key=key)))
-        object.__setattr__(self, "collinear_free", line_count(ray_list) == len(ray_list))
 
 
 build_fan = FanPartition

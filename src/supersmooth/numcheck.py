@@ -104,6 +104,8 @@ class PiecewiseField:
     fields: tuple[Field, ...]
 
     def __post_init__(self):
+        if not isinstance(self.fields, tuple):
+            object.__setattr__(self, "fields", tuple(self.fields))
         if len(self.fields) != len(self.fan.rays):
             raise DomainError("one field per sector required")
 

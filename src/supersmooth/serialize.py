@@ -108,9 +108,9 @@ def _rational_error(value, exc: DomainError, where: str) -> SchemaError:
     return SchemaError(f"{where}: {exc}")
 
 
-def _parse_rational_at(value, where: str) -> Fraction:
+def _parse_rational_at(value, where: str, read=_parse_ratio) -> tuple[int, int] | Fraction:
     try:
-        return parse_rational(value)
+        return read(value)
     except DomainError as exc:
         raise _rational_error(value, exc, where) from None
 
@@ -189,8 +189,8 @@ def decode_document(text: str) -> tuple[PiecewisePoly, dict | None]:
     for idx, entry in enumerate(rays_field):
         where = f"rays[{idx}]"
         _require_keys(entry, {"dx", "dy"}, set(), where)
-        dx = _parse_rational_at(entry["dx"], f"{where}.dx")
-        dy = _parse_rational_at(entry["dy"], f"{where}.dy")
+        dx = _parse_rational_at(entry["dx"], f"{where}.dx", parse_rational)
+        dy = _parse_rational_at(entry["dy"], f"{where}.dy", parse_rational)
         if dx == 0 and dy == 0:
             raise SchemaError(f"{where}: zero direction")
         rays.append(Ray(dx, dy))
@@ -225,10 +225,7 @@ def _check_construction(block) -> None:
         if not isinstance(values, list) or len(values) != n + 1:
             raise SchemaError(f"construction.{field}: expected a list of n+1 rationals")
         for idx, value in enumerate(values):
-            try:
-                _parse_ratio(value)
-            except DomainError as exc:
-                raise _rational_error(value, exc, f"construction.{field}[{idx}]") from None
+            _parse_rational_at(value, f"construction.{field}[{idx}]")
 
 
 def decode_spline(text: str) -> PiecewisePoly:

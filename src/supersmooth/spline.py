@@ -38,8 +38,8 @@ from math import gcd
 from .errors import DomainError
 # locate_sector and restrict_to_ray are unused here but stay bound:
 # perfbench/spans.py patches supersmooth.spline.<name> for both.
-from .fan import FanPartition, Ray, locate_sector  # noqa: F401
-from .poly import BiPoly, Monomial, restrict_to_ray  # noqa: F401
+from .fan import FanPartition, Ray, line_count, locate_sector  # noqa: F401
+from .poly import BiPoly, Monomial, check_exponents, restrict_to_ray  # noqa: F401
 
 # Enriched smoothness scale: plain ints plus these two sentinels.  Both
 # compare correctly under min() and <=, which is all the code relies on.
@@ -156,6 +156,7 @@ def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
     k = len(spline.fan.rays)
     if not 0 <= ray_index < k:
         raise DomainError(f"ray index {ray_index} out of range for {k} rays")
+    check_exponents(ray_index)
     return _jump_orders(spline, ray_index)[0]
 
 
@@ -177,12 +178,13 @@ def origin_smoothness_order(spline: PiecewisePoly):
 class SmoothnessReport:
     """Per-ray orders, global and origin order, and the supersmoothness verdict.
 
-    `theorem_applicable` is the fan-of-k-rays hypothesis: no collinear pair
-    and global order at least k-2.  `supersmoothness_holds` is True when the
-    origin order exceeds the global order (the extra derivative is present),
-    None when the gain is absent but the hypothesis fails anyway, and False
-    when the hypothesis holds and the gain is missing -- which would
-    contradict the gluing theorem and so flags a bug.
+    `theorem_applicable` is the fan-of-k-rays hypothesis: global order at
+    least k-2 and no two rays on one line (`fan.line_count` is k).
+    `supersmoothness_holds` is True when the origin order exceeds the global
+    order (the extra derivative is present), None when the gain is absent
+    but the hypothesis fails anyway, and False when the hypothesis holds and
+    the gain is missing -- which would contradict the gluing theorem and so
+    flags a bug.
     """
 
     per_ray_order: tuple[Order, ...]
@@ -198,7 +200,7 @@ def supersmoothness_verdict(spline: PiecewisePoly) -> SmoothnessReport:
     per_ray, lowest = zip(*(_jump_orders(spline, j) for j in range(k)))
     global_order = min(per_ray)
     origin_order = min(lowest)
-    applicable = spline.fan.collinear_free and global_order >= k - 2
+    applicable = global_order >= k - 2 and line_count(spline.fan.rays) == k
     if origin_order >= global_order + 1:  # the extra derivative; INFINITE gains on INFINITE
         holds = True
     elif applicable:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from supersmooth import construct
 from supersmooth import spline as spline_module
+from supersmooth.fan import line_count
 from supersmooth import (
     InvalidSlopesError,
     Ray,
@@ -310,4 +311,4 @@ def test_default_extra_slopes():
 def test_fan_from_slopes():
     fan = fan_from_slopes([1, 2, 3])
     assert fan.rays == (Ray(1, 0), Ray(1, -1), Ray(1, -2), Ray(1, -3))
-    assert fan.collinear_free
+    assert line_count(fan.rays) == len(fan.rays)

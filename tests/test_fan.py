@@ -78,13 +78,13 @@ def test_collinearity():
 def test_build_fan_keeps_clockwise_input():
     fan = build_fan([Ray(1, 0), Ray(1, -1), Ray(1, -2)])
     assert fan.rays == (Ray(1, 0), Ray(1, -1), Ray(1, -2))
-    assert fan.collinear_free
+    assert line_count(fan.rays) == len(fan.rays)
 
 
 def test_build_fan_reorders_clockwise():
     fan = build_fan([Ray(1, 0), Ray(0, 1), Ray(-1, 0)])
     assert fan.rays == (Ray(1, 0), Ray(-1, 0), Ray(0, 1))
-    assert not fan.collinear_free
+    assert line_count(fan.rays) != len(fan.rays)
 
 
 def test_build_fan_rejects_duplicates():
@@ -119,8 +119,9 @@ def test_constructor_rejects_a_set_flag():
 def test_replace_sorts_the_new_rays_and_derives_the_flag():
     fan = dataclasses.replace(COMPASS, rays=[Ray(1, 0), Ray(1, 1), Ray(0, -1)])
     assert fan.rays == FanPartition([Ray(1, 0), Ray(1, 1), Ray(0, -1)]).rays == (Ray(1, 0), Ray(0, -1), Ray(1, 1))
-    assert fan.collinear_free
-    assert not dataclasses.replace(fan, rays=[Ray(1, 0), Ray(-1, 0)]).collinear_free
+    assert line_count(fan.rays) == len(fan.rays)
+    opposite = dataclasses.replace(fan, rays=[Ray(1, 0), Ray(-1, 0)])
+    assert opposite.rays == (Ray(1, 0), Ray(-1, 0)) and line_count(opposite.rays) != len(opposite.rays)
 
 
 def test_locate_sector_interior_point():
@@ -267,7 +268,7 @@ def test_collinear_free_matches_pairwise_checks():
         expected = not any(
             on_one_line(a, b) for i, a in enumerate(rays) for b in rays[i + 1 :]
         )
-        assert fan.collinear_free == expected
+        assert (line_count(fan.rays) == len(fan.rays)) == expected
 
 
 @st.composite
@@ -286,7 +287,8 @@ def test_line_count_equals_the_distinct_lines_and_the_pairwise_checks(rays):
     distinct = list(dict.fromkeys(rays))
     if len(distinct) >= 2:
         pairwise_free = not any(on_one_line(a, b) for i, a in enumerate(distinct) for b in distinct[i + 1:])
-        assert FanPartition(distinct).collinear_free == pairwise_free
+        fan = FanPartition(distinct)
+        assert (line_count(fan.rays) == len(fan.rays)) == pairwise_free
 
 
 # 30-digit directions within a few units of a multiple of one of four small
@@ -325,7 +327,7 @@ def test_build_fan_order_matches_the_clockwise_comparator(case):
     pairwise_free = not any(
         on_one_line(a, b) for i, a in enumerate(rays) for b in rays[i + 1:]
     )
-    assert fan.collinear_free == pairwise_free
+    assert (line_count(fan.rays) == len(fan.rays)) == pairwise_free
 
 
 def test_large_fan_builds_in_bounded_time():
@@ -341,6 +343,6 @@ def test_large_fan_builds_in_bounded_time():
     start = time.perf_counter()
     fan = build_fan(rays)
     elapsed = time.perf_counter() - start
-    assert len(fan.rays) == 4000 and fan.collinear_free
+    assert len(fan.rays) == 4000 == line_count(fan.rays)
     # a scan over all pairs of rays takes seconds at this size
     assert elapsed < 1.0

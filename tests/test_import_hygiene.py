@@ -11,7 +11,9 @@ package module spells the exact-input TypeError or takes an lcm of
 `.denominator` attributes, and no `raise` refuses a zero direction.  What the
 counterexample costs has one owner too: `construct` bounds it, and `cli`,
 which keeps only the cap, binds nothing from `math`.  Clockwise order is
-`fan`'s: no other module binds one of its private names.
+`fan`'s: no other module binds one of its private names.  A dataclass is
+its fields: none declares a `field(init=False)`, a copy derived from the
+others that equality, hashing and `dataclasses.replace` would carry along.
 
 The one exception to the second rule: a name that `perfbench/spans.py`
 patches in that module (its `FUNCTION_PATCHES`) stays bound there for the
@@ -129,6 +131,29 @@ def test_no_module_outside_fan_binds_a_private_fan_name():
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "fan":
                 offences += [f"{path.name}:{node.lineno} binds fan.{a.name}" for a in node.names if a.name.startswith("_")]
+    assert not offences, offences
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.stem)
+def test_no_dataclass_declares_a_derived_field(path):
+    offences = []
+    for cls in ast.walk(_tree(path)):
+        if not (isinstance(cls, ast.ClassDef) and _is_dataclass(cls)):
+            continue
+        for node in cls.body:
+            value = node.value if isinstance(node, ast.AnnAssign) else None
+            if isinstance(value, ast.Call) and getattr(value.func, "id", getattr(value.func, "attr", None)) == "field":
+                init = next((kw.value for kw in value.keywords if kw.arg == "init"), None)
+                if isinstance(init, ast.Constant) and init.value is False:
+                    offences.append(f"{path.name}:{node.lineno} {cls.name}.{node.target.id} is field(init=False)")
     assert not offences, offences
 
 

@@ -685,6 +685,18 @@ def test_piecewise_field_needs_one_field_per_sector(count):
         PiecewiseField(fan=fan, fields=(lambda x, y: 0.0,) * count)
 
 
+def test_piecewise_field_keeps_its_fields_as_a_tuple():
+    fan = build_fan([Ray(1, 0), Ray(-1, 0), Ray(0, 1)])
+    given_fields = [lambda x, y: 0.0, lambda x, y: y * y, lambda x, y: y * y]
+    field = PiecewiseField(fan, given_fields)
+    assert type(field.fields) is tuple and field.fields == tuple(given_fields)
+    assert hash(field) == hash(PiecewiseField(fan, tuple(given_fields)))
+    # the caller's list is not the field's: changing it changes nothing
+    given_fields.pop()
+    assert len(field.fields) == 3
+    assert all(r.passed for r in verify_field_rays(field, CFG))
+
+
 def _float_field(piece):
     terms = [(float(c), i, j) for (i, j), c in piece.terms.items()]
     return lambda x, y: sum(c * x**i * y**j for c, i, j in terms)

@@ -24,6 +24,7 @@ from supersmooth import (
     restrict_to_ray,
     sample_grid,
     sample_spline_space,
+    smoothness_across_ray,
     spline_space_basis,
     spline_space_dimension,
 )
@@ -130,6 +131,7 @@ _SIZE_CALLS = {
     "sample-count": lambda e: sample_spline_space(_FAN, 3, 1, e),
     "expand_power_operator-n": lambda e: expand_power_operator(_FAN, e),
     "OperatorPoly-arity": lambda e: OperatorPoly(e),
+    "smoothness_across_ray-ray_index": lambda e: smoothness_across_ray(_SPLINE, e),
 }
 
 

@@ -183,6 +183,22 @@ def test_decode_matches_each_distinct_key_once(monkeypatch):
     assert sorted(keys) == sorted({f"{i},{j}" for piece in spline.pieces for i, j in piece.integer_frame()[0]})
 
 
+def test_decode_calls_parse_rational_twice_a_ray_and_for_nothing_else(monkeypatch):
+    # `rational.parse.calls` counts serialize.parse_rational: each ray's dx
+    # and dy, never a coefficient or a construction entry.
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return parse_rational(text)
+
+    parse_rational = serialize.parse_rational
+    monkeypatch.setattr(serialize, "parse_rational", counted)
+    spline, construction = decode_document(encode_counterexample(build_counterexample([1, Fraction(5, 3), 4], 2)))
+    assert construction is not None and len(spline.fan.rays) == 4
+    assert texts == [component for ray in json.loads(encode_spline(spline))["rays"] for component in (ray["dx"], ray["dy"])]
+
+
 _monomials = st.tuples(st.integers(0, serialize.MAX_DEGREE), st.integers(0, serialize.MAX_DEGREE)).filter(
     lambda mono: sum(mono) <= serialize.MAX_DEGREE
 )

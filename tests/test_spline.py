@@ -22,13 +22,16 @@ from supersmooth import (
     linear_form_power,
     origin_smoothness_order,
     render_report,
+    sample_spline_space,
     smoothness_across_ray,
     smoothness_order_of_difference,
     supersmoothness_verdict,
 )
 from supersmooth import spline as spline_module
+from supersmooth.fan import line_count
 from helpers import (
     all_partials_order,
+    distinct_lines,
     fraction_order_of_difference,
     fraction_origin_order,
     fraction_ray_orders,
@@ -37,6 +40,7 @@ from helpers import (
     random_bipoly,
     random_collinear_free_fan,
     random_direction,
+    random_fan,
     transverse_order,
 )
 
@@ -139,11 +143,11 @@ def test_verdict_halfplane_not_applicable():
 
 
 def test_verdict_on_a_hand_made_halfplane_fan_is_not_applicable():
-    # The fan's constructor derives collinear_free, so a hand-made fan of an
-    # opposite pair cannot claim the gain and report it "violated".
+    # The verdict counts the lines through the vertex itself, so a hand-made
+    # fan of an opposite pair cannot claim the gain and report it "violated".
     spline = _two_piece(FanPartition((Ray(1, 0), Ray(-1, 0))), BiPoly.zero(), Y**2)
     report = supersmoothness_verdict(spline)
-    assert not spline.fan.collinear_free and not report.theorem_applicable
+    assert line_count(spline.fan.rays) != len(spline.fan.rays) and not report.theorem_applicable
     assert render_report(report).endswith("theorem applicable: no\nsupersmoothness: not applicable\n")
 
 
@@ -162,6 +166,25 @@ def test_verdict_identical_pieces_holds_on_any_fan():
         assert report.global_order == INFINITE
         assert report.origin_order == INFINITE
         assert report.supersmoothness_holds is True
+
+
+def test_verdict_applies_on_k_lines_at_global_order_k_minus_2():
+    # Samples of S^r_d over random fans with opposite pairs, r on both sides
+    # of k-2; the line count here is the helpers' own, not fan.line_count.
+    rng = Random(2013)
+    seen = set()
+    for _ in range(60):
+        k = rng.randint(2, 5)
+        fan = random_fan(rng, k, opposite_share=0.4)
+        free = distinct_lines(fan.rays) == k
+        for r in range(max(k - 3, 0), k):
+            for spline in sample_spline_space(fan, r + rng.randint(1, 2), r, count=2, seed=rng.randrange(2**16)):
+                report = supersmoothness_verdict(spline)
+                assert report.theorem_applicable == (free and report.global_order >= k - 2)
+                if report.theorem_applicable:
+                    assert report.supersmoothness_holds is True
+                seen.add((free, report.global_order >= k - 2))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_report_consistency_on_random_splines():
