@@ -21,6 +21,11 @@ the slopes; `check` time still grows with the size of the document, and
 x-terms, none where a piece is constant along the row (the sectors come
 from the order in which each row crosses the rays, with at most 4 lookups
 a grid).  A value above its cap is a domain error.
+
+Importing this module loads the exact modules its commands run and
+binds their entry points here (`perfbench/spans.py` patches these
+bindings); the float toolkit `numcheck` is imported by `demo <fixture>`
+when it runs, and `operators` is not imported at all.
 """
 
 from __future__ import annotations
@@ -39,15 +44,6 @@ from .construct import (
 from .dimension import sample_spline_space, spline_space_dimension
 from .errors import DomainError
 from .fan import Ray, build_fan
-from .numcheck import (
-    FIXTURES,
-    NumericConfig,
-    RayLemmaFixture,
-    corner_witness_check,
-    get_fixture,
-    verify_corner_gradient,
-    verify_ray_lemma,
-)
 from .poly import BiPoly
 from .rational import format_rational, parse_rational
 from .serialize import (
@@ -64,7 +60,9 @@ MAX_GRID_N = 150
 MAX_CONSTRUCT_DIGITS = 4300
 
 SPLINE_DEMOS = ("farin", "halfplane", "counterexample", "twopiece")
-FIXTURE_DEMOS = tuple(FIXTURES)
+# The names of `numcheck.FIXTURES`, spelled out so that parsing a command
+# does not import the float toolkit; only `demo <fixture>` loads it.
+FIXTURE_DEMOS = ("corner-quadratic", "smooth-parabola", "halfplane-n1", "lemma-xy")
 # The demos that read each optional `demo` argument; the others reject it.
 _DEMO_OPTION_READERS = {"n": ("halfplane", "counterexample"), "slopes": ("counterexample",), "seed": ("farin",)}
 _NEGATIVE_SLOPES = "; a list that starts with a negative slope needs the = form, --slopes=-1,2"
@@ -178,22 +176,24 @@ def _demo_spline(name: str, n: int, slopes, seed: int) -> PiecewisePoly:
 
 
 def _demo_fixture(name: str) -> None:
-    cfg = NumericConfig()
-    fixture = get_fixture(name)
+    from . import numcheck
+
+    cfg = numcheck.NumericConfig()
+    fixture = numcheck.get_fixture(name)
     print(f"fixture: {name}")
-    if isinstance(fixture, RayLemmaFixture):
-        report = verify_ray_lemma(fixture.f, fixture.g, fixture.ray, cfg)
+    if isinstance(fixture, numcheck.RayLemmaFixture):
+        report = numcheck.verify_ray_lemma(fixture.f, fixture.g, fixture.ray, cfg)
         print(f"max value gap: {report.max_value_gap:.3e}")
         print(f"max ray-derivative gap: {report.max_dirderiv_gap:.3e}")
         print(f"ray lemma check: {'pass' if report.passed else 'fail'}")
         return
-    gradient = verify_corner_gradient(fixture, cfg)
+    gradient = numcheck.verify_corner_gradient(fixture, cfg)
     print(f"continuity gap: {gradient.continuity_gap:.3e}")
     print(f"gradient upper: ({gradient.grad_upper[0]:.6f}, {gradient.grad_upper[1]:.6f})")
     print(f"gradient lower: ({gradient.grad_lower[0]:.6f}, {gradient.grad_lower[1]:.6f})")
     print(f"gradient gap: {gradient.grad_gap:.3e}")
     print(f"corner gradient check: {'pass' if gradient.passed else 'fail'}")
-    witness = corner_witness_check(fixture.f_upper, fixture, cfg)
+    witness = numcheck.corner_witness_check(fixture.f_upper, fixture, cfg)
     print(f"witness candidate vanishes on curve: {'yes' if witness.vanishes_on_curve else 'no'}")
     print(f"witness gradient norm at corner: {witness.grad_norm_at_p:.3e}")
     print(f"smoothness witness: {'yes' if witness.is_witness else 'no'}")

@@ -43,6 +43,10 @@ class CounterexampleSpec:
     coeffs: tuple[int, ...]
     spline: PiecewisePoly
 
+    def __post_init__(self):
+        object.__setattr__(self, "slopes", tuple(self.slopes))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
 
 def _distinct_nonzero(slopes: Sequence) -> list[Fraction | int]:
     values = [exact(s) for s in slopes]

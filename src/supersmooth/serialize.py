@@ -32,6 +32,7 @@ import re
 import sys
 from bisect import bisect_left
 from fractions import Fraction
+from numbers import Real
 from typing import Sequence
 
 from .errors import DomainError, SchemaError
@@ -339,6 +340,8 @@ def sample_grid(spline: PiecewisePoly, grid_n: int, radius: float) -> list[tuple
     if grid_n < 2:
         raise DomainError("grid_n must be at least 2")
     check_exponents(grid_n)
+    if not isinstance(radius, Real):
+        raise TypeError(f"radius must be a real number, got {type(radius).__name__}")
     # 2*radius*(grid_n-1) is the largest intermediate of the coordinates below.
     if not (0 < radius and math.isfinite(2.0 * radius * (grid_n - 1))):
         raise DomainError("radius must be positive and small enough for finite grid coordinates")

@@ -50,8 +50,11 @@ Order = int | float
 
 
 def format_order(order) -> str:
+    """The text of an order: an int or INFINITE; any other type is a TypeError."""
     if order == INFINITE:
         return "infinite"
+    if type(order) is not int:
+        raise TypeError(f"order must be an int or INFINITE, got {type(order).__name__}")
     if order < 0:
         return "not continuous"
     return str(order)
@@ -154,9 +157,10 @@ def _jump_orders(spline: PiecewisePoly, ray_index: int) -> tuple[Order, Order]:
 def smoothness_across_ray(spline: PiecewisePoly, ray_index: int):
     """Smoothness order between the two pieces adjacent along rays[ray_index]."""
     k = len(spline.fan.rays)
+    if type(ray_index) is not int:  # type before range: a non-int is the exponent rule's ValueError
+        check_exponents(ray_index)
     if not 0 <= ray_index < k:
         raise DomainError(f"ray index {ray_index} out of range for {k} rays")
-    check_exponents(ray_index)
     return _jump_orders(spline, ray_index)[0]
 
 

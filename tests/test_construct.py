@@ -308,6 +308,13 @@ def test_default_extra_slopes():
         assert default_extra_slopes(n) == loop_extra_slopes(n)
 
 
+def test_a_hand_made_spec_stores_tuples_and_equals_the_built_one():
+    built = build_counterexample([1, 2], 1)
+    spec = construct.CounterexampleSpec(1, [1, 2], [2, -1], built.spline)
+    assert type(spec.slopes) is tuple and type(spec.coeffs) is tuple
+    assert spec == built and hash(spec) == hash(built)
+
+
 def test_fan_from_slopes():
     fan = fan_from_slopes([1, 2, 3])
     assert fan.rays == (Ray(1, 0), Ray(1, -1), Ray(1, -2), Ray(1, -3))

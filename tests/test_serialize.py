@@ -385,6 +385,19 @@ def test_sample_grid_validates_arguments():
         sample_grid(spline, 4, float("nan"))
 
 
+@pytest.mark.parametrize("radius, name", [("1", "str"), (None, "NoneType"), (1j, "complex")])
+def test_sample_grid_names_a_radius_of_the_wrong_type(radius, name):
+    spline = build_halfplane_example(0)
+    with pytest.raises(TypeError, match=rf"^radius must be a real number, got {name}$"):
+        sample_grid(spline, 3, radius)
+
+
+@pytest.mark.parametrize("radius", [-1, Fraction(-1, 2), math.inf])
+def test_sample_grid_keeps_the_range_error_of_a_real_radius(radius):
+    with pytest.raises(DomainError, match=r"^radius must be positive and small enough for finite grid coordinates$"):
+        sample_grid(build_halfplane_example(0), 3, radius)
+
+
 def test_sample_grid_rejects_values_beyond_float_range():
     spline = build_counterexample([1, 2, 3, 4, 5], 4).spline
     with pytest.raises(DomainError, match="too large for a float"):

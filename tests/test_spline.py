@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -73,6 +74,16 @@ def test_smoothness_across_ray_rejects_an_index_out_of_range(index):
     spline = _two_piece(X_AXIS, BiPoly.zero(), Y**2)
     with pytest.raises(DomainError, match=rf"^ray index {index} out of range for 2 rays$"):
         smoothness_across_ray(spline, index)
+
+
+@pytest.mark.parametrize("index", ["1", None])
+def test_smoothness_across_ray_reads_the_index_type_before_its_range(index):
+    # -1 is of the right type, so it keeps the range's DomainError (test above)
+    spline = _two_piece(X_AXIS, BiPoly.zero(), Y**2)
+    message = f"exponents must be nonnegative integers, got ({index!r},)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+        smoothness_across_ray(spline, index)
+    assert type(caught.value) is ValueError
 
 
 def test_divisibility_order_cube():
@@ -376,6 +387,12 @@ def test_format_order():
     assert format_order(INFINITE) == "infinite"
     assert format_order(-1) == "not continuous"
     assert format_order(3) == "3"
+
+
+@pytest.mark.parametrize("order, name", [(None, "NoneType"), ("1", "str"), (1.5, "float"), (True, "bool")])
+def test_format_order_names_an_order_of_the_wrong_type(order, name):
+    with pytest.raises(TypeError, match=rf"^order must be an int or INFINITE, got {name}$"):
+        format_order(order)
 
 
 def test_render_report_layout():
